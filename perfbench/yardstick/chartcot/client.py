@@ -1,0 +1,166 @@
+"""Teacher-model client: OpenAI-compatible chat completions plus a stub.
+
+The stub is fully deterministic: it recognizes the prompt template id,
+re-parses the chart document embedded in the prompt, and answers from the
+data. Nothing outside the CoT/review stages ever touches a client.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import threading
+import time
+import urllib.error
+import urllib.request
+from dataclasses import dataclass
+
+from . import prompts
+from .cot import CotSample, answers_match, generate_cot_rule_based, recompute_true_answer
+from .errors import ClientError, ConfigError
+from .spec import ChartSpec, parse_spec, serialize_spec
+from .util import rng_for
+
+API_KEY_ENV = "CHARTPOINT_API_KEY"
+
+# Stub review tolerance: strictly tighter than the smallest evaluation margin,
+# so reviewed data can never pass evaluation by accident.
+REVIEW_REL_TOL = 0.02
+
+_FENCE_RE = re.compile(r"```json\n(.*?)\n```", re.DOTALL)
+_TASK_RE = re.compile(r"^## task: (\S+)$", re.MULTILINE)
+
+
+@dataclass(frozen=True)
+class ClientConfig:
+    mode: str = "stub"
+    endpoint: str = ""
+    model: str = "stub"
+    temperature: float = 0.0
+    max_retries: int = 2
+    max_concurrency: int = 4
+    timeout: float = 30.0
+    backoff: float = 0.5
+    stub_seed: int = 0
+    stub_fault_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("stub", "http"):
+            raise ConfigError(f"unknown client mode {self.mode!r}")
+        if self.mode == "http" and not self.endpoint:
+            raise ConfigError("http mode requires an endpoint")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
+        if self.max_concurrency < 1:
+            raise ConfigError("max_concurrency must be >= 1")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ClientConfig":
+        known = {f for f in cls.__dataclass_fields__}
+        unknown = set(obj) - known
+        if unknown:
+            raise ConfigError(f"unknown client config keys: {sorted(unknown)}")
+        return cls(**obj)
+
+
+class LlmClient:
+    """Shareable across workers; a semaphore bounds in-flight requests."""
+
+    def __init__(self, config: ClientConfig):
+        self.config = config
+        self._gate = threading.BoundedSemaphore(config.max_concurrency)
+
+    # -- chat ---------------------------------------------------------------
+
+    def chat(self, messages: list[dict]) -> str:
+        if not messages:
+            raise ClientError("messages must be non-empty")
+        with self._gate:
+            if self.config.mode == "stub":
+                return self._stub_reply(messages)
+            return self._http_chat(messages)
+
+    def _http_chat(self, messages: list[dict]) -> str:
+        payload = json.dumps({
+            "model": self.config.model,
+            "messages": messages,
+            "temperature": self.config.temperature,
+        }).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(API_KEY_ENV, "")
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+        last_error = "no attempt made"
+        for attempt in range(self.config.max_retries + 1):
+            if attempt:
+                time.sleep(self.config.backoff * 2 ** (attempt - 1))
+            try:
+                req = urllib.request.Request(self.config.endpoint, data=payload, headers=headers)
+                with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
+                    body = json.loads(resp.read().decode("utf-8"))
+                try:
+                    return body["choices"][0]["message"]["content"]
+                except (KeyError, IndexError, TypeError) as exc:
+                    raise ClientError(f"malformed completion payload: {exc}") from exc
+            except urllib.error.HTTPError as exc:
+                if exc.code == 429 or 500 <= exc.code < 600:
+                    last_error = f"HTTP {exc.code}"
+                    continue
+                raise ClientError(f"non-retryable HTTP {exc.code}") from exc
+            except urllib.error.URLError as exc:
+                last_error = str(exc.reason)
+                continue
+            except TimeoutError:
+                last_error = "timed out"
+                continue
+        raise ClientError(f"exhausted {self.config.max_retries} retries: {last_error}")
+
+    # -- stub ---------------------------------------------------------------
+
+    def _stub_reply(self, messages: list[dict]) -> str:
+        content = "\n".join(str(m.get("content", "")) for m in messages)
+        task = _TASK_RE.search(content)
+        blocks = _FENCE_RE.findall(content)
+        if not task or not blocks:
+            raise ClientError("stub cannot interpret this prompt")
+        template = task.group(1)
+        if template == prompts.COT_TEMPLATE_ID:
+            spec = parse_spec(blocks[0])
+            fault = rng_for(self.config.stub_seed, "stub-cot-fault", spec.id).random()
+            sample = generate_cot_rule_based(spec, seed=self.config.stub_seed)
+            reply = sample.to_text()
+            if fault < self.config.stub_fault_rate:
+                return reply[: max(10, len(reply) // 3)]  # truncated, never valid JSON
+            return reply
+        if template == prompts.REVIEW_TEMPLATE_ID:
+            spec = parse_spec(blocks[0])
+            from .cot import validate_cot
+
+            sample = validate_cot(blocks[1])
+            return "yes" if _review_locally(sample, spec) else "no"
+        raise ClientError(f"stub has no handler for template {template!r}")
+
+    # -- review -------------------------------------------------------------
+
+    def review_qa(self, sample: CotSample, spec: ChartSpec) -> bool:
+        """Quality gate: does the sample's answer match the chart data?"""
+        if self.config.mode == "stub":
+            return _review_locally(sample, spec)
+        reply = self.chat(prompts.review_messages(serialize_spec(spec), sample.to_text()))
+        return reply.strip().lower().startswith("yes")
+
+
+def _review_locally(sample: CotSample, spec: ChartSpec) -> bool:
+    true_answer = recompute_true_answer(spec, sample)
+    if true_answer is None:
+        return False
+    return answers_match(sample.answer, true_answer, REVIEW_REL_TOL)
+
+
+def chat(messages: list[dict], config: ClientConfig) -> str:
+    return LlmClient(config).chat(messages)
+
+
+def review_qa(sample: CotSample, spec: ChartSpec, config: ClientConfig) -> bool:
+    return LlmClient(config).review_qa(sample, spec)

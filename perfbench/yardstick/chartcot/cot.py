@@ -1,0 +1,294 @@
+"""Chain-of-thought samples: schema, validation, and the rule-based generator.
+
+Each step is either Grounding (locates a chart element and carries a target
+reference) or Reasoning (deduces from what earlier steps grounded). Questions
+stay close to datapoint lookup on purpose: per-datapoint grounding is the
+training signal, not arithmetic depth.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Optional, Union
+
+from .errors import FormatError, IntegrityError
+from .geometry import ElementRef
+from .spec import ChartSpec
+from .util import rng_for, round_half_up
+
+KIND_GROUNDING = "Grounding"
+KIND_REASONING = "Reasoning"
+STEP_KINDS = (KIND_GROUNDING, KIND_REASONING)
+
+
+@dataclass(frozen=True)
+class Answer:
+    """Unit-free answer value; percent answers carry a flag instead of a sign."""
+
+    value: Union[float, str]
+    percent: bool = False
+
+    @property
+    def is_numeric(self) -> bool:
+        return isinstance(self.value, float)
+
+    def to_json(self):
+        if self.percent:
+            return {"value": self.value, "percent": True}
+        return self.value
+
+    def to_text(self) -> str:
+        if isinstance(self.value, float):
+            if float(self.value).is_integer():
+                return str(int(self.value))
+            return f"{self.value:g}"
+        return str(self.value)
+
+    @classmethod
+    def from_json(cls, obj) -> "Answer":
+        if isinstance(obj, dict):
+            if "value" not in obj or set(obj) - {"value", "percent"}:
+                raise FormatError("answer object needs {value, percent?}")
+            raw = obj["value"]
+            percent = bool(obj.get("percent", False))
+        else:
+            raw, percent = obj, False
+        if isinstance(raw, bool) or raw is None:
+            raise FormatError("answer must be a number or short text")
+        if isinstance(raw, (int, float)):
+            return cls(value=float(raw), percent=percent)
+        return cls(value=str(raw), percent=percent)
+
+
+@dataclass(frozen=True)
+class Step:
+    index: int
+    kind: str
+    text: str
+    target: Optional[ElementRef] = None
+
+    def to_json(self) -> dict:
+        out = {"index": self.index, "kind": self.kind, "text": self.text}
+        if self.target is not None:
+            out["target"] = self.target.to_json()
+        return out
+
+
+@dataclass(frozen=True)
+class CotSample:
+    chart_id: str
+    question: str
+    answer: Answer
+    steps: tuple[Step, ...]
+
+    def grounding_steps(self) -> list[Step]:
+        return [s for s in self.steps if s.kind == KIND_GROUNDING]
+
+    def to_json(self) -> dict:
+        return {
+            "chart_id": self.chart_id,
+            "question": self.question,
+            "answer": self.answer.to_json(),
+            "steps": [s.to_json() for s in self.steps],
+        }
+
+    def to_text(self) -> str:
+        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True)
+
+
+def _check_steps(steps: tuple[Step, ...]) -> None:
+    if not steps:
+        raise IntegrityError("steps must be non-empty")
+    for pos, step in enumerate(steps):
+        if step.index != pos:
+            raise IntegrityError(f"non-contiguous step indices (expected {pos}, got {step.index})")
+        if step.kind not in STEP_KINDS:
+            raise IntegrityError(f"unknown step kind {step.kind!r}")
+        if not step.text:
+            raise IntegrityError(f"step {pos} has empty text")
+        if step.kind == KIND_GROUNDING and step.target is None:
+            raise IntegrityError(f"Grounding step {pos} is missing its target")
+        if step.kind == KIND_REASONING and step.target is not None:
+            raise IntegrityError(f"Reasoning step {pos} must not carry a target")
+
+
+def check_sample(sample: CotSample) -> CotSample:
+    _check_steps(sample.steps)
+    if not sample.question:
+        raise IntegrityError("question must be non-empty")
+    return sample
+
+
+def validate_cot(document: str) -> CotSample:
+    """Parse and validate a CoT document.
+
+    FormatError for invalid JSON or wrong shape; IntegrityError for missing
+    keys, bad step kinds, missing grounding targets, or index gaps.
+    """
+    try:
+        obj = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError("CoT document must be a JSON object")
+    for key in ("chart_id", "question", "answer", "steps"):
+        if key not in obj:
+            raise IntegrityError(f"missing required key {key!r}")
+    if not isinstance(obj["steps"], list):
+        raise FormatError("steps must be a list")
+    steps = []
+    for raw in obj["steps"]:
+        if not isinstance(raw, dict):
+            raise FormatError("each step must be an object")
+        if "index" not in raw or "kind" not in raw or "text" not in raw:
+            raise IntegrityError("step needs index, kind, and text")
+        if not isinstance(raw["index"], int) or isinstance(raw["index"], bool):
+            raise IntegrityError("step index must be an integer")
+        target = None
+        if raw.get("target") is not None:
+            try:
+                target = ElementRef.from_json(raw["target"])
+            except ValueError as exc:
+                raise IntegrityError(f"bad step target: {exc}") from exc
+        steps.append(Step(index=raw["index"], kind=str(raw["kind"]), text=str(raw["text"]), target=target))
+    sample = CotSample(
+        chart_id=str(obj["chart_id"]),
+        question=str(obj["question"]),
+        answer=Answer.from_json(obj["answer"]),
+        steps=tuple(steps),
+    )
+    return check_sample(sample)
+
+
+# ---------------------------------------------------------------------------
+# Rule-based generation
+
+_POINT_STEP = {
+    "bar": "Locate the top of the {series} bar at {category}.",
+    "line": "Locate the {series} point at {category}.",
+    "pie": "Locate the {category} wedge in the pie.",
+}
+
+
+def generate_cot_rule_based(spec: ChartSpec, seed: int) -> CotSample:
+    """Deterministic CoT for a valid spec; the answer always equals spec data.
+
+    Step template: legend entry (multi-series only) -> x tick -> datapoint,
+    then one or two reasoning steps. Totals land in [3, 5].
+    """
+    rng = rng_for(seed, "cot", spec.id)
+    series = spec.series[rng.randrange(len(spec.series))]
+    steps: list[Step] = []
+    extra_reason: str | None = None
+
+    if spec.chart_type == "pie":
+        category = spec.x_labels[rng.randrange(len(spec.x_labels))]
+        question = f"What percentage share does {category} hold in the pie chart?"
+        total = sum(series.values)
+        value = series.values[spec.x_labels.index(category)]
+        answer = Answer(value=round_half_up(value / total * 100.0, 1), percent=True)
+        final_reason = "Divide the wedge value by the total and convert it to a percentage."
+    else:
+        qtype = rng.choices(("point", "max", "min"), weights=(3, 1, 1))[0]
+        if qtype == "point":
+            category = spec.x_labels[rng.randrange(len(spec.x_labels))]
+            value = series.values[spec.x_labels.index(category)]
+            if len(spec.series) > 1:
+                question = f"What is the value of {series.name} at {category}?"
+            else:
+                question = f"What is the value at {category}?"
+            final_reason = "Read the value from the bar height against the y-axis." \
+                if spec.chart_type == "bar" else "Read the value of the point against the y-axis."
+        else:
+            pick = max if qtype == "max" else min
+            value = pick(series.values)
+            category = spec.x_labels[series.values.index(value)]
+            word = "highest" if qtype == "max" else "lowest"
+            if len(spec.series) > 1:
+                question = f"What is the {word} value in the {series.name} series?"
+            else:
+                question = f"What is the {word} value in the chart?"
+            extra_reason = f"Compare the {series.name} values across all categories."
+            final_reason = f"The {word} value occurs at {category}; read it off the y-axis."
+        answer = Answer(value=float(value))
+
+    if spec.legend and len(spec.series) > 1:
+        steps.append(Step(0, KIND_GROUNDING, f"Locate the legend entry for {series.name}.",
+                          ElementRef("legend_entry", series=series.name)))
+    tick_text = (
+        f"Find the {category} entry in the category key."
+        if spec.chart_type == "pie"
+        else f"Find the {category} label on the x-axis."
+    )
+    steps.append(Step(len(steps), KIND_GROUNDING, tick_text, ElementRef("x_tick", category=category)))
+    steps.append(Step(
+        len(steps), KIND_GROUNDING,
+        _POINT_STEP[spec.chart_type].format(series=series.name, category=category),
+        ElementRef("datapoint", series=series.name, category=category),
+    ))
+    if extra_reason is not None:
+        steps.append(Step(len(steps), KIND_REASONING, extra_reason))
+    steps.append(Step(len(steps), KIND_REASONING, final_reason))
+
+    return check_sample(CotSample(chart_id=spec.id, question=question, answer=answer, steps=tuple(steps)))
+
+
+def generate_cot_llm(spec: ChartSpec, client) -> CotSample:
+    """Ask the teacher client for a CoT sample over the spec document.
+
+    The reply is validated like any untrusted document; one retry on a
+    malformed reply, then the failure propagates and the sample is discarded
+    by the stage gate.
+    """
+    from . import prompts
+    from .spec import serialize_spec
+
+    messages = prompts.cot_generation_messages(serialize_spec(spec))
+    last: Exception | None = None
+    for _ in range(2):
+        reply = client.chat(messages)
+        try:
+            sample = validate_cot(reply)
+            if sample.chart_id != spec.id:
+                raise IntegrityError(
+                    f"reply chart_id {sample.chart_id!r} does not match {spec.id!r}"
+                )
+            return sample
+        except (FormatError, IntegrityError) as exc:
+            last = exc
+    assert last is not None
+    raise last
+
+
+def recompute_true_answer(spec: ChartSpec, sample: CotSample) -> Optional[Answer]:
+    """Re-derive the numeric answer from spec data via the grounded datapoint.
+
+    Returns None when the sample grounds no datapoint.
+    """
+    point = None
+    for step in sample.steps:
+        if step.target is not None and step.target.role == "datapoint":
+            point = step.target
+    if point is None:
+        return None
+    for s in spec.series:
+        if s.name == point.series and point.category in spec.x_labels:
+            value = s.values[spec.x_labels.index(point.category)]
+            if spec.chart_type == "pie":
+                share = value / sum(s.values) * 100.0
+                return Answer(value=round_half_up(share, 1), percent=True)
+            return Answer(value=float(value))
+    return None
+
+
+def answers_match(a: Answer, b: Answer, rel_tol: float) -> bool:
+    """Numeric closeness within rel_tol; text equality otherwise."""
+    if a.is_numeric and b.is_numeric:
+        av, bv = float(a.value), float(b.value)
+        if bv == 0:
+            return av == 0
+        return abs(av - bv) / abs(bv) <= rel_tol
+    if not a.is_numeric and not b.is_numeric:
+        return str(a.value).strip().lower() == str(b.value).strip().lower()
+    return False

@@ -1,0 +1,226 @@
+"""Relaxed-accuracy scoring for chart QA predictions.
+
+A numeric prediction is correct at margin m when its relative error to the
+gold value is at most m; text answers need lenient exact equality. Replies
+are reduced to answers either by taking the last \\box{...} occurrence
+(match mode) or the whole trimmed reply (direct mode).
+"""
+
+from __future__ import annotations
+
+import logging
+import re
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from .cot import Answer
+from .errors import ExtractionError, MissingGoldError, ValidationError
+
+log = logging.getLogger(__name__)
+
+DEFAULT_MARGINS = (0.05, 0.10, 0.20)
+
+_BOX_RE = re.compile(r"\\box\{([^{}]*)\}")
+_NUMBER_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?%?")
+
+
+def _token_to_answer(token: str) -> Answer:
+    token = token.strip()
+    percent = token.endswith("%")
+    if percent:
+        token = token[:-1].strip()
+    cleaned = token.replace(",", "")
+    try:
+        return Answer(value=float(cleaned), percent=percent)
+    except ValueError:
+        return Answer(value=token, percent=False)
+
+
+def extract_answer(raw_text: str, mode: str = "match") -> Answer:
+    """Pull the final answer out of a model reply.
+
+    match: content of the last \\box{...}; falls back to the last numeric
+    token in the reply. direct: the whole reply, trimmed. Raises
+    ExtractionError when no candidate exists (callers score it incorrect).
+    """
+    if mode not in ("match", "direct"):
+        raise ValidationError(f"unknown extraction mode {mode!r}")
+    text = raw_text.strip()
+    if mode == "direct":
+        if not text:
+            raise ExtractionError("empty reply")
+        return _token_to_answer(text)
+    boxes = _BOX_RE.findall(raw_text)
+    if boxes:
+        content = boxes[-1].strip()
+        if not content:
+            raise ExtractionError("empty \\box{} content")
+        return _token_to_answer(content)
+    numbers = _NUMBER_RE.findall(raw_text)
+    if not numbers:
+        raise ExtractionError("no boxed answer and no numeric token")
+    return _token_to_answer(numbers[-1])
+
+
+def _as_float(answer: Answer) -> Optional[float]:
+    if answer.is_numeric:
+        return float(answer.value)
+    try:
+        return float(str(answer.value).replace(",", "").strip())
+    except ValueError:
+        return None
+
+
+_ARTICLE_RE = re.compile(r"^(the|a|an)\s+", re.IGNORECASE)
+
+
+def _norm_text(value: str) -> str:
+    out = value.strip().lower().rstrip(".")
+    return _ARTICLE_RE.sub("", out).strip()
+
+
+def relaxed_match(pred: Answer, gt: Answer, margin: float) -> bool:
+    """Correctness at one margin; text gold needs lenient exact equality."""
+    if margin < 0:
+        raise ValidationError("margin must be >= 0")
+    p = _as_float(pred)
+    g = _as_float(gt)
+    if p is not None and g is not None:
+        if g == 0:
+            return p == 0
+        return abs(p - g) / abs(g) <= margin
+    if p is None and g is None:
+        return _norm_text(str(pred.value)) == _norm_text(str(gt.value))
+    log.info("type mismatch: prediction %r vs gold %r scored incorrect", pred.value, gt.value)
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Corpus evaluation
+
+@dataclass(frozen=True)
+class Prediction:
+    sample_id: str
+    raw_text: str
+    group: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class GoldEntry:
+    sample_id: str
+    answer: Answer
+    group: Optional[str] = None
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GoldEntry":
+        return cls(
+            sample_id=str(obj["sample_id"]),
+            answer=Answer.from_json(obj["answer"]),
+            group=obj.get("group"),
+        )
+
+
+@dataclass
+class EvalReport:
+    margins: tuple
+    groups: list
+    cells: dict          # margin -> group -> {"correct", "total", "accuracy"}
+    averages: dict       # margin -> {"avg": unweighted mean, "all": pooled}
+    n_predictions: int
+    extraction_failures: int
+
+    def accuracy(self, margin: float, group: str) -> float:
+        return self.cells[margin][group]["accuracy"]
+
+    def to_json(self) -> dict:
+        return {
+            "margins": list(self.margins),
+            "groups": list(self.groups),
+            "cells": {str(m): self.cells[m] for m in self.margins},
+            "averages": {str(m): self.averages[m] for m in self.margins},
+            "n_predictions": self.n_predictions,
+            "extraction_failures": self.extraction_failures,
+        }
+
+    def to_table(self) -> str:
+        headers = ["margin", *self.groups, "Avg.", "ALL"]
+        rows = []
+        for m in self.margins:
+            row = [f"@{m:g}"]
+            for g in self.groups:
+                row.append(f"{self.cells[m][g]['accuracy'] * 100:.2f}")
+            row.append(f"{self.averages[m]['avg'] * 100:.2f}")
+            row.append(f"{self.averages[m]['all'] * 100:.2f}")
+            rows.append(row)
+        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+        for row in rows:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        return "\n".join(lines)
+
+
+def evaluate(
+    predictions: Iterable[Prediction],
+    gold: Iterable[GoldEntry],
+    margins: tuple = DEFAULT_MARGINS,
+    mode: str = "match",
+    group_by: str = "group",
+) -> EvalReport:
+    """Score predictions against gold answers at each margin.
+
+    "Avg." is the unweighted mean over group accuracies; "ALL" pools every
+    sample. With group_by="none" all samples land in one group.
+    """
+    gold_by_id = {}
+    for entry in gold:
+        gold_by_id[entry.sample_id] = entry
+    seen: set[str] = set()
+    scored: list[tuple[str, dict]] = []
+    failures = 0
+    for pred in predictions:
+        if pred.sample_id in seen:
+            raise ValidationError(f"duplicate prediction for sample {pred.sample_id!r}")
+        seen.add(pred.sample_id)
+        entry = gold_by_id.get(pred.sample_id)
+        if entry is None:
+            raise MissingGoldError(f"no gold entry for sample {pred.sample_id!r}")
+        group = "all"
+        if group_by != "none":
+            group = entry.group or pred.group or "all"
+        try:
+            answer = extract_answer(pred.raw_text, mode=mode)
+            verdicts = {m: relaxed_match(answer, entry.answer, m) for m in margins}
+        except ExtractionError:
+            failures += 1
+            verdicts = {m: False for m in margins}
+        scored.append((group, verdicts))
+
+    groups = sorted({g for g, _ in scored})
+    cells = {}
+    averages = {}
+    for m in margins:
+        per_group = {}
+        for g in groups:
+            totals = [v[m] for grp, v in scored if grp == g]
+            correct = sum(totals)
+            per_group[g] = {
+                "correct": int(correct),
+                "total": len(totals),
+                "accuracy": correct / len(totals) if totals else 0.0,
+            }
+        cells[m] = per_group
+        all_verdicts = [v[m] for _, v in scored]
+        averages[m] = {
+            "avg": (
+                sum(per_group[g]["accuracy"] for g in groups) / len(groups) if groups else 0.0
+            ),
+            "all": (sum(all_verdicts) / len(all_verdicts)) if all_verdicts else 0.0,
+        }
+    return EvalReport(
+        margins=tuple(margins),
+        groups=groups,
+        cells=cells,
+        averages=averages,
+        n_predictions=len(scored),
+        extraction_failures=failures,
+    )

@@ -1,0 +1,263 @@
+"""Marker insertion and detection.
+
+A grounding step is materialized by editing the chart spec: text elements get
+the marker character appended; datapoints get an anchor that renders as a
+cross in the reserved color. Detection runs two passes in order: a structural
+scan of the vector document (exact, text markers only), then a connected
+component scan of marker-colored pixels in the raster.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from dataclasses import dataclass, replace
+from typing import Optional
+from xml.sax.saxutils import unescape
+
+import numpy as np
+
+from .cot import KIND_GROUNDING, Step
+from .errors import (
+    AmbiguousError,
+    CollisionError,
+    NotFoundError,
+    SpecSyntaxError,
+    TargetError,
+    ValidationError,
+)
+from .geometry import ElementRef, PixelBBox, glyph_bbox
+from .layout import ChartLayout, chart_layout
+from .render import MARKER_COLOR, Bitmap, MarkerAnchor
+from .spec import MARKER_CHAR, ChartSpec, Series, spec_from_json, spec_to_json, validate_spec
+
+TEXT_ROLES = frozenset({"title", "legend_entry", "x_tick", "y_tick"})
+
+MODE_TEXT = "text_suffix"
+MODE_POINT = "point_anchor"
+
+# Minimum detection box edge at the reference canvas width.
+MIN_MARKER_PX = 12
+REFERENCE_CANVAS_W = 1000
+
+
+def marker_min_size(canvas_w: int, base: float = MIN_MARKER_PX) -> float:
+    return base * canvas_w / REFERENCE_CANVAS_W
+
+
+def mode_for_role(role: str) -> str:
+    return MODE_POINT if role == "datapoint" else MODE_TEXT
+
+
+@dataclass(frozen=True)
+class MarkerEdit:
+    step_index: int
+    target: ElementRef
+    mode: str
+
+    def __post_init__(self) -> None:
+        if self.mode == MODE_TEXT and self.target.role not in TEXT_ROLES:
+            raise ValidationError(f"text_suffix cannot target role {self.target.role!r}")
+        if self.mode == MODE_POINT and self.target.role != "datapoint":
+            raise ValidationError(f"point_anchor cannot target role {self.target.role!r}")
+        if self.mode not in (MODE_TEXT, MODE_POINT):
+            raise ValidationError(f"unknown marker mode {self.mode!r}")
+
+
+@dataclass(frozen=True)
+class DetectionResult:
+    bbox: PixelBBox
+    method: str  # "structural" | "raster"
+
+
+@dataclass(frozen=True)
+class EditedSpec:
+    """A spec carrying exactly one marker for one grounding step."""
+
+    spec: ChartSpec
+    markers: tuple[MarkerAnchor, ...]
+    step_index: int
+    mode: str
+    target: Optional[ElementRef] = None
+
+    def to_document(self) -> str:
+        doc = spec_to_json(self.spec)
+        if self.markers:
+            doc["markers"] = [{"x": x, "y": y} for x, y in self.markers]
+        return json.dumps(doc, ensure_ascii=False, sort_keys=True)
+
+
+def parse_edited_document(text: str, step_index: int = -1) -> EditedSpec:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecSyntaxError(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SpecSyntaxError("edited document must be a JSON object")
+    raw_markers = obj.pop("markers", [])
+    if not isinstance(raw_markers, list):
+        raise SpecSyntaxError("markers must be a list of {x, y}")
+    markers = tuple((float(m["x"]), float(m["y"])) for m in raw_markers)
+    spec = spec_from_json(obj)
+    return EditedSpec(
+        spec=spec,
+        markers=markers,
+        step_index=step_index,
+        mode=MODE_POINT if markers else MODE_TEXT,
+    )
+
+
+def _spec_text_fields(spec: ChartSpec) -> list[str]:
+    return [spec.title, *[s.name for s in spec.series], *spec.x_labels]
+
+
+def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = None) -> EditedSpec:
+    """Insert the marker for one grounding step; everything else is unchanged."""
+    if step.kind != KIND_GROUNDING or step.target is None:
+        raise TargetError(f"step {step.index} is not a grounding step")
+    if any(MARKER_CHAR in text for text in _spec_text_fields(spec)):
+        raise CollisionError(f"spec text already contains {MARKER_CHAR!r}")
+    target = step.target
+    mode = mode_for_role(target.role)
+    MarkerEdit(step_index=step.index, target=target, mode=mode)
+
+    if mode == MODE_TEXT:
+        if target.role == "title":
+            if not spec.title:
+                raise TargetError("spec has no title to mark")
+            edited = replace(spec, title=spec.title + MARKER_CHAR)
+        elif target.role == "legend_entry":
+            if not spec.legend or target.series not in {s.name for s in spec.series}:
+                raise TargetError(f"no legend entry for series {target.series!r}")
+            edited = replace(
+                spec,
+                series=tuple(
+                    Series(s.name + MARKER_CHAR, s.values) if s.name == target.series else s
+                    for s in spec.series
+                ),
+            )
+        elif target.role == "x_tick":
+            if target.category not in spec.x_labels:
+                raise TargetError(f"no category {target.category!r}")
+            edited = replace(
+                spec,
+                x_labels=tuple(
+                    x + MARKER_CHAR if x == target.category else x for x in spec.x_labels
+                ),
+            )
+        else:  # y_tick: tick text is derived from data, not an editable field
+            raise TargetError("y tick labels are derived values; target a spec text element")
+        return EditedSpec(
+            spec=validate_spec(edited), markers=(), step_index=step.index, mode=mode, target=target
+        )
+
+    lay = full_layout if full_layout is not None else chart_layout(spec)
+    if target not in lay.geometry:
+        raise TargetError(f"datapoint target {target} does not resolve")
+    if spec.chart_type == "bar":
+        box = lay.geometry[target]
+        # One pixel below the top edge so the rounded cross center stays on the bar.
+        anchor = ((box.x0 + box.x1) / 2.0, box.y0 + 1.0)
+    elif spec.chart_type == "line":
+        anchor = lay.line_points[(target.series, target.category)]
+    else:
+        anchor = lay.wedge_centroids[target.category]
+    return EditedSpec(
+        spec=spec, markers=(anchor,), step_index=step.index, mode=mode, target=target
+    )
+
+
+def verify_marker(edited: EditedSpec) -> bool:
+    """Pass iff exactly one marker exists across text and anchors."""
+    count = sum(text.count(MARKER_CHAR) for text in _spec_text_fields(edited.spec))
+    count += len(edited.markers)
+    return count == 1
+
+
+# ---------------------------------------------------------------------------
+# Detection
+
+_TEXT_NODE_RE = re.compile(
+    r'<text x="([-0-9.]+)" y="([-0-9.]+)" font-size="(\d+)"[^>]*>([^<]*)</text>'
+)
+
+
+def structural_hits(vector_doc: str) -> list[PixelBBox]:
+    """Marker glyph boxes computed from text nodes and the layout metric table."""
+    hits = []
+    for m in _TEXT_NODE_RE.finditer(vector_doc):
+        x, baseline, font_px = float(m.group(1)), float(m.group(2)), int(m.group(3))
+        content = unescape(m.group(4))
+        for idx, ch in enumerate(content):
+            if ch == MARKER_CHAR:
+                hits.append(glyph_bbox(x, baseline, idx, font_px))
+    return hits
+
+
+def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
+    """Bounding boxes of 8-connected components of marker-colored pixels."""
+    a = bitmap.array
+    mask = (a[..., 0] == MARKER_COLOR[0]) & (a[..., 1] == MARKER_COLOR[1]) & (a[..., 2] == MARKER_COLOR[2])
+    coords = np.argwhere(mask)
+    if coords.size == 0:
+        return []
+    remaining = {(int(y), int(x)) for y, x in coords}
+    boxes = []
+    while remaining:
+        seed_px = next(iter(remaining))
+        stack = [seed_px]
+        remaining.discard(seed_px)
+        ys = [seed_px[0]]
+        xs = [seed_px[1]]
+        while stack:
+            cy, cx = stack.pop()
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    nb = (cy + dy, cx + dx)
+                    if nb in remaining:
+                        remaining.discard(nb)
+                        stack.append(nb)
+                        ys.append(nb[0])
+                        xs.append(nb[1])
+        boxes.append(PixelBBox(min(xs), min(ys), max(xs) + 1, max(ys) + 1))
+    boxes.sort(key=lambda b: (b.y0, b.x0))
+    return boxes
+
+
+def detect_markers(vector_doc: str, bitmap: Bitmap) -> DetectionResult:
+    """Sequential detection: exact structural pass, then the raster pass.
+
+    NotFoundError when neither pass sees a marker; AmbiguousError when the
+    deciding pass sees more than one. Either way the sample is discarded.
+    """
+    structural = structural_hits(vector_doc)
+    if len(structural) == 1:
+        return DetectionResult(bbox=structural[0], method="structural")
+    raster = raster_components(bitmap)
+    if len(raster) == 1:
+        return DetectionResult(bbox=raster[0], method="raster")
+    if not structural and not raster:
+        raise NotFoundError("no marker found by either pass")
+    raise AmbiguousError(
+        f"marker detection is ambiguous ({len(structural)} structural, {len(raster)} raster)"
+    )
+
+
+def finalize_bbox(raw: PixelBBox, canvas: tuple[int, int], min_w: float, min_h: float) -> PixelBBox:
+    """Grow a detection box to the minimum size around its center, then shift
+    it inside the canvas (size preserved; center preserved unless shifted)."""
+    w, h = canvas
+    cx, cy = raw.center
+    bw = max(raw.width, min_w)
+    bh = max(raw.height, min_h)
+    x0, x1 = cx - bw / 2, cx + bw / 2
+    y0, y1 = cy - bh / 2, cy + bh / 2
+    if x0 < 0:
+        x0, x1 = 0.0, min(bw, w)
+    elif x1 > w:
+        x0, x1 = max(0.0, w - bw), float(w)
+    if y0 < 0:
+        y0, y1 = 0.0, min(bh, h)
+    elif y1 > h:
+        y0, y1 = max(0.0, h - bh), float(h)
+    return PixelBBox(x0, y0, x1, y1)

@@ -1,0 +1,534 @@
+"""Gated batch pipeline: meta -> cot -> code -> render -> detect -> qa.
+
+Each chart advances through the gates independently; a chart failing any gate
+is discarded from later stages but stays in that stage's accounting. All
+randomness is keyed by (seed, purpose, chart id), so outputs are identical
+across worker counts and across resumed runs. The manifest is the single
+mutable resource and is written atomically by the coordinating thread only.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+import hashlib
+import json
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Optional
+
+from .bbox import FORMATS, NormBBox, normalize
+from .client import ClientConfig, LlmClient
+from .cot import CotSample, generate_cot_llm, validate_cot
+from .errors import (
+    AmbiguousError,
+    ChartCotError,
+    ClientError,
+    ConfigError,
+    EmptyError,
+    FormatError,
+    IntegrityError,
+    NotFoundError,
+)
+from .geometry import PixelBBox
+from .instruction import InstructionSample, build_instructions
+from .layout import chart_layout
+from .marker import (
+    EditedSpec,
+    apply_marker,
+    detect_markers,
+    finalize_bbox,
+    marker_min_size,
+    parse_edited_document,
+    verify_marker,
+)
+from .render import Bitmap, rasterize, render_svg
+from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
+from .util import atomic_write_bytes, atomic_write_text, canonical_json, dumps_pretty, rng_for
+
+STAGES = ("meta", "cot", "code", "render", "detect", "qa")
+
+# Chart type shares of the target corpus (bar / line / pie).
+DEFAULT_TYPE_MIX = {"bar": 0.571, "line": 0.336, "pie": 0.093}
+
+PASS = "pass"
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    seed: int = 0
+    n_charts: int = 10
+    type_mix: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_MIX))
+    bbox_format: str = "C"
+    min_marker_px: float = 12.0
+    cap: Optional[float] = None
+    client: ClientConfig = field(default_factory=ClientConfig)
+    fault_injection: dict = field(default_factory=dict)
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n_charts < 1:
+            raise ConfigError("n_charts must be >= 1")
+        if self.bbox_format not in FORMATS:
+            raise ConfigError(f"bbox_format must be one of {FORMATS}")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        for stage, p in self.fault_injection.items():
+            if stage not in STAGES:
+                raise ConfigError(f"unknown fault injection stage {stage!r}")
+            if not (0.0 <= float(p) <= 1.0):
+                raise ConfigError("fault probabilities must be in [0, 1]")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PipelineConfig":
+        known = set(cls.__dataclass_fields__)
+        unknown = set(obj) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        kwargs = dict(obj)
+        if "client" in kwargs:
+            kwargs["client"] = ClientConfig.from_json(kwargs["client"])
+        return cls(**kwargs)
+
+    def to_json(self) -> dict:
+        # Worker count affects scheduling only, never output bytes, so it is
+        # not part of the persisted config.
+        return {
+            "seed": self.seed,
+            "n_charts": self.n_charts,
+            "type_mix": dict(self.type_mix),
+            "bbox_format": self.bbox_format,
+            "min_marker_px": self.min_marker_px,
+            "cap": self.cap,
+            "client": {k: getattr(self.client, k) for k in ClientConfig.__dataclass_fields__},
+            "fault_injection": dict(self.fault_injection),
+        }
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(canonical_json(self.to_json()).encode("utf-8")).hexdigest()[:16]
+
+
+@dataclass
+class ChartOutcome:
+    id: str
+    chart_type: str
+    stages: dict = field(default_factory=dict)    # stage -> "pass" | "fail:<reason>"
+    question: Optional[str] = None
+    steps: Optional[dict] = None                  # {"grounding", "reasoning", "total"}
+    detections: Optional[dict] = None             # step index (str) -> {"bbox", "method"}
+    records: Optional[int] = None
+    files: dict = field(default_factory=dict)
+
+    def passed(self, stage: str) -> bool:
+        return self.stages.get(stage) == PASS
+
+    def all_passed(self) -> bool:
+        return bool(self.stages) and all(v == PASS for v in self.stages.values())
+
+    def to_json(self) -> dict:
+        return {
+            "id": self.id,
+            "chart_type": self.chart_type,
+            "stages": dict(self.stages),
+            "question": self.question,
+            "steps": self.steps,
+            "detections": self.detections,
+            "records": self.records,
+            "files": self.files,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ChartOutcome":
+        return cls(
+            id=obj["id"],
+            chart_type=obj["chart_type"],
+            stages=dict(obj.get("stages", {})),
+            question=obj.get("question"),
+            steps=obj.get("steps"),
+            detections=obj.get("detections"),
+            records=obj.get("records"),
+            files=dict(obj.get("files", {})),
+        )
+
+
+@dataclass
+class DatasetManifest:
+    config: PipelineConfig
+    charts: list
+    out_dir: Optional[Path] = None
+    generated_at: str = ""
+
+    @property
+    def run_id(self) -> str:
+        return f"run-{self.config.config_hash()}"
+
+    def outcome(self, chart_id: str) -> ChartOutcome:
+        return next(c for c in self.charts if c.id == chart_id)
+
+    def stage_reports(self) -> list[dict]:
+        reports = []
+        for stage in STAGES:
+            attempted = sum(1 for c in self.charts if stage in c.stages)
+            passed = sum(1 for c in self.charts if c.passed(stage))
+            reports.append({
+                "stage": stage,
+                "attempted": attempted,
+                "passed": passed,
+                "success_rate": (passed / attempted) if attempted else 0.0,
+            })
+        return reports
+
+    def passed_charts(self) -> list:
+        return [c for c in self.charts if c.all_passed()]
+
+    def to_json(self) -> dict:
+        return {
+            "run_id": self.run_id,
+            "config_hash": self.config.config_hash(),
+            "config": self.config.to_json(),
+            "generated_at": self.generated_at,
+            "stage_reports": self.stage_reports(),
+            "charts": [c.to_json() for c in self.charts],
+        }
+
+    def digest(self) -> str:
+        """Content hash; timestamps are excluded."""
+        payload = self.to_json()
+        payload.pop("generated_at")
+        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+    def save(self) -> Path:
+        if self.out_dir is None:
+            raise ConfigError("manifest has no run directory")
+        self.generated_at = dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
+        path = self.out_dir / "manifest.json"
+        atomic_write_text(path, dumps_pretty(self.to_json()))
+        return path
+
+    @classmethod
+    def load(cls, path: str | Path) -> "DatasetManifest":
+        path = Path(path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        config = PipelineConfig.from_json(obj["config"])
+        manifest = cls(
+            config=config,
+            charts=[ChartOutcome.from_json(c) for c in obj.get("charts", [])],
+            out_dir=path.parent,
+            generated_at=obj.get("generated_at", ""),
+        )
+        return manifest
+
+
+# ---------------------------------------------------------------------------
+# Per-chart execution
+
+class _ChartTask:
+    """Runs one chart through a window of stages, loading prior artifacts
+    from disk when resuming."""
+
+    def __init__(self, spec: ChartSpec, outcome: ChartOutcome, config: PipelineConfig,
+                 client: LlmClient, out_dir: Optional[Path]):
+        self.spec = spec
+        self.outcome = outcome
+        self.config = config
+        self.client = client
+        self.out = out_dir
+        self.sample: Optional[CotSample] = None
+        self.edits: list[EditedSpec] = []
+        self.renders: dict = {}          # step index -> (svg, Bitmap)
+        self.records: list[InstructionSample] = []
+
+    # -- fault injection ----------------------------------------------------
+
+    def _injected_fault(self, stage: str) -> bool:
+        p = float(self.config.fault_injection.get(stage, 0.0))
+        if p <= 0.0:
+            return False
+        return rng_for(self.config.seed, "fault", stage, self.spec.id).random() < p
+
+    # -- artifact io ----------------------------------------------------------
+
+    def _write_text(self, rel: str, text: str) -> None:
+        if self.out is not None:
+            atomic_write_text(self.out / rel, text)
+            self.outcome.files.setdefault("all", []).append(rel)
+
+    def _write_bytes(self, rel: str, data: bytes) -> None:
+        if self.out is not None:
+            atomic_write_bytes(self.out / rel, data)
+            self.outcome.files.setdefault("all", []).append(rel)
+
+    def _load_sample(self) -> CotSample:
+        if self.sample is None:
+            assert self.out is not None, "resume requires a run directory"
+            self.sample = validate_cot((self.out / f"cot/{self.spec.id}.json").read_text(encoding="utf-8"))
+        return self.sample
+
+    def _load_edits(self) -> list[EditedSpec]:
+        if not self.edits:
+            assert self.out is not None, "resume requires a run directory"
+            sample = self._load_sample()
+            for step in sample.grounding_steps():
+                text = (self.out / f"edited/{self.spec.id}__s{step.index}.json").read_text(encoding="utf-8")
+                self.edits.append(parse_edited_document(text, step_index=step.index))
+        return self.edits
+
+    def _load_renders(self) -> dict:
+        if not self.renders:
+            assert self.out is not None, "resume requires a run directory"
+            for edit in self._load_edits():
+                svg = (self.out / f"renders/{self.spec.id}__s{edit.step_index}.svg").read_text(encoding="utf-8")
+                bmp = Bitmap.from_ppm((self.out / f"renders/{self.spec.id}__s{edit.step_index}.ppm").read_bytes())
+                self.renders[edit.step_index] = (svg, bmp)
+        return self.renders
+
+    # -- stages ---------------------------------------------------------------
+
+    def _stage_meta(self) -> None:
+        self._write_text(f"specs/{self.spec.id}.json", serialize_spec(self.spec) + "\n")
+
+    def _stage_cot(self) -> None:
+        try:
+            sample = generate_cot_llm(self.spec, self.client)
+        except (FormatError, IntegrityError) as exc:
+            raise _StageFail(f"cot-invalid: {exc}") from exc
+        if not self.client.review_qa(sample, self.spec):
+            raise _StageFail("review rejected the answer")
+        self.sample = sample
+        grounding = len(sample.grounding_steps())
+        self.outcome.question = sample.question
+        self.outcome.steps = {
+            "grounding": grounding,
+            "reasoning": len(sample.steps) - grounding,
+            "total": len(sample.steps),
+        }
+        self._write_text(f"cot/{self.spec.id}.json", sample.to_text() + "\n")
+
+    def _stage_code(self) -> None:
+        sample = self._load_sample()
+        edits = []
+        for step in sample.grounding_steps():
+            edit = apply_marker(self.spec, step)
+            if not verify_marker(edit):
+                raise _StageFail(f"marker verification failed at step {step.index}")
+            edits.append(edit)
+        self.edits = edits
+        for edit in edits:
+            self._write_text(f"edited/{self.spec.id}__s{edit.step_index}.json", edit.to_document() + "\n")
+
+    def _stage_render(self) -> None:
+        chart_layout(self.spec)  # vanilla layout must succeed even when not persisted
+        if self.out is not None:
+            svg, _ = render_svg(self.spec)
+            bmp, _ = rasterize(self.spec)
+            self._write_text(f"renders/{self.spec.id}.svg", svg)
+            self._write_bytes(f"renders/{self.spec.id}.ppm", bmp.to_ppm())
+        renders = {}
+        for edit in self._load_edits():
+            esvg, _ = render_svg(edit.spec, markers=list(edit.markers))
+            ebmp, _ = rasterize(edit.spec, markers=list(edit.markers))
+            renders[edit.step_index] = (esvg, ebmp)
+            if self.out is not None:
+                self._write_text(f"renders/{self.spec.id}__s{edit.step_index}.svg", esvg)
+                self._write_bytes(f"renders/{self.spec.id}__s{edit.step_index}.ppm", ebmp.to_ppm())
+        self.renders = renders
+
+    def _stage_detect(self) -> None:
+        w, _ = self.spec.canvas
+        min_px = marker_min_size(w, self.config.min_marker_px)
+        detections = {}
+        for step_index, (svg, bmp) in sorted(self._load_renders().items()):
+            try:
+                result = detect_markers(svg, bmp)
+            except (NotFoundError, AmbiguousError) as exc:
+                raise _StageFail(f"detect step {step_index}: {exc}") from exc
+            final = finalize_bbox(result.bbox, self.spec.canvas, min_px, min_px)
+            detections[str(step_index)] = {"bbox": list(final.as_tuple()), "method": result.method}
+        self.outcome.detections = detections
+
+    def _norm_boxes(self) -> dict[int, NormBBox]:
+        boxes = {}
+        for key, det in (self.outcome.detections or {}).items():
+            pix = PixelBBox(*det["bbox"])
+            boxes[int(key)] = normalize(pix, self.spec.canvas, self.config.bbox_format)
+        return boxes
+
+    def _stage_qa(self) -> None:
+        sample = self._load_sample()
+        records = build_instructions(
+            self.spec, sample, self._norm_boxes(),
+            cap=self.config.cap, seed=self.config.seed,
+        )
+        self.records = records
+        self.outcome.records = len(records)
+        for rec in records:
+            if rec.image.variant == "overlay" and self.out is not None:
+                boxes = list(rec.image.overlay_boxes)
+                osvg, _ = render_svg(self.spec, overlays=boxes)
+                obmp, _ = rasterize(self.spec, overlays=boxes)
+                self._write_text(f"renders/{rec.image.file_name('svg')}", osvg)
+                self._write_bytes(f"renders/{rec.image.file_name('ppm')}", obmp.to_ppm())
+
+    def run_stages(self, wanted: list[str]) -> ChartOutcome:
+        handlers = {
+            "meta": self._stage_meta,
+            "cot": self._stage_cot,
+            "code": self._stage_code,
+            "render": self._stage_render,
+            "detect": self._stage_detect,
+            "qa": self._stage_qa,
+        }
+        for pos, stage in enumerate(STAGES):
+            if stage not in wanted:
+                continue
+            if stage in self.outcome.stages:
+                if not self.outcome.passed(stage):
+                    break
+                continue  # already done in a previous run
+            if pos > 0 and not self.outcome.passed(STAGES[pos - 1]):
+                break  # gate: previous stage missing or failed
+            if self._injected_fault(stage):
+                self.outcome.stages[stage] = "fail:injected"
+                break
+            try:
+                handlers[stage]()
+            except _StageFail as exc:
+                self.outcome.stages[stage] = f"fail:{exc}"
+                break
+            except ClientError as exc:
+                self.outcome.stages[stage] = f"fail:client: {exc}"
+                break
+            except ChartCotError as exc:
+                self.outcome.stages[stage] = f"fail:{type(exc).__name__}: {exc}"
+                break
+            self.outcome.stages[stage] = PASS
+        return self.outcome
+
+
+class _StageFail(Exception):
+    """Internal: a stage gate rejected the chart (not a run-level error)."""
+
+
+# ---------------------------------------------------------------------------
+# Run orchestration
+
+def _stage_window(stop_after: Optional[str], only_stage: Optional[str]) -> list[str]:
+    if only_stage is not None:
+        if only_stage not in STAGES:
+            raise ConfigError(f"unknown stage {only_stage!r}")
+        return [only_stage]
+    if stop_after is not None:
+        if stop_after not in STAGES:
+            raise ConfigError(f"unknown stage {stop_after!r}")
+        return list(STAGES[: STAGES.index(stop_after) + 1])
+    return list(STAGES)
+
+
+def run(
+    config: PipelineConfig,
+    out_dir: str | Path | None = None,
+    stop_after: Optional[str] = None,
+    only_stage: Optional[str] = None,
+) -> DatasetManifest:
+    """Execute the pipeline (optionally a stage window) and return the manifest.
+
+    With a run directory, artifacts and the manifest are persisted and a
+    matching manifest found there resumes the run, skipping complete charts.
+    Without one, everything stays in memory (accounting-only runs).
+    """
+    wanted = _stage_window(stop_after, only_stage)
+    out = Path(out_dir) if out_dir is not None else None
+    existing: dict[str, ChartOutcome] = {}
+    if out is not None and (out / "manifest.json").exists():
+        prior = DatasetManifest.load(out / "manifest.json")
+        if prior.config.config_hash() != config.config_hash():
+            raise ConfigError("run directory holds a manifest for a different config")
+        existing = {c.id: c for c in prior.charts}
+
+    specs = generate_corpus(config.seed, config.n_charts, config.type_mix)
+    client = LlmClient(config.client)
+
+    def work(spec: ChartSpec) -> ChartOutcome:
+        outcome = existing.get(spec.id) or ChartOutcome(id=spec.id, chart_type=spec.chart_type)
+        task = _ChartTask(spec, outcome, config, client, out)
+        return task.run_stages(wanted)
+
+    if config.workers == 1:
+        outcomes = [work(s) for s in specs]
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            outcomes = list(pool.map(work, specs))
+    outcomes.sort(key=lambda c: c.id)
+
+    manifest = DatasetManifest(config=config, charts=outcomes, out_dir=out)
+    if out is not None:
+        manifest.save()
+    return manifest
+
+
+def emit_dataset(manifest: DatasetManifest) -> Path:
+    """Write dataset.jsonl (sorted by chart, kind, step) and the stage report.
+
+    Records are rebuilt deterministically from persisted artifacts, so a
+    resumed run emits the same bytes as an uninterrupted one.
+    """
+    out = manifest.out_dir
+    if out is None:
+        raise ConfigError("emit_dataset requires a persisted run")
+    config = manifest.config
+    records: list[tuple] = []
+    for outcome in manifest.passed_charts():
+        spec = parse_spec((out / f"specs/{outcome.id}.json").read_text(encoding="utf-8"))
+        sample = validate_cot((out / f"cot/{outcome.id}.json").read_text(encoding="utf-8"))
+        boxes = {
+            int(k): normalize(PixelBBox(*d["bbox"]), spec.canvas, config.bbox_format)
+            for k, d in (outcome.detections or {}).items()
+        }
+        for rec in build_instructions(spec, sample, boxes, cap=config.cap, seed=config.seed):
+            records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name('ppm')}")))
+    records.sort(key=lambda pair: pair[0])
+    lines = "".join(canonical_json(r) + "\n" for _, r in records)
+    atomic_write_text(out / "dataset.jsonl", lines)
+    atomic_write_text(out / "stage_reports.json", dumps_pretty(manifest.stage_reports()))
+    return out / "dataset.jsonl"
+
+
+def compute_stats(manifest: DatasetManifest) -> dict:
+    """Histograms and distribution facts over charts that passed every gate run."""
+    passed = [c for c in manifest.charts if c.all_passed() and c.steps]
+    if not passed:
+        raise EmptyError("no charts passed the pipeline")
+    hists: dict[str, dict] = {"grounding": {}, "reasoning": {}, "total": {}}
+    for c in passed:
+        for key in hists:
+            count = c.steps[key]
+            hists[key][str(count)] = hists[key].get(str(count), 0) + 1
+    for key in hists:
+        hists[key] = dict(sorted(hists[key].items(), key=lambda kv: int(kv[0])))
+    types: dict[str, int] = {}
+    for c in passed:
+        types[c.chart_type] = types.get(c.chart_type, 0) + 1
+    n = len(passed)
+    mode = min(
+        (k for k in hists["total"]),
+        key=lambda k: (-hists["total"][k], int(k)),
+    )
+    with_records = [c.records for c in passed if c.records is not None]
+    stats = {
+        "passed_charts": n,
+        "step_histograms": hists,
+        "total_step_mode": int(mode),
+        "chart_type_distribution": {t: types.get(t, 0) / n for t in sorted(types)},
+        "records_total": sum(with_records) if with_records else 0,
+        "records_per_chart_mean": (sum(with_records) / len(with_records)) if with_records else None,
+    }
+    return stats
+
+
+def write_stats(manifest: DatasetManifest) -> Path:
+    if manifest.out_dir is None:
+        raise ConfigError("write_stats requires a persisted run")
+    stats = compute_stats(manifest)
+    path = manifest.out_dir / "stats.json"
+    atomic_write_text(path, dumps_pretty(stats))
+    return path

@@ -1,0 +1,89 @@
+"""Small shared helpers: seeded RNG derivation, rounding, JSON and file I/O."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import random
+from pathlib import Path
+from typing import Any
+
+
+def rng_for(*parts: Any) -> random.Random:
+    """Derive an independent RNG from a tuple of key parts.
+
+    Every random draw in the package is keyed this way (never taken from a
+    shared sequential stream), so outputs are identical across worker counts
+    and across resumed runs.
+    """
+    tag = "\x1f".join(str(p) for p in parts)
+    digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def round_half_up(value: float, decimals: int = 0) -> float:
+    """Round half away from zero (Python's round() is banker's)."""
+    factor = 10.0 ** decimals
+    scaled = value * factor
+    if scaled >= 0:
+        result = math.floor(scaled + 0.5)
+    else:
+        result = math.ceil(scaled - 0.5)
+    return result / factor
+
+
+def largest_remainder(total: int, weights: list[float]) -> list[int]:
+    """Apportion `total` units among weights, quotas exact to +-1 unit."""
+    s = float(sum(weights))
+    if s <= 0:
+        raise ValueError("weights must sum to a positive value")
+    quotas = [w / s * total for w in weights]
+    counts = [int(math.floor(q)) for q in quotas]
+    remainder = total - sum(counts)
+    order = sorted(range(len(weights)), key=lambda i: (quotas[i] - counts[i], -i), reverse=True)
+    for i in order[:remainder]:
+        counts[i] += 1
+    return counts
+
+
+def canonical_json(obj: Any) -> str:
+    """Single-line JSON with sorted keys; the stable on-disk record form."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def dumps_pretty(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via temp file + rename so readers never see a partial file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    records = []
+    with Path(path).open("r", encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
+    return records
+
+
+def write_jsonl(path: str | Path, records: list[dict]) -> None:
+    text = "".join(canonical_json(r) + "\n" for r in records)
+    atomic_write_text(path, text)
