@@ -26,7 +26,7 @@ class FormatError(ChartCotError):
 
 
 class IntegrityError(ChartCotError):
-    """CoT document parses but breaks a step/key invariant."""
+    """A CoT document breaks a step/key invariant, or a stored artifact is malformed or cut short."""
 
 
 class TargetError(ChartCotError):

@@ -195,13 +195,19 @@ def structural_hits(vector_doc: str) -> list[PixelBBox]:
 
 
 def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
-    """Bounding boxes of 8-connected components of marker-colored pixels."""
+    """Bounding boxes of 8-connected components of marker-colored pixels,
+    ordered by (y0, x0)."""
     a = bitmap.array
-    mask = (a[..., 0] == MARKER_COLOR[0]) & (a[..., 1] == MARKER_COLOR[1]) & (a[..., 2] == MARKER_COLOR[2])
-    coords = np.argwhere(mask)
-    if coords.size == 0:
+    # Only rows holding a byte as low as the marker's lowest channel (0) can
+    # hold a marker pixel, and few rows do. A contiguous per-row minimum finds
+    # them ~10x faster than any strided per-pixel compare over the canvas.
+    rows = np.flatnonzero(a.reshape(a.shape[0], -1).min(axis=1) <= min(MARKER_COLOR))
+    sub = a[rows]
+    mask = (sub[..., 1] == MARKER_COLOR[1]) & (sub[..., 0] == MARKER_COLOR[0]) & (sub[..., 2] == MARKER_COLOR[2])
+    ys, xs = np.nonzero(mask)
+    if ys.size == 0:
         return []
-    remaining = {(int(y), int(x)) for y, x in coords}
+    remaining = {(y, x) for y, x in zip(rows[ys].tolist(), xs.tolist())}
     boxes = []
     while remaining:
         seed_px = next(iter(remaining))

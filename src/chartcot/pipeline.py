@@ -32,13 +32,15 @@ from .errors import (
 )
 from .geometry import PixelBBox
 from .instruction import InstructionSample, build_instructions
-from .layout import chart_layout
+from .layout import ChartLayout, chart_layout
 from .marker import (
+    MODE_POINT,
     EditedSpec,
     apply_marker,
     detect_markers,
     finalize_bbox,
     marker_min_size,
+    mode_for_role,
     parse_edited_document,
     verify_marker,
 )
@@ -237,6 +239,14 @@ class _ChartTask:
         self.edits: list[EditedSpec] = []
         self.renders: dict = {}          # step index -> (svg, Bitmap)
         self.records: list[InstructionSample] = []
+        self._layout: Optional[ChartLayout] = None
+
+    @property
+    def layout(self) -> ChartLayout:
+        """The vanilla spec's layout, computed once and shared by every stage."""
+        if self._layout is None:
+            self._layout = chart_layout(self.spec)
+        return self._layout
 
     # -- fault injection ----------------------------------------------------
 
@@ -308,7 +318,8 @@ class _ChartTask:
         sample = self._load_sample()
         edits = []
         for step in sample.grounding_steps():
-            edit = apply_marker(self.spec, step)
+            point = step.target is not None and mode_for_role(step.target.role) == MODE_POINT
+            edit = apply_marker(self.spec, step, full_layout=self.layout if point else None)
             if not verify_marker(edit):
                 raise _StageFail(f"marker verification failed at step {step.index}")
             edits.append(edit)
@@ -317,16 +328,18 @@ class _ChartTask:
             self._write_text(f"edited/{self.spec.id}__s{edit.step_index}.json", edit.to_document() + "\n")
 
     def _stage_render(self) -> None:
-        chart_layout(self.spec)  # vanilla layout must succeed even when not persisted
+        lay = self.layout  # vanilla layout must succeed even when not persisted
         if self.out is not None:
-            svg, _ = render_svg(self.spec)
-            bmp, _ = rasterize(self.spec)
+            svg, _ = render_svg(self.spec, layout=lay)
+            bmp, _ = rasterize(self.spec, layout=lay)
             self._write_text(f"renders/{self.spec.id}.svg", svg)
             self._write_bytes(f"renders/{self.spec.id}.ppm", bmp.to_ppm())
         renders = {}
         for edit in self._load_edits():
-            esvg, _ = render_svg(edit.spec, markers=list(edit.markers))
-            ebmp, _ = rasterize(edit.spec, markers=list(edit.markers))
+            # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
+            elay = lay if edit.spec == self.spec else chart_layout(edit.spec)
+            esvg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
+            ebmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
             renders[edit.step_index] = (esvg, ebmp)
             if self.out is not None:
                 self._write_text(f"renders/{self.spec.id}__s{edit.step_index}.svg", esvg)
@@ -364,8 +377,8 @@ class _ChartTask:
         for rec in records:
             if rec.image.variant == "overlay" and self.out is not None:
                 boxes = list(rec.image.overlay_boxes)
-                osvg, _ = render_svg(self.spec, overlays=boxes)
-                obmp, _ = rasterize(self.spec, overlays=boxes)
+                osvg, _ = render_svg(self.spec, overlays=boxes, layout=self.layout)
+                obmp, _ = rasterize(self.spec, overlays=boxes, layout=self.layout)
                 self._write_text(f"renders/{rec.image.file_name('svg')}", osvg)
                 self._write_bytes(f"renders/{rec.image.file_name('ppm')}", obmp.to_ppm())
 

@@ -164,6 +164,22 @@ class TestResume:
                 assert (tmp_path / f"renders/{c.id}.ppm").exists()
 
 
+    def test_truncated_edited_ppm_fails_only_that_chart(self, tmp_path):
+        cfg = small_config()
+        straight = {c.id: c.stages for c in run(cfg).charts}
+        run(cfg, out_dir=tmp_path, stop_after="render")
+        victim = sorted((tmp_path / "renders").glob("*__s*.ppm"))[0]
+        victim.write_bytes(victim.read_bytes()[:-5000])
+        manifest = run(cfg, out_dir=tmp_path)  # resumes at detect; must not raise
+        chart_id = victim.name.split("__")[0]
+        for c in manifest.charts:
+            if c.id == chart_id:
+                assert c.stages["detect"].startswith("fail:IntegrityError: PPM pixel data cut short: expected ")
+                assert "qa" not in c.stages
+            else:
+                assert c.stages == straight[c.id]
+
+
 class TestStats:
     def test_histogram_totals_match_passed(self):
         manifest = run(PipelineConfig(seed=6, n_charts=40, workers=2))

@@ -1,3 +1,5 @@
+import math
+import random
 import re
 
 import numpy as np
@@ -9,7 +11,10 @@ from chartcot.layout import chart_layout, layout
 from chartcot.render import (
     BACKGROUND,
     MARKER_COLOR,
+    PALETTE,
+    PIE_SEGMENT,
     Bitmap,
+    _fill_pie,
     rasterize,
     render_svg,
 )
@@ -210,3 +215,56 @@ def test_wedge_angles_cover_circle(pie_spec):
     assert abs(sum(spans) - 2 * np.pi) < 1e-9
     # shares 45/30/15/10 map to proportional angles
     assert abs(spans[0] / (2 * np.pi) - 0.45) < 1e-9
+
+
+def _reference_pie(arr, cx, cy, r, wedges, colors):
+    """The pie fan drawn one triangle at a time over its own bbox, later
+    triangles on top: the pixel rule the lookup-table fan must reproduce."""
+    h, w, _ = arr.shape
+    for (a0, a1), color in zip(wedges, colors):
+        nseg = max(1, int(math.ceil((a1 - a0) / PIE_SEGMENT - 1e-12)))
+        step = (a1 - a0) / nseg
+        for i in range(nseg):
+            b0 = a0 + i * step
+            b1 = b0 + step
+            p0 = (cx, cy)
+            p1 = (cx + r * math.cos(b0), cy + r * math.sin(b0))
+            p2 = (cx + r * math.cos(b1), cy + r * math.sin(b1))
+            xs, ys = (p0[0], p1[0], p2[0]), (p0[1], p1[1], p2[1])
+            x0, x1 = max(0, math.floor(min(xs))), min(w, math.ceil(max(xs)) + 1)
+            y0, y1 = max(0, math.floor(min(ys))), min(h, math.ceil(max(ys)) + 1)
+            if x0 >= x1 or y0 >= y1:
+                continue
+            px = np.arange(x0, x1, dtype=np.float64)[None, :] + 0.5
+            py = np.arange(y0, y1, dtype=np.float64)[:, None] + 0.5
+
+            def edge(a, b):
+                return (px - a[0]) * (b[1] - a[1]) - (py - a[1]) * (b[0] - a[0])
+
+            e0, e1, e2 = edge(p0, p1), edge(p1, p2), edge(p2, p0)
+            inside = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
+            arr[y0:y1, x0:x1][inside] = color
+
+
+def test_pie_fan_matches_triangle_by_triangle_reference():
+    # Off-grid and half-integer centres (a pixel centre on the pie centre),
+    # pies clipped by the canvas, a full-turn wedge, and slivers from shares
+    # down to 1e-13 of the whole.
+    rng = random.Random(4)
+    for case in range(40):
+        w, h = rng.randint(120, 260), rng.randint(120, 260)
+        cx = rng.choice([w / 2, w / 2 + 0.5, rng.uniform(0, w)])
+        cy = rng.choice([h / 2, h / 2 + 0.5, rng.uniform(0, h)])
+        r = rng.uniform(17, 140)
+        n = 1 if case == 0 else rng.randint(2, 9)
+        shares = [rng.choice([1e-13, 1e-8, 1e-4, rng.uniform(0.02, 1.0)]) for _ in range(n)]
+        angle, wedges = -math.pi / 2, []
+        for v in shares:
+            wedges.append((angle, angle + v / sum(shares) * 2 * math.pi))
+            angle = wedges[-1][1]
+        colors = [PALETTE[i % len(PALETTE)] for i in range(n)]
+        want = np.full((h, w, 3), BACKGROUND[0], dtype=np.uint8)
+        got = want.copy()
+        _reference_pie(want, cx, cy, r, wedges, colors)
+        _fill_pie(got, cx, cy, r, wedges, colors)
+        assert np.array_equal(got, want), f"case {case}: cx={cx} cy={cy} r={r} shares={shares}"
