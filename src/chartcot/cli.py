@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ChartCotError, ConfigError
+from .errors import ChartCotError, ConfigError, InputError
 from .evaluate import DEFAULT_MARGINS, GoldEntry, Prediction, evaluate
 from .gallery import build_gallery
 from .pipeline import DatasetManifest, PipelineConfig, compute_stats, emit_dataset, run, write_stats
-from .util import atomic_write_text, dumps_pretty, read_jsonl
+from .util import atomic_write_text, dumps_pretty, jsonl_lines, read_jsonl
 
 _STAGE_COMMANDS = {
     "gen": ("meta", "generate the chart spec corpus"),
@@ -131,12 +131,33 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _prediction(r: dict) -> Prediction:
+    return Prediction(sample_id=str(r["sample_id"]), raw_text=str(r["raw_text"]), group=r.get("group"))
+
+
+def _read_records(path: str, parse) -> list:
+    """``parse`` applied to every record of a JSONL file. A record it cannot
+    read raises InputError naming ``path:line``; the line is searched for only
+    after a failure."""
+    records = read_jsonl(path)
+    try:
+        return [parse(r) for r in records]
+    except (KeyError, TypeError, AttributeError, ChartCotError):
+        for (lineno, _), rec in zip(jsonl_lines(path), records):
+            try:
+                parse(rec)
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: record has no {exc} field") from None
+            except (TypeError, AttributeError):
+                raise InputError(f"{path}:{lineno}: record is not a JSON object") from None
+            except ChartCotError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+        raise
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gold = [GoldEntry.from_json(r) for r in read_jsonl(args.gold)]
-    preds = [
-        Prediction(sample_id=str(r["sample_id"]), raw_text=str(r["raw_text"]), group=r.get("group"))
-        for r in read_jsonl(args.pred)
-    ]
+    gold = _read_records(args.gold, GoldEntry.from_json)
+    preds = _read_records(args.pred, _prediction)
     margins = tuple(float(m) for m in args.margins.split(",") if m)
     report = evaluate(preds, gold, margins=margins, mode=args.mode, group_by=args.group_by)
     out_dir = Path(args.out) if args.out else Path(".")

@@ -7,6 +7,7 @@ data. Nothing outside the CoT/review stages ever touches a client.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -98,11 +99,7 @@ class LlmClient:
             try:
                 req = urllib.request.Request(self.config.endpoint, data=payload, headers=headers)
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
-                    body = json.loads(resp.read().decode("utf-8"))
-                try:
-                    return body["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, TypeError) as exc:
-                    raise ClientError(f"malformed completion payload: {exc}") from exc
+                    raw = resp.read()
             except urllib.error.HTTPError as exc:
                 if exc.code == 429 or 500 <= exc.code < 600:
                     last_error = f"HTTP {exc.code}"
@@ -114,6 +111,12 @@ class LlmClient:
             except TimeoutError:
                 last_error = "timed out"
                 continue
+            except (ConnectionError, http.client.HTTPException) as exc:
+                # A dropped connection (ConnectionResetError, RemoteDisconnected),
+                # a short body (IncompleteRead) or a garbled status line.
+                last_error = f"{type(exc).__name__}: {exc}"
+                continue
+            return _completion_content(raw)
         raise ClientError(f"exhausted {self.config.max_retries} retries: {last_error}")
 
     # -- stub ---------------------------------------------------------------
@@ -149,6 +152,16 @@ class LlmClient:
             return _review_locally(sample, spec)
         reply = self.chat(prompts.review_messages(serialize_spec(spec), sample.to_text()))
         return reply.strip().lower().startswith("yes")
+
+
+def _completion_content(raw: bytes) -> str:
+    try:
+        content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ClientError(f"malformed completion payload: {exc}") from exc
+    if not isinstance(content, str):
+        raise ClientError(f"malformed completion payload: content is {type(content).__name__}, not text")
+    return content
 
 
 def _review_locally(sample: CotSample, spec: ChartSpec) -> bool:

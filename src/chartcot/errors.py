@@ -61,6 +61,10 @@ class ExtractionError(ChartCotError):
     """No answer candidate could be extracted from a model reply."""
 
 
+class InputError(ChartCotError):
+    """A JSONL input line is not JSON or not a record of the expected shape."""
+
+
 class MissingGoldError(ChartCotError):
     """A prediction has no matching gold entry."""
 

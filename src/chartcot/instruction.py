@@ -159,15 +159,6 @@ def build_instructions(
     return sorted(always + per_step, key=InstructionSample.sort_key)
 
 
-def expected_record_count(kinds: list[str]) -> int:
-    """Closed-form record count for a G/R step sequence (cap unset)."""
-    g = sum(1 for k in kinds if k == KIND_GROUNDING)
-    chained = sum(
-        1 for a, b in zip(kinds, kinds[1:]) if a == KIND_GROUNDING and b == KIND_GROUNDING
-    )
-    return 2 + g + max(0, chained) + 1
-
-
 def render_overlay_image(spec: ChartSpec, boxes: list[PixelBBox], upto: int = -1):
     """Render the reflection image: previous boxes stroked on the vanilla chart.
 

@@ -183,15 +183,32 @@ _TEXT_NODE_RE = re.compile(
 
 
 def structural_hits(vector_doc: str) -> list[PixelBBox]:
-    """Marker glyph boxes computed from text nodes and the layout metric table."""
+    """Marker glyph boxes computed from text nodes and the layout metric table.
+
+    Only the text nodes holding a marker character are parsed: the scan jumps
+    from each marker character back to the start of its node.
+    """
     hits = []
-    for m in _TEXT_NODE_RE.finditer(vector_doc):
-        x, baseline, font_px = float(m.group(1)), float(m.group(2)), int(m.group(3))
-        content = unescape(m.group(4))
+    pos = vector_doc.find(MARKER_CHAR)
+    while pos >= 0:
+        node = _TEXT_NODE_RE.match(vector_doc, max(0, vector_doc.rfind("<text ", 0, pos)))
+        if node is None or node.end() <= pos:
+            pos = vector_doc.find(MARKER_CHAR, pos + 1)
+            continue
+        x, baseline, font_px = float(node.group(1)), float(node.group(2)), int(node.group(3))
+        content = unescape(node.group(4))
         for idx, ch in enumerate(content):
             if ch == MARKER_CHAR:
                 hits.append(glyph_bbox(x, baseline, idx, font_px))
+        pos = vector_doc.find(MARKER_CHAR, node.end())
     return hits
+
+
+def structural_decides(hits: list[PixelBBox]) -> bool:
+    """The one rule for when detection reads pixels: the exact structural
+    pass decides alone iff it found exactly one marker glyph. Otherwise the
+    raster pass needs the edited chart's bitmap."""
+    return len(hits) == 1
 
 
 def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
@@ -230,15 +247,19 @@ def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
     return boxes
 
 
-def detect_markers(vector_doc: str, bitmap: Bitmap) -> DetectionResult:
+def detect_markers(vector_doc: str, bitmap: Optional[Bitmap]) -> DetectionResult:
     """Sequential detection: exact structural pass, then the raster pass.
 
-    NotFoundError when neither pass sees a marker; AmbiguousError when the
-    deciding pass sees more than one. Either way the sample is discarded.
+    ``bitmap`` may be None when ``structural_decides`` holds for the document,
+    because the raster pass then never runs. NotFoundError when neither pass
+    sees a marker; AmbiguousError when the deciding pass sees more than one.
+    Either way the sample is discarded.
     """
     structural = structural_hits(vector_doc)
-    if len(structural) == 1:
+    if structural_decides(structural):
         return DetectionResult(bbox=structural[0], method="structural")
+    if bitmap is None:
+        raise ValueError("the raster pass needs the edited chart's bitmap")
     raster = raster_components(bitmap)
     if len(raster) == 1:
         return DetectionResult(bbox=raster[0], method="raster")

@@ -42,6 +42,8 @@ from .marker import (
     marker_min_size,
     mode_for_role,
     parse_edited_document,
+    structural_decides,
+    structural_hits,
     verify_marker,
 )
 from .render import Bitmap, rasterize, render_svg
@@ -164,9 +166,6 @@ class DatasetManifest:
     def run_id(self) -> str:
         return f"run-{self.config.config_hash()}"
 
-    def outcome(self, chart_id: str) -> ChartOutcome:
-        return next(c for c in self.charts if c.id == chart_id)
-
     def stage_reports(self) -> list[dict]:
         reports = []
         for stage in STAGES:
@@ -237,7 +236,7 @@ class _ChartTask:
         self.out = out_dir
         self.sample: Optional[CotSample] = None
         self.edits: list[EditedSpec] = []
-        self.renders: dict = {}          # step index -> (svg, Bitmap)
+        self.renders: dict = {}          # step index -> (svg, Bitmap or None)
         self.records: list[InstructionSample] = []
         self._layout: Optional[ChartLayout] = None
 
@@ -268,27 +267,36 @@ class _ChartTask:
             atomic_write_bytes(self.out / rel, data)
             self.outcome.files.setdefault("all", []).append(rel)
 
+    def _read(self, rel: str) -> bytes:
+        """A prior stage's artifact; a missing one fails this chart's stage."""
+        assert self.out is not None, "resume requires a run directory"
+        try:
+            return (self.out / rel).read_bytes()
+        except FileNotFoundError:
+            raise IntegrityError(f"missing artifact {rel}") from None
+
     def _load_sample(self) -> CotSample:
         if self.sample is None:
-            assert self.out is not None, "resume requires a run directory"
-            self.sample = validate_cot((self.out / f"cot/{self.spec.id}.json").read_text(encoding="utf-8"))
+            self.sample = validate_cot(self._read(f"cot/{self.spec.id}.json").decode("utf-8"))
         return self.sample
 
     def _load_edits(self) -> list[EditedSpec]:
         if not self.edits:
-            assert self.out is not None, "resume requires a run directory"
-            sample = self._load_sample()
-            for step in sample.grounding_steps():
-                text = (self.out / f"edited/{self.spec.id}__s{step.index}.json").read_text(encoding="utf-8")
+            for step in self._load_sample().grounding_steps():
+                text = self._read(f"edited/{self.spec.id}__s{step.index}.json").decode("utf-8")
                 self.edits.append(parse_edited_document(text, step_index=step.index))
         return self.edits
 
     def _load_renders(self) -> dict:
         if not self.renders:
-            assert self.out is not None, "resume requires a run directory"
             for edit in self._load_edits():
-                svg = (self.out / f"renders/{self.spec.id}__s{edit.step_index}.svg").read_text(encoding="utf-8")
-                bmp = Bitmap.from_ppm((self.out / f"renders/{self.spec.id}__s{edit.step_index}.ppm").read_bytes())
+                stem = f"renders/{self.spec.id}__s{edit.step_index}"
+                svg = self._read(f"{stem}.svg").decode("utf-8")
+                # Only edits the structural pass cannot decide have a raster on
+                # disk; older runs also hold the others, which are never read.
+                bmp = None
+                if not structural_decides(structural_hits(svg)):
+                    bmp = Bitmap.from_ppm(self._read(f"{stem}.ppm"))
                 self.renders[edit.step_index] = (svg, bmp)
         return self.renders
 
@@ -339,11 +347,16 @@ class _ChartTask:
             # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
             elay = lay if edit.spec == self.spec else chart_layout(edit.spec)
             esvg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
-            ebmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
+            # Detection reads pixels only when the structural pass cannot decide.
+            ebmp = None
+            if not structural_decides(structural_hits(esvg)):
+                ebmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
             renders[edit.step_index] = (esvg, ebmp)
             if self.out is not None:
-                self._write_text(f"renders/{self.spec.id}__s{edit.step_index}.svg", esvg)
-                self._write_bytes(f"renders/{self.spec.id}__s{edit.step_index}.ppm", ebmp.to_ppm())
+                stem = f"renders/{self.spec.id}__s{edit.step_index}"
+                self._write_text(f"{stem}.svg", esvg)
+                if ebmp is not None:
+                    self._write_bytes(f"{stem}.ppm", ebmp.to_ppm())
         self.renders = renders
 
     def _stage_detect(self) -> None:

@@ -10,6 +10,8 @@ import random
 from pathlib import Path
 from typing import Any
 
+from .errors import InputError
+
 
 def rng_for(*parts: Any) -> random.Random:
     """Derive an independent RNG from a tuple of key parts.
@@ -75,15 +77,38 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """Records of a JSONL file; blank lines are skipped.
+
+    A line that is not UTF-8 JSON raises InputError naming ``path:line``. The
+    file is searched for that line only after a failure, so reading a good
+    file does no extra work per line.
+    """
     records = []
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    try:
+        with Path(path).open("r", encoding="utf-8") as f:
+            for line in f:
+                line = line.strip()
+                if line:
+                    records.append(json.loads(line))
+    except ValueError:  # json.JSONDecodeError or UnicodeDecodeError
+        for lineno, line in jsonl_lines(path):
+            try:
+                line.encode("utf-8")  # lone surrogates stand for bytes that are not UTF-8
+                json.loads(line)
+            except UnicodeEncodeError:
+                raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        raise
     return records
 
 
-def write_jsonl(path: str | Path, records: list[dict]) -> None:
-    text = "".join(canonical_json(r) + "\n" for r in records)
-    atomic_write_text(path, text)
+def jsonl_lines(path: str | Path):
+    """Yield (line number, stripped text) for each non-blank line, split as
+    ``read_jsonl`` splits them: the k-th pair holds the k-th record. Bytes
+    that are not UTF-8 come through as lone surrogates."""
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if line:
+                yield lineno, line

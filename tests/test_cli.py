@@ -130,6 +130,52 @@ class TestEvalCommand:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def _eval_with_pred_lines(self, tmp_path, lines: list[bytes]) -> tuple[int, str]:
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        gold.write_text(
+            json.dumps({"sample_id": "s1", "answer": 1.0}) + "\n" + json.dumps({"sample_id": "s2", "answer": 2.0}),
+            encoding="utf-8",
+        )
+        pred.write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)])
+        return code, str(pred)
+
+    GOOD = json.dumps({"sample_id": "s1", "raw_text": "\\box{1}"}).encode()
+
+    def test_malformed_json_line_names_file_and_line(self, tmp_path, capsys):
+        code, pred = self._eval_with_pred_lines(tmp_path, [self.GOOD, b"", b'{"sample_id": "s2", "raw_'])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {pred}:3: not valid JSON: ")
+        assert "Traceback" not in err
+
+    def test_non_utf8_line_names_file_and_line(self, tmp_path, capsys):
+        code, pred = self._eval_with_pred_lines(tmp_path, [self.GOOD, b'{"sample_id": "s2", "raw_text": "\xff"}'])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {pred}:2: not UTF-8 text\n"
+
+    def test_record_without_sample_id_names_file_and_line(self, tmp_path, capsys):
+        code, pred = self._eval_with_pred_lines(tmp_path, [b"", self.GOOD, b"", b'{"raw_text": "\\box{2}"}'])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {pred}:4: record has no 'sample_id' field\n"
+
+    def test_record_that_is_not_an_object_names_file_and_line(self, tmp_path, capsys):
+        code, pred = self._eval_with_pred_lines(tmp_path, [b"[1, 2]", self.GOOD])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {pred}:1: record is not a JSON object\n"
+
+    def test_bad_gold_answer_names_file_and_line(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        gold.write_text(json.dumps({"sample_id": "s1", "answer": None}) + "\n", encoding="utf-8")
+        pred.write_bytes(self.GOOD + b"\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:1: answer must be a number or short text\n"
+
 
 def _links(html_text: str) -> list[str]:
     return re.findall(r'(?:href|src)="([^"]+)"', html_text)

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +12,7 @@ from chartcot import prompts
 from chartcot.client import ClientConfig, LlmClient, chat, review_qa
 from chartcot.cot import Answer, generate_cot_rule_based
 from chartcot.errors import ClientError, ConfigError
+from chartcot.pipeline import PipelineConfig, run
 from chartcot.spec import generate_corpus, serialize_spec
 
 
@@ -22,19 +24,31 @@ class _Recorder:
         self.max_in_flight = 0
         self.headers = []
         self.script = []          # queued status codes; empty -> 200
-        self.reply = "stub reply"
+        self.faults = []          # queued transport faults (see _FAULT_BODIES, "drop", "short")
+        self.fault_for = lambda messages: None  # fault for a request once the queue is empty
+        self.reply = "stub reply"  # None: answer as the stub client would
         self.delay = 0.0
+
+
+# Bodies served with status 200 that are not a completion payload.
+_FAULT_BODIES = {
+    "garbage": b"<html>upstream error</html>",
+    "binary": b"\xff\xfe{\x00",
+    "no_text": b'{"choices": [{"message": {"content": null}}]}',
+}
 
 
 def _make_server(rec: _Recorder):
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
+            messages = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"]
             with rec.lock:
                 rec.requests += 1
                 rec.in_flight += 1
                 rec.max_in_flight = max(rec.max_in_flight, rec.in_flight)
                 rec.headers.append(dict(self.headers))
                 status = rec.script.pop(0) if rec.script else 200
+                fault = rec.faults.pop(0) if rec.faults else rec.fault_for(messages)
             try:
                 if rec.delay:
                     time.sleep(rec.delay)
@@ -42,12 +56,16 @@ def _make_server(rec: _Recorder):
                     self.send_response(status)
                     self.end_headers()
                     return
-                body = json.dumps(
-                    {"choices": [{"message": {"content": rec.reply}}]}
+                if fault == "drop":
+                    return  # the connection closes without a response
+                reply = rec.reply if rec.reply is not None else LlmClient(ClientConfig()).chat(messages)
+                body = _FAULT_BODIES.get(fault) or json.dumps(
+                    {"choices": [{"message": {"content": reply}}]}
                 ).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
+                # "short" promises more bytes than it sends, then closes.
+                self.send_header("Content-Length", str(len(body) + 100 * (fault == "short")))
                 self.end_headers()
                 self.wfile.write(body)
             finally:
@@ -156,6 +174,63 @@ class TestHttp:
             ))
         assert rec.requests == 8
         assert rec.max_in_flight <= 2
+
+
+class TestTransportFailures:
+    @pytest.mark.parametrize("fault", sorted(_FAULT_BODIES))
+    def test_undecodable_body_is_malformed_payload(self, http_server, fault):
+        rec, url = http_server
+        rec.faults = [fault]
+        with pytest.raises(ClientError, match="^malformed completion payload: "):
+            LlmClient(http_config(url)).chat([{"role": "user", "content": "hi"}])
+        assert rec.requests == 1
+
+    @pytest.mark.parametrize("fault", ["drop", "short"])
+    def test_broken_connection_is_retried(self, http_server, fault):
+        rec, url = http_server
+        rec.faults = [fault, fault]
+        rec.reply = "recovered"
+        assert LlmClient(http_config(url)).chat([{"role": "user", "content": "hi"}]) == "recovered"
+        assert rec.requests == 3
+
+    @pytest.mark.parametrize("fault, error", [("drop", "RemoteDisconnected"), ("short", "IncompleteRead")])
+    def test_persistent_broken_connection_exhausts_retries(self, http_server, fault, error):
+        rec, url = http_server
+        rec.faults = [fault] * 3
+        with pytest.raises(ClientError, match=f"^exhausted 2 retries: {error}"):
+            LlmClient(http_config(url, max_retries=2)).chat([{"role": "user", "content": "hi"}])
+        assert rec.requests == 3
+
+    def test_run_contains_faults_to_affected_charts(self, http_server):
+        rec, url = http_server
+        rec.reply = None
+        stub_cfg = PipelineConfig(seed=8, n_charts=8, workers=2)
+        ids = [spec.id for spec in generate_corpus(8, 8, stub_cfg.type_mix)]
+        plan = {ids[1]: "garbage", ids[2]: "no_text", ids[3]: "drop", ids[4]: "short"}
+        dropped_once, seen = ids[5], set()
+
+        def fault_for(messages):
+            content = "\n".join(m["content"] for m in messages)
+            chart = json.loads(re.search(r"```json\n(.*?)\n```", content, re.DOTALL).group(1))["id"]
+            if chart == dropped_once and chart not in seen:
+                seen.add(chart)
+                return "drop"
+            return plan.get(chart)
+
+        rec.fault_for = fault_for
+        http_cfg = replace(stub_cfg, client=http_config(url, max_retries=1))
+        manifest = run(http_cfg)  # must complete
+        stubbed = {c.id: c.stages for c in run(stub_cfg).charts}
+        for c in manifest.charts:
+            if c.id in (ids[1], ids[2]):
+                assert c.stages["cot"].startswith("fail:client: malformed completion payload: ")
+            elif c.id == ids[3]:
+                assert c.stages["cot"].startswith("fail:client: exhausted 1 retries: RemoteDisconnected")
+            elif c.id == ids[4]:
+                assert c.stages["cot"].startswith("fail:client: exhausted 1 retries: IncompleteRead")
+            else:
+                assert c.stages == stubbed[c.id]
+        assert dropped_once in seen and stubbed[dropped_once]["qa"] == "pass"
 
 
 class TestReview:

@@ -1,4 +1,6 @@
 import math
+import re
+from xml.sax.saxutils import unescape
 
 import pytest
 
@@ -10,7 +12,7 @@ from chartcot.errors import (
     TargetError,
     ValidationError,
 )
-from chartcot.geometry import ElementRef, PixelBBox
+from chartcot.geometry import ElementRef, PixelBBox, glyph_bbox
 from chartcot.layout import chart_layout, layout
 from chartcot.marker import (
     EditedSpec,
@@ -21,11 +23,12 @@ from chartcot.marker import (
     marker_min_size,
     parse_edited_document,
     raster_components,
+    structural_decides,
     structural_hits,
     verify_marker,
 )
 from chartcot.render import MARKER_COLOR, rasterize, render_svg
-from chartcot.spec import generate_corpus
+from chartcot.spec import MARKER_CHAR, generate_corpus
 
 from conftest import make_spec
 
@@ -182,6 +185,57 @@ class TestDetect:
             bmp, _ = rasterize(spec)
             with pytest.raises(NotFoundError):
                 detect_markers(svg, bmp)
+
+
+def _structural_hits_reference(doc: str) -> list[PixelBBox]:
+    """Every text node parsed, marker or not: the scan structural_hits narrows."""
+    hits = []
+    for m in re.finditer(r'<text x="([-0-9.]+)" y="([-0-9.]+)" font-size="(\d+)"[^>]*>([^<]*)</text>', doc):
+        content = unescape(m.group(4))
+        for idx, ch in enumerate(content):
+            if ch == MARKER_CHAR:
+                hits.append(glyph_bbox(float(m.group(1)), float(m.group(2)), idx, int(m.group(3))))
+    return hits
+
+
+class TestStructuralScan:
+    def test_matches_full_scan_on_corpus_edits(self):
+        docs = []
+        for spec in generate_corpus(seed=17, n=60, type_mix={"bar": 0.5, "line": 0.3, "pie": 0.2}):
+            for step in generate_cot_rule_based(spec, seed=0).grounding_steps():
+                edit = apply_marker(spec, step)
+                docs.append(render_svg(edit.spec, markers=list(edit.markers))[0])
+        counts = {len(_structural_hits_reference(d)) for d in docs}
+        assert {0, 1} <= counts
+        for doc in docs:
+            assert structural_hits(doc) == _structural_hits_reference(doc)
+
+    def test_matches_full_scan_on_crafted_documents(self):
+        node = '<text x="{x}" y="40" font-size="12" font-family="monospace" fill="#222222">{t}</text>'
+        docs = [
+            node.format(x=10, t="a@b@") + node.format(x=90, t="c@"),     # several per node, several nodes
+            '<g data-note="@">' + node.format(x=5, t="plain") + "</g>",  # marker outside any text node
+            node.format(x=5, t="&lt;@&amp;@"),                            # entities before the marker
+            '<text x="1" y="2">@</text>' + node.format(x=-3.5, t="@"),   # a node the pattern rejects
+            "@" + node.format(x=0, t="no marker") + "@",
+            "",
+        ]
+        for doc in docs:
+            assert structural_hits(doc) == _structural_hits_reference(doc)
+        assert len(structural_hits(docs[0])) == 3
+
+    def test_one_hit_decides(self):
+        box = PixelBBox(0.0, 0.0, 4.0, 4.0)
+        assert structural_decides([box])
+        assert not structural_decides([])
+        assert not structural_decides([box, box])
+
+    def test_detect_without_bitmap(self, multi_line_spec, two_bar_spec):
+        edit = apply_marker(multi_line_spec, grounding(0, ElementRef("x_tick", category="Feb")))
+        assert detect_markers(render_svg(edit.spec)[0], None).method == "structural"
+        point = apply_marker(two_bar_spec, grounding(0, ElementRef("datapoint", series="Alpha", category="Q2")))
+        with pytest.raises(ValueError, match="needs the edited chart's bitmap"):
+            detect_markers(render_svg(point.spec, markers=list(point.markers))[0], None)
 
 
 class TestFinalize:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from chartcot import pipeline
 from chartcot.client import ClientConfig
 from chartcot.errors import ConfigError, EmptyError
 from chartcot.pipeline import (
@@ -14,6 +15,7 @@ from chartcot.pipeline import (
     run,
     write_stats,
 )
+from chartcot.marker import structural_hits
 from chartcot.util import read_jsonl
 
 
@@ -178,6 +180,86 @@ class TestResume:
                 assert "qa" not in c.stages
             else:
                 assert c.stages == straight[c.id]
+
+    def test_missing_edited_ppm_fails_only_that_chart(self, tmp_path):
+        cfg = small_config()
+        straight = {c.id: c.stages for c in run(cfg).charts}
+        run(cfg, out_dir=tmp_path, stop_after="render")
+        victim = sorted((tmp_path / "renders").glob("*__s*.ppm"))[0]
+        victim.unlink()
+        manifest = run(cfg, out_dir=tmp_path)  # resumes at detect; must not raise
+        chart_id = victim.name.split("__")[0]
+        for c in manifest.charts:
+            if c.id == chart_id:
+                assert c.stages["detect"] == f"fail:IntegrityError: missing artifact renders/{victim.name}"
+                assert "qa" not in c.stages
+            else:
+                assert c.stages == straight[c.id]
+
+    def test_extra_edited_ppms_of_older_runs_are_not_read(self, tmp_path):
+        # Runs written before edited rasters were limited to raster-decided
+        # edits hold a PPM for every edit; resume must not read the others.
+        cfg = small_config()
+        straight_dir = tmp_path / "straight"
+        straight = run(cfg, out_dir=straight_dir)
+        emit_dataset(straight)
+        resumed_dir = tmp_path / "resumed"
+        run(cfg, out_dir=resumed_dir, stop_after="render")
+        planted = 0
+        for svg in (resumed_dir / "renders").glob("*__s*.svg"):
+            ppm = svg.with_suffix(".ppm")
+            if not ppm.exists():
+                ppm.write_bytes(b"not a raster")
+                planted += 1
+        assert planted
+        resumed = run(cfg, out_dir=resumed_dir)
+        emit_dataset(resumed)
+        assert [c.stages for c in resumed.charts] == [c.stages for c in straight.charts]
+        assert (resumed_dir / "dataset.jsonl").read_bytes() == (straight_dir / "dataset.jsonl").read_bytes()
+
+
+class TestEditedRasters:
+    """An edited chart is rasterised only when detection will read its pixels."""
+
+    def test_in_memory_run_rasterises_only_undecided_edits(self, monkeypatch):
+        svgs, rasters = [], []
+        real_svg, real_raster = pipeline.render_svg, pipeline.rasterize
+
+        def counting_svg(spec, **kw):
+            svg, geo = real_svg(spec, **kw)
+            svgs.append(svg)
+            return svg, geo
+
+        def counting_raster(spec, **kw):
+            rasters.append(spec.id)
+            return real_raster(spec, **kw)
+
+        monkeypatch.setattr(pipeline, "render_svg", counting_svg)
+        monkeypatch.setattr(pipeline, "rasterize", counting_raster)
+        manifest = run(PipelineConfig(seed=31, n_charts=40, workers=2))
+        # In memory only edited charts are rendered, one SVG per edit.
+        edits = sum(c.steps["grounding"] for c in manifest.charts if c.passed("render"))
+        assert len(svgs) == edits
+        undecided = sum(len(structural_hits(svg)) != 1 for svg in svgs)
+        assert 0 < undecided < edits
+        assert len(rasters) == undecided
+
+    def test_outcomes_equal_rasterising_every_edit(self, monkeypatch):
+        cfg = PipelineConfig(seed=31, n_charts=40, workers=2)
+        lean = run(cfg)
+        monkeypatch.setattr(pipeline, "structural_decides", lambda hits: False)
+        eager = run(cfg)
+        assert lean.digest() == eager.digest()
+
+    def test_persisted_ppm_iff_raster_detection(self, tmp_path):
+        manifest = run(small_config(n_charts=20), out_dir=tmp_path)
+        methods = set()
+        for c in manifest.charts:
+            for key, det in (c.detections or {}).items():
+                methods.add(det["method"])
+                ppm = tmp_path / f"renders/{c.id}__s{key}.ppm"
+                assert ppm.exists() == (det["method"] == "raster"), (c.id, key, det["method"])
+        assert methods == {"raster", "structural"}
 
 
 class TestStats:
