@@ -7,7 +7,7 @@ from .cot import Answer, CotSample, Step, generate_cot_llm, generate_cot_rule_ba
 from .errors import ChartCotError
 from .evaluate import EvalReport, evaluate, extract_answer, relaxed_match
 from .geometry import ElementRef, GeometryMap, PixelBBox
-from .instruction import ImageRef, InstructionSample, build_instructions, render_overlay_image
+from .instruction import ImageRef, InstructionSample, build_instructions
 from .layout import layout
 from .marker import (
     DetectionResult,
@@ -58,7 +58,6 @@ __all__ = [
     "parse_spec",
     "rasterize",
     "relaxed_match",
-    "render_overlay_image",
     "render_svg",
     "run",
     "serialize",

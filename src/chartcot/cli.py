@@ -33,7 +33,7 @@ def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
     p.add_argument("--config", help="pipeline config JSON file")
     p.add_argument("--out", required=need_out, help="run directory")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, help="worker thread count")
+    p.add_argument("--workers", type=int, help="worker process count (forked; 1 runs in this process)")
     p.add_argument("--verbose", action="store_true")
 
 

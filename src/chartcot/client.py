@@ -66,11 +66,16 @@ class ClientConfig:
 
 
 class LlmClient:
-    """Shareable across workers; a semaphore bounds in-flight requests."""
+    """Shareable across workers; a semaphore bounds in-flight requests.
 
-    def __init__(self, config: ClientConfig):
+    The default gate bounds the threads of one process. Workers forked from
+    one client share its gate only if it is a process-shared semaphore
+    (``multiprocessing`` ``BoundedSemaphore``), which the caller passes in.
+    """
+
+    def __init__(self, config: ClientConfig, gate=None):
         self.config = config
-        self._gate = threading.BoundedSemaphore(config.max_concurrency)
+        self._gate = gate if gate is not None else threading.BoundedSemaphore(config.max_concurrency)
 
     # -- chat ---------------------------------------------------------------
 
@@ -170,10 +175,3 @@ def _review_locally(sample: CotSample, spec: ChartSpec) -> bool:
         return False
     return answers_match(sample.answer, true_answer, REVIEW_REL_TOL)
 
-
-def chat(messages: list[dict], config: ClientConfig) -> str:
-    return LlmClient(config).chat(messages)
-
-
-def review_qa(sample: CotSample, spec: ChartSpec, config: ClientConfig) -> bool:
-    return LlmClient(config).review_qa(sample, spec)

@@ -21,7 +21,6 @@ from .bbox import NormBBox, denormalize, serialize
 from .cot import KIND_GROUNDING, CotSample
 from .errors import CoverageError, ValidationError
 from .geometry import PixelBBox
-from .render import render_svg
 from .spec import ChartSpec
 from .util import rng_for
 
@@ -158,19 +157,3 @@ def build_instructions(
 
     return sorted(always + per_step, key=InstructionSample.sort_key)
 
-
-def render_overlay_image(spec: ChartSpec, boxes: list[PixelBBox], upto: int = -1):
-    """Render the reflection image: previous boxes stroked on the vanilla chart.
-
-    Returns (ImageRef, svg_text, GeometryMap).
-    """
-    if not boxes:
-        raise ValidationError("overlay image requires at least one box")
-    svg, geo = render_svg(spec, overlays=list(boxes))
-    ref = ImageRef(
-        chart_id=spec.id,
-        variant=VARIANT_OVERLAY,
-        overlay_boxes=tuple(boxes),
-        overlay_upto=upto,
-    )
-    return ref, svg, geo

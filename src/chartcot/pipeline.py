@@ -3,8 +3,10 @@
 Each chart advances through the gates independently; a chart failing any gate
 is discarded from later stages but stays in that stage's accounting. All
 randomness is keyed by (seed, purpose, chart id), so outputs are identical
-across worker counts and across resumed runs. The manifest is the single
-mutable resource and is written atomically by the coordinating thread only.
+across worker counts and across resumed runs. With more than one worker the
+charts run in forked worker processes, which send back only their outcomes;
+the parent folds the outcomes in and is the only writer of the manifest,
+which it writes atomically.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -270,10 +272,7 @@ class _ChartTask:
     def _read(self, rel: str) -> bytes:
         """A prior stage's artifact; a missing one fails this chart's stage."""
         assert self.out is not None, "resume requires a run directory"
-        try:
-            return (self.out / rel).read_bytes()
-        except FileNotFoundError:
-            raise IntegrityError(f"missing artifact {rel}") from None
+        return _read_artifact(self.out, rel)
 
     def _load_sample(self) -> CotSample:
         if self.sample is None:
@@ -435,6 +434,13 @@ class _StageFail(Exception):
     """Internal: a stage gate rejected the chart (not a run-level error)."""
 
 
+def _read_artifact(out: Path, rel: str) -> bytes:
+    try:
+        return (out / rel).read_bytes()
+    except FileNotFoundError:
+        raise IntegrityError(f"missing artifact {rel}") from None
+
+
 # ---------------------------------------------------------------------------
 # Run orchestration
 
@@ -472,18 +478,17 @@ def run(
         existing = {c.id: c for c in prior.charts}
 
     specs = generate_corpus(config.seed, config.n_charts, config.type_mix)
-    client = LlmClient(config.client)
 
-    def work(spec: ChartSpec) -> ChartOutcome:
+    def work(index: int, client: LlmClient) -> ChartOutcome:
+        spec = specs[index]
         outcome = existing.get(spec.id) or ChartOutcome(id=spec.id, chart_type=spec.chart_type)
-        task = _ChartTask(spec, outcome, config, client, out)
-        return task.run_stages(wanted)
+        return _ChartTask(spec, outcome, config, client, out).run_stages(wanted)
 
     if config.workers == 1:
-        outcomes = [work(s) for s in specs]
+        client = LlmClient(config.client)
+        outcomes = [work(i, client) for i in range(len(specs))]
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(work, specs))
+        outcomes = _run_forked(work, len(specs), config)
     outcomes.sort(key=lambda c: c.id)
 
     manifest = DatasetManifest(config=config, charts=outcomes, out_dir=out)
@@ -492,11 +497,53 @@ def run(
     return manifest
 
 
+# Set in each forked worker by its pool initializer: the run's per-chart work.
+_forked_work = None
+
+
+def _init_forked_worker(work) -> None:
+    global _forked_work
+    _forked_work = work
+
+
+def _run_forked_chart(index: int) -> ChartOutcome:
+    return _forked_work(index)
+
+
+def _run_forked(work, n: int, config: PipelineConfig) -> list[ChartOutcome]:
+    """Run chart indices 0..n-1 in ``config.workers`` forked processes.
+
+    The workers inherit the run's state (specs, prior outcomes, client) through
+    fork, so only chart indices go out and only outcomes come back. The client
+    gate is a process-shared semaphore, so ``max_concurrency`` bounds the
+    requests in flight across all workers, not per worker.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    ctx = multiprocessing.get_context("fork")
+    client = LlmClient(config.client, gate=ctx.BoundedSemaphore(config.client.max_concurrency))
+    workers = min(config.workers, n)
+    # The run ends when the last worker finishes its last chunk, so a chunk is
+    # at most 1/32 of a worker's share (one chart up to 64 charts per worker):
+    # a worker slowed by the host leaves little for the others to wait on. A
+    # chart costs 5-15 ms, the round trip of a one-chart chunk ~0.2 ms.
+    chunksize = max(1, min(32, n // (32 * workers)))
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_forked_worker,
+                             initargs=(partial(work, client=client),)) as pool:
+        try:
+            return list(pool.map(_run_forked_chart, range(n), chunksize=chunksize))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def emit_dataset(manifest: DatasetManifest) -> Path:
     """Write dataset.jsonl (sorted by chart, kind, step) and the stage report.
 
     Records are rebuilt deterministically from persisted artifacts, so a
-    resumed run emits the same bytes as an uninterrupted one.
+    resumed run emits the same bytes as an uninterrupted one. A passed chart
+    whose spec or CoT is gone raises ``IntegrityError("missing artifact ...")``.
     """
     out = manifest.out_dir
     if out is None:
@@ -504,8 +551,8 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
     config = manifest.config
     records: list[tuple] = []
     for outcome in manifest.passed_charts():
-        spec = parse_spec((out / f"specs/{outcome.id}.json").read_text(encoding="utf-8"))
-        sample = validate_cot((out / f"cot/{outcome.id}.json").read_text(encoding="utf-8"))
+        spec = parse_spec(_read_artifact(out, f"specs/{outcome.id}.json").decode("utf-8"))
+        sample = validate_cot(_read_artifact(out, f"cot/{outcome.id}.json").decode("utf-8"))
         boxes = {
             int(k): normalize(PixelBBox(*d["bbox"]), spec.canvas, config.bbox_format)
             for k, d in (outcome.detections or {}).items()

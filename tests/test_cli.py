@@ -54,6 +54,15 @@ class TestBuild:
 
 
 class TestUsageErrors:
+    def test_missing_artifact_of_passed_chart_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=4, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "cot/c00000.json").unlink()
+        capsys.readouterr()
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: missing artifact cot/c00000.json\n"
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--unknown-flag", "--out", str(tmp_path / "x")])

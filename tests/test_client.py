@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from chartcot import prompts
-from chartcot.client import ClientConfig, LlmClient, chat, review_qa
+from chartcot.client import ClientConfig, LlmClient
 from chartcot.cot import Answer, generate_cot_rule_based
 from chartcot.errors import ClientError, ConfigError
 from chartcot.pipeline import PipelineConfig, run
@@ -49,11 +49,25 @@ def _make_server(rec: _Recorder):
                 rec.headers.append(dict(self.headers))
                 status = rec.script.pop(0) if rec.script else 200
                 fault = rec.faults.pop(0) if rec.faults else rec.fault_for(messages)
+            left = False
+
+            def leave():
+                # A request stops counting as in flight just before the last
+                # bytes of its reply go out: once the client holds the whole
+                # reply it may release its gate and send the next request
+                # before this handler thread runs again.
+                nonlocal left
+                if not left:
+                    left = True
+                    with rec.lock:
+                        rec.in_flight -= 1
+
             try:
                 if rec.delay:
                     time.sleep(rec.delay)
                 if status != 200:
                     self.send_response(status)
+                    leave()
                     self.end_headers()
                     return
                 if fault == "drop":
@@ -67,10 +81,10 @@ def _make_server(rec: _Recorder):
                 # "short" promises more bytes than it sends, then closes.
                 self.send_header("Content-Length", str(len(body) + 100 * (fault == "short")))
                 self.end_headers()
+                leave()
                 self.wfile.write(body)
             finally:
-                with rec.lock:
-                    rec.in_flight -= 1
+                leave()  # dropped: the connection closes after the handler returns
 
         def log_message(self, *args):
             pass
@@ -115,15 +129,15 @@ class TestStub:
     def test_deterministic_reply(self, bar_spec):
         config = ClientConfig(mode="stub", stub_seed=5)
         messages = prompts.cot_generation_messages(serialize_spec(bar_spec))
-        assert chat(messages, config) == chat(messages, config)
+        assert LlmClient(config).chat(messages) == LlmClient(config).chat(messages)
 
     def test_unknown_prompt_rejected(self):
         with pytest.raises(ClientError):
-            chat([{"role": "user", "content": "tell me a story"}], ClientConfig())
+            LlmClient(ClientConfig()).chat([{"role": "user", "content": "tell me a story"}])
 
     def test_empty_messages(self):
         with pytest.raises(ClientError):
-            chat([], ClientConfig())
+            LlmClient(ClientConfig()).chat([])
 
 
 class TestHttp:
@@ -173,6 +187,19 @@ class TestHttp:
                 range(8),
             ))
         assert rec.requests == 8
+        assert rec.max_in_flight <= 2
+
+    def test_concurrency_bound_holds_across_forked_workers(self, http_server):
+        # Forked workers share the client's gate: max_concurrency bounds the
+        # whole run, not each worker process.
+        rec, url = http_server
+        rec.reply = None
+        rec.delay = 0.05
+        config = PipelineConfig(seed=8, n_charts=8, workers=4, client=http_config(url, max_concurrency=2))
+        manifest = run(config)
+        # Every chart makes one cot and one review request.
+        assert rec.requests == 2 * 8
+        assert all(c.passed("cot") for c in manifest.charts)
         assert rec.max_in_flight <= 2
 
 
@@ -236,25 +263,26 @@ class TestTransportFailures:
 class TestReview:
     def test_rule_based_sample_passes(self, multi_line_spec):
         sample = generate_cot_rule_based(multi_line_spec, seed=5)
-        assert review_qa(sample, multi_line_spec, ClientConfig())
+        assert LlmClient(ClientConfig()).review_qa(sample, multi_line_spec)
 
     def test_perturbed_answer_fails(self, multi_line_spec):
         sample = generate_cot_rule_based(multi_line_spec, seed=5)
         wrong = replace(sample, answer=Answer(float(sample.answer.value) * 1.1))
-        assert not review_qa(wrong, multi_line_spec, ClientConfig())
+        assert not LlmClient(ClientConfig()).review_qa(wrong, multi_line_spec)
 
     def test_within_two_percent_passes(self, multi_line_spec):
         sample = generate_cot_rule_based(multi_line_spec, seed=5)
         close = replace(sample, answer=Answer(float(sample.answer.value) * 1.019))
-        assert review_qa(close, multi_line_spec, ClientConfig())
+        assert LlmClient(ClientConfig()).review_qa(close, multi_line_spec)
 
     def test_http_review_parses_verdict(self, http_server, bar_spec):
         rec, url = http_server
         sample = generate_cot_rule_based(bar_spec, seed=1)
+        client = LlmClient(http_config(url))
         rec.reply = "yes"
-        assert review_qa(sample, bar_spec, http_config(url))
+        assert client.review_qa(sample, bar_spec)
         rec.reply = "no, the value is wrong"
-        assert not review_qa(sample, bar_spec, http_config(url))
+        assert not client.review_qa(sample, bar_spec)
 
     def test_only_teacher_stages_import_the_client(self):
         # the client must stay confined to CoT generation and QA review
@@ -273,12 +301,12 @@ class TestReview:
         from chartcot.util import rng_for
 
         specs = generate_corpus(seed=31, n=2000, type_mix={"bar": 0.6, "line": 0.3, "pie": 0.1})
-        config = ClientConfig()
+        client = LlmClient(ClientConfig())
         passed = 0
         for spec in specs:
             sample = generate_cot_rule_based(spec, seed=31)
             if rng_for(31, "perturb", spec.id).random() < 0.0383:
                 sample = replace(sample, answer=Answer(float(sample.answer.value) * 1.1))
-            if review_qa(sample, spec, config):
+            if client.review_qa(sample, spec):
                 passed += 1
         assert abs(passed / 20.0 - 96.17) <= 1.5

@@ -8,11 +8,7 @@ from chartcot.bbox import BOX_PATTERN, NormBBox, denormalize, normalize
 from chartcot.cot import Answer, CotSample, Step, generate_cot_rule_based
 from chartcot.errors import CoverageError, ValidationError
 from chartcot.geometry import ElementRef
-from chartcot.instruction import (
-    ImageRef,
-    build_instructions,
-    render_overlay_image,
-)
+from chartcot.instruction import ImageRef, build_instructions
 from chartcot.layout import layout
 from chartcot.marker import apply_marker, detect_markers, finalize_bbox, marker_min_size
 from chartcot.render import rasterize, render_svg
@@ -155,18 +151,20 @@ class TestCap:
 
 class TestOverlayImage:
     def test_single_box(self, bar_spec):
-        ref, svg, _ = render_overlay_image(bar_spec, [denormalize(NormBBox("C", (100, 100, 300, 300)), bar_spec.canvas)])
+        box = denormalize(NormBBox("C", (100, 100, 300, 300)), bar_spec.canvas)
+        svg, _ = render_svg(bar_spec, overlays=[box])
         assert svg.count('class="overlay-box"') == 1
+        ref = ImageRef(chart_id=bar_spec.id, variant="overlay", overlay_boxes=(box,))
         assert ref.variant == "overlay"
 
     def test_zero_boxes_rejected(self, bar_spec):
         with pytest.raises(ValidationError):
-            render_overlay_image(bar_spec, [])
+            ImageRef(chart_id=bar_spec.id, variant="overlay", overlay_boxes=())
 
     def test_out_of_canvas_rejected(self, bar_spec):
         from chartcot.geometry import PixelBBox
         with pytest.raises(ValidationError):
-            render_overlay_image(bar_spec, [PixelBBox(700.0, 60.0, 900.0, 120.0)])
+            render_svg(bar_spec, overlays=[PixelBBox(700.0, 60.0, 900.0, 120.0)])
 
     def test_image_ref_invariants(self):
         with pytest.raises(ValidationError):

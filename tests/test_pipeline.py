@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
+import uuid
 from pathlib import Path
 
 import pytest
 
 from chartcot import pipeline
 from chartcot.client import ClientConfig
-from chartcot.errors import ConfigError, EmptyError
+from chartcot.errors import ConfigError, EmptyError, IntegrityError
 from chartcot.pipeline import (
     STAGES,
     DatasetManifest,
@@ -221,22 +224,28 @@ class TestResume:
 class TestEditedRasters:
     """An edited chart is rasterised only when detection will read its pixels."""
 
-    def test_in_memory_run_rasterises_only_undecided_edits(self, monkeypatch):
-        svgs, rasters = [], []
+    def test_in_memory_run_rasterises_only_undecided_edits(self, monkeypatch, tmp_path):
+        # The renders run in forked workers, so each call leaves one file
+        # behind for the parent to count.
+        svg_dir, raster_dir = tmp_path / "svgs", tmp_path / "rasters"
+        svg_dir.mkdir()
+        raster_dir.mkdir()
         real_svg, real_raster = pipeline.render_svg, pipeline.rasterize
 
         def counting_svg(spec, **kw):
             svg, geo = real_svg(spec, **kw)
-            svgs.append(svg)
+            (svg_dir / uuid.uuid4().hex).write_text(svg, encoding="utf-8")
             return svg, geo
 
         def counting_raster(spec, **kw):
-            rasters.append(spec.id)
+            (raster_dir / uuid.uuid4().hex).write_text(spec.id, encoding="utf-8")
             return real_raster(spec, **kw)
 
         monkeypatch.setattr(pipeline, "render_svg", counting_svg)
         monkeypatch.setattr(pipeline, "rasterize", counting_raster)
         manifest = run(PipelineConfig(seed=31, n_charts=40, workers=2))
+        svgs = [path.read_text(encoding="utf-8") for path in svg_dir.iterdir()]
+        rasters = list(raster_dir.iterdir())
         # In memory only edited charts are rendered, one SVG per edit.
         edits = sum(c.steps["grounding"] for c in manifest.charts if c.passed("render"))
         assert len(svgs) == edits
@@ -303,6 +312,15 @@ class TestEmitEdgeCases:
         reports = json.loads((tmp_path / "stage_reports.json").read_text())
         assert [r["stage"] for r in reports] == list(STAGES)
 
+    def test_missing_artifact_of_passed_chart(self, tmp_path):
+        cfg = PipelineConfig(seed=4, n_charts=3)
+        run(cfg, out_dir=tmp_path)
+        (tmp_path / "cot/c00000.json").unlink()
+        manifest = run(cfg, out_dir=tmp_path)  # every chart already passed
+        assert manifest.charts[0].all_passed()
+        with pytest.raises(IntegrityError, match=r"^missing artifact cot/c00000\.json$"):
+            emit_dataset(manifest)
+
     def test_emit_requires_directory(self):
         manifest = run(PipelineConfig(seed=4, n_charts=2))
         with pytest.raises(ConfigError):
@@ -314,3 +332,38 @@ class TestEmitEdgeCases:
         loaded = DatasetManifest.load(tmp_path / "manifest.json")
         assert loaded.digest() == manifest.digest()
         assert Path(tmp_path / "stats.json").exists()
+
+
+class TestForkedWorkers:
+    def test_import_does_not_load_process_machinery(self):
+        # Only a run with more than one worker imports the process pool.
+        code = (
+            "import sys, chartcot, chartcot.cli\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+        )
+        src = Path(pipeline.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_unexpected_worker_error_keeps_its_type(self):
+        # A bug in one worker (not a ChartCotError, so no stage catches it)
+        # must leave run() with its own type, not hang the pool. The run is
+        # in a child interpreter so that a hang fails on the timeout.
+        code = (
+            "from chartcot import pipeline\n"
+            "real = pipeline.build_instructions\n"
+            "def buggy(spec, *args, **kw):\n"
+            "    if spec.id == 'c00005':\n"
+            "        raise LookupError('bug in a worker')\n"
+            "    return real(spec, *args, **kw)\n"
+            "pipeline.build_instructions = buggy\n"
+            "try:\n"
+            "    pipeline.run(pipeline.PipelineConfig(seed=23, n_charts=12, workers=2))\n"
+            "except LookupError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = Path(pipeline.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "LookupError bug in a worker"
