@@ -3,7 +3,10 @@
 Pins sha256 digests of ``Bitmap.to_ppm()`` bytes and SVG text, plus the
 ``raster_components`` boxes, for bar, line and pie specs on every canvas in
 ``CANVAS_CHOICES``: vanilla, with a datapoint cross, with crosses clipped at
-canvas corners, with a text-marker edit and with overlays. The digests were
+canvas corners, with a text-marker edit and with overlays. Hand-made edge
+specs the corpus never produces (no title or legend, a title that needs SVG
+escaping, one category, a zero bar) are pinned vanilla, with corner crosses
+and with a full-canvas overlay. The digests were
 recorded from the original per-primitive rasterizer; a faster kernel must
 reproduce them exactly. Re-record (``python tests/test_render_golden.py``)
 only for a deliberate pixel change that is named as such.
@@ -21,10 +24,11 @@ from chartcot.geometry import ElementRef, PixelBBox
 from chartcot.layout import layout
 from chartcot.marker import apply_marker, raster_components
 from chartcot.render import rasterize, render_svg
-from chartcot.spec import CANVAS_CHOICES, generate_corpus, validate_spec
+from chartcot.spec import CANVAS_CHOICES, ChartSpec, Series, generate_corpus, validate_spec
 
 CHART_TYPES = ("bar", "line", "pie")
 VARIANTS = ("vanilla", "cross", "corner", "text", "overlay")
+EDGE_VARIANTS = ("vanilla", "corner", "full")
 
 
 def _grounding(target: ElementRef) -> Step:
@@ -38,6 +42,32 @@ def _base_specs():
         specs = [s for s in corpus if s.chart_type == ctype]
         for k, canvas in enumerate(CANVAS_CHOICES):
             yield ctype, canvas, validate_spec(replace(specs[k], canvas=canvas))
+
+
+def _edge_spec(name, chart_type, title, series, x_labels, legend, canvas, style_seed):
+    return validate_spec(ChartSpec(
+        id=f"edge-{name}", chart_type=chart_type, title=title,
+        series=tuple(Series(n, tuple(vs)) for n, vs in series), x_labels=tuple(x_labels),
+        canvas=canvas, style_seed=style_seed, legend=legend, value_labels=False,
+    ))
+
+
+def _edge_specs():
+    """(name, spec) for the cases the corpus never draws."""
+    yield "bar-untitled", _edge_spec(
+        "bar-untitled", "bar", "", [("Units", (12.0, 30.5, 7.25))], ("North", "South", "East"),
+        False, (800, 600), 3)
+    yield "line-escaped-title", _edge_spec(
+        "line-escaped-title", "line", 'R&D <"net"> > cost', [("Plan", (4.0, 9.0, 6.5)), ("Actual", (5.5, 8.0, 2.0))],
+        ("Q1", "Q2", "Q3"), True, (960, 600), 1)
+    yield "line-one-category", _edge_spec(
+        "line-one-category", "line", "Single quarter", [("Plan", (4.0,)), ("Actual", (6.5,))], ("Q1",),
+        True, (1000, 640), 5)
+    yield "bar-zero", _edge_spec(
+        "bar-zero", "bar", "Zero output", [("Old", (0.0, 3.5, 7.0)), ("New", (2.0, 0.0, 5.0))],
+        ("Mon", "Tue", "Wed"), True, (1120, 700), 6)
+    yield "pie-one-category", _edge_spec(
+        "pie-one-category", "pie", "Whole", [("Share", (5.0,))], ("All",), False, (960, 720), 2)
 
 
 def _text_target(spec, k: int) -> ElementRef:
@@ -60,6 +90,8 @@ def _render_case(spec, k: int, variant: str):
         markers = [(0.4, 1.0), (w - 0.5, h - 2.0)]
     elif variant == "text":
         spec = apply_marker(spec, _grounding(_text_target(spec, k))).spec
+    elif variant == "full":
+        overlays = [PixelBBox(0.0, 0.0, float(w), float(h))]
     elif variant == "overlay":
         target = ElementRef("datapoint", series=spec.series[0].name, category=spec.x_labels[0])
         overlays = [
@@ -80,6 +112,9 @@ def _cases():
         k = CANVAS_CHOICES.index(canvas)
         for variant in VARIANTS:
             yield f"{ctype}-{canvas[0]}x{canvas[1]}-{variant}", spec, k, variant
+    for name, spec in _edge_specs():
+        for variant in EDGE_VARIANTS:
+            yield f"edge-{name}-{variant}", spec, 0, variant
 
 
 def _params():
@@ -461,6 +496,81 @@ GOLDEN = {
     'pie-960x720-overlay': (
         '8129b0b77ca1022d30803d985c68511eef5039229d00d938643bb4ac5081a59b',
         '94eeaeebd6e53ea94cf3574dbc012e8d5d19d1051d4b7d9b81b7b7075b52b3f6',
+        [],
+    ),
+    'edge-bar-untitled-vanilla': (
+        '701129e1c392b39c90794a3bf6690fb6087a717db1d596d917a1cfbe7855dcb4',
+        '1a598062a642f19b851d90e3e2c7eee05213fa19f1a5c80fb73fc83e3adde340',
+        [],
+    ),
+    'edge-bar-untitled-corner': (
+        'a5e59a94dd91ea7a1969c043423b637ba2ad62822c01436094df29dd675587a5',
+        'a3e19cbd960b5fb480948f949022f44e532f66e748f30f645ee892fe59812696',
+        [(0, 0, 5, 6), (796, 594, 800, 600)],
+    ),
+    'edge-bar-untitled-full': (
+        'c01d307217e173a32d545f5e1db47ebfa151c4335b1ca10ced2e900abab33ced',
+        '77723caa250273ccb0426962c6e9e959e094f591b3e1d5d90af44c982e15d497',
+        [],
+    ),
+    'edge-line-escaped-title-vanilla': (
+        '23659785ccd992181bf8d612284eb487e9e3c1fbc2b466eb302c1cb7bcb7e80a',
+        'b8673a79f0513c0dc893a20bfc1faac7ed971f120a8164814f4c9ee5ee8e8592',
+        [],
+    ),
+    'edge-line-escaped-title-corner': (
+        'c93f3a2aa5a7980239005c6deffcf75365f209c9b3046c99588b0c395c96d300',
+        'b6b1b46d6093653a00d3a285df23280c6566e758af0a14a20ea0a26412d5f71d',
+        [(0, 0, 5, 6), (956, 594, 960, 600)],
+    ),
+    'edge-line-escaped-title-full': (
+        '1cca8a829d7f55697323896191c6e970962ec97f97406c19460a80ab025de9ac',
+        '5a2101eceb0db8ce5843688ca44fe4907f1ae811568ab16a3faf733d9abb07be',
+        [],
+    ),
+    'edge-line-one-category-vanilla': (
+        'd1dbeb269347ce16ed18791a5e8a8fff6e84cfd08d4f76d0c7c3155e4321a9fb',
+        '24a55f19b7e0bf0a41ce26872687e8bf29c49a7afa3204607a2bfc715275e504',
+        [],
+    ),
+    'edge-line-one-category-corner': (
+        'af2412397aaa29183aacd2d5b8b0cd2afa77f00f58933c00914f8965f7d16945',
+        '0c3cfac91e4f44c3d3e92477b3b7d2e3c4c914daf625407dae8f7f648a0fe349',
+        [(0, 0, 5, 6), (996, 634, 1000, 640)],
+    ),
+    'edge-line-one-category-full': (
+        'a6ab6d3d6496dd8d676d4d1a2fbe4195ac798a5d22bd69b5dfd942ba9967bded',
+        '63987f90c6ffd8db83f17a047d15bdc1ddc2ed5b61a8c185b12067b7d408be7c',
+        [],
+    ),
+    'edge-bar-zero-vanilla': (
+        '95ed6da93d2ebeb6bad841dd73d2d3fcdb49aa5c14b0a1a459e335d723201d61',
+        '81778b8be6c9093832de45a655e8365c1199bf0b476bebae072809a94d999672',
+        [],
+    ),
+    'edge-bar-zero-corner': (
+        'dd356a52920a80a5ad0c4eb5560ae41f1764af43147cf7e9a7f5757f2270dc67',
+        '623b06d71197e4e193dc8f0d6f6cfd6da77b51513ed9a383fe8bf45c339b4901',
+        [(0, 0, 5, 6), (1116, 694, 1120, 700)],
+    ),
+    'edge-bar-zero-full': (
+        'c75a772417c28219a710b3dca6fd14bc3b30d3793e95f0943d57f86f7467707f',
+        '11093f5cfcc3fb2bd444fddc6561427aac2f35645bbfe74e896a70f88ad6d9c9',
+        [],
+    ),
+    'edge-pie-one-category-vanilla': (
+        'e09fbd795ed77b1b3a9ab9249327206075eef35c828943d25e0e5e54b34fce60',
+        '4ea3ba52dd92aa3215d068ae8c538d76f9023d7338e9392f9f8ad097a8f7cefa',
+        [],
+    ),
+    'edge-pie-one-category-corner': (
+        'a83985bf77b700226ef8a93f029c0bb0190368d99b8b3c3f6ef915de6089d150',
+        '600bb3b81ea798de4a644939650f4222b46abb26ebf64532b8d46afc1da40171',
+        [(0, 0, 5, 6), (956, 714, 960, 720)],
+    ),
+    'edge-pie-one-category-full': (
+        '5f6c60b1cf14d66039a55133d3a4009c991f5d8cec1999bef084815e9ab75340',
+        '77c1db397407596e277b22c242e1d6e5f9ca12c7eb3e262cf9bf0448d40d3e1f',
         [],
     ),
 }
