@@ -24,8 +24,6 @@ from .geometry import PixelBBox
 from .spec import ChartSpec
 from .util import rng_for
 
-KINDS = ("T1a", "T1b", "T2", "T3", "T4_final")
-
 VARIANT_VANILLA = "vanilla"
 VARIANT_OVERLAY = "overlay"
 

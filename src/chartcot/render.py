@@ -101,6 +101,73 @@ class Bitmap:
 
 
 # ---------------------------------------------------------------------------
+# Scene
+#
+# _scene describes a chart once: its items in paint order, grouped as the SVG
+# groups them. render_svg and rasterize only translate items, so the two
+# outputs cannot drift apart. Each item is a tuple (kind, *args):
+#
+#   ("rect", x0, y0, x1, y1, color)          bar, line-chart dot, legend or key swatch
+#   ("polyline", points, color)              one line series
+#   ("pie", cx, cy, r, wedges, colors)       every wedge (a0, a1) at once, as _fill_pie paints them
+#   ("rule", x1, y1, x2, y2, rect)           an axis or tick line; rect is its 1 px raster stand-in
+#   ("text", TextItem)                       a label; marker glyphs take the marker colour
+#   ("cross", x, y)                          a marker anchor's 9x9 cross
+#   ("overlay", box)                         a stroked overlay PixelBBox
+
+
+def _scene(spec: ChartSpec, markers: list[MarkerAnchor], overlays: list[PixelBBox],
+           layout: ChartLayout | None) -> tuple[ChartLayout, list[tuple[str, list[tuple]]]]:
+    """(layout, [(group, items)]) for one chart; ``layout`` defaults to ``chart_layout(spec)``."""
+    w, h = spec.canvas
+    for box in overlays:
+        if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
+            raise ValidationError(f"overlay box {box} exceeds the canvas")
+    lay = layout if layout is not None else chart_layout(spec)
+    colors = [series_color(spec.style_seed, i) for i in range(max(len(spec.series), len(spec.x_labels)))]
+
+    chart: list[tuple] = []
+    axes: list[tuple] = []
+    if spec.chart_type == "bar":
+        for s, color in zip(spec.series, colors):
+            for cat in spec.x_labels:
+                b = lay.bar_rects[(s.name, cat)]
+                chart.append(("rect", b.x0, b.y0, b.x1, b.y1, color))
+    elif spec.chart_type == "line":
+        for s, color in zip(spec.series, colors):
+            pts = [lay.line_points[(s.name, cat)] for cat in spec.x_labels]
+            chart.append(("polyline", pts, color))
+            for x, y in pts:
+                chart.append(("rect", x - DOT_HALF, y - DOT_HALF, x + DOT_HALF, y + DOT_HALF, color))
+    else:
+        cx, cy = lay.pie_center
+        wedges = [lay.wedge_angles[cat] for cat in spec.x_labels]
+        chart.append(("pie", cx, cy, lay.pie_radius, wedges, colors[:len(wedges)]))
+
+    if spec.chart_type != "pie":
+        # The raster rule lies below a horizontal line, left of the y axis
+        # and right of an x tick.
+        p = lay.plot
+        axes.append(("rule", p.x0, p.y1, p.x1, p.y1, (p.x0, p.y1, p.x1, p.y1 + 1)))
+        axes.append(("rule", p.x0, p.y0, p.x0, p.y1, (p.x0 - 1, p.y0, p.x0, p.y1)))
+        for cx in lay.x_centers:
+            axes.append(("rule", cx, p.y1, cx, p.y1 + 4, (cx, p.y1, cx + 1, p.y1 + 4)))
+        for tv in lay.y_tick_values:
+            y = p.y1 - (tv / lay.y_top_value) * p.height
+            axes.append(("rule", p.x0 - 4, y, p.x0, y, (p.x0 - 4, y, p.x0, y + 1)))
+    for swatches in (lay.legend_swatches, lay.key_swatches):
+        for box, color in zip(swatches.values(), colors):
+            axes.append(("rect", box.x0, box.y0, box.x1, box.y1, color))
+
+    groups = [("chart", chart), ("axes", axes), ("labels", [("text", t) for t in lay.texts])]
+    if markers:
+        groups.append(("marker", [("cross", x, y) for x, y in markers]))
+    if overlays:
+        groups.append(("overlay", [("overlay", box) for box in overlays]))
+    return lay, groups
+
+
+# ---------------------------------------------------------------------------
 # SVG
 
 def _fmt(v: float) -> str:
@@ -122,13 +189,6 @@ def _svg_wedge_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str
     )
 
 
-def _check_overlays(overlays: list[PixelBBox], canvas: tuple[int, int]) -> None:
-    w, h = canvas
-    for box in overlays:
-        if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
-            raise ValidationError(f"overlay box {box} exceeds the canvas")
-
-
 def render_svg(
     spec: ChartSpec,
     overlays: list[PixelBBox] | None = None,
@@ -141,10 +201,7 @@ def render_svg(
     overlay boxes are stroked above all chart content. ``layout`` is
     ``chart_layout(spec)`` when the caller already has it.
     """
-    overlays = list(overlays or [])
-    markers = list(markers or [])
-    _check_overlays(overlays, spec.canvas)
-    lay = layout if layout is not None else chart_layout(spec)
+    lay, groups = _scene(spec, markers or [], overlays or [], layout)
     w, h = spec.canvas
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -153,96 +210,49 @@ def render_svg(
         f'viewBox="0 0 {w} {h}">'
     )
     out.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="{_hex(BACKGROUND)}"/>')
-
-    out.append('<g class="chart">')
-    if spec.chart_type == "bar":
-        for si, s in enumerate(spec.series):
-            fill = _hex(series_color(spec.style_seed, si))
-            for cat in spec.x_labels:
-                b = lay.bar_rects[(s.name, cat)]
+    for group, items in groups:
+        out.append(f'<g class="{group}">')
+        for item in items:
+            kind = item[0]
+            if kind == "text":
+                t = item[1]
                 out.append(
-                    f'<rect x="{_fmt(b.x0)}" y="{_fmt(b.y0)}" width="{_fmt(b.width)}" '
-                    f'height="{_fmt(b.height)}" fill="{fill}"/>'
+                    f'<text x="{_fmt(t.x_left)}" y="{_fmt(t.baseline)}" font-size="{t.font_px}" '
+                    f'font-family="monospace" fill="{_hex(TEXT_COLOR)}">{escape(t.text)}</text>'
                 )
-    elif spec.chart_type == "line":
-        for si, s in enumerate(spec.series):
-            stroke = _hex(series_color(spec.style_seed, si))
-            pts = [lay.line_points[(s.name, cat)] for cat in spec.x_labels]
-            d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
-            out.append(f'<path d="{d}" fill="none" stroke="{stroke}" stroke-width="2"/>')
-            for x, y in pts:
+            elif kind == "rect":
+                _, x0, y0, x1, y1, color = item
                 out.append(
-                    f'<rect x="{_fmt(x - DOT_HALF)}" y="{_fmt(y - DOT_HALF)}" '
-                    f'width="{2 * DOT_HALF}" height="{2 * DOT_HALF}" fill="{stroke}"/>'
+                    f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
+                    f'height="{_fmt(y1 - y0)}" fill="{_hex(color)}"/>'
                 )
-    else:
-        cx, cy = lay.pie_center
-        for ci, cat in enumerate(spec.x_labels):
-            a0, a1 = lay.wedge_angles[cat]
-            fill = _hex(series_color(spec.style_seed, ci))
-            out.append(f'<path d="{_svg_wedge_path(cx, cy, lay.pie_radius, a0, a1)}" fill="{fill}"/>')
-    out.append("</g>")
-
-    out.append('<g class="axes">')
-    if spec.chart_type != "pie":
-        p = lay.plot
-        axis = _hex(AXIS_COLOR)
-        out.append(
-            f'<line x1="{_fmt(p.x0)}" y1="{_fmt(p.y1)}" x2="{_fmt(p.x1)}" y2="{_fmt(p.y1)}" stroke="{axis}"/>'
-        )
-        out.append(
-            f'<line x1="{_fmt(p.x0)}" y1="{_fmt(p.y0)}" x2="{_fmt(p.x0)}" y2="{_fmt(p.y1)}" stroke="{axis}"/>'
-        )
-        for cx in lay.x_centers:
-            out.append(
-                f'<line x1="{_fmt(cx)}" y1="{_fmt(p.y1)}" x2="{_fmt(cx)}" y2="{_fmt(p.y1 + 4)}" stroke="{axis}"/>'
-            )
-        for tv in lay.y_tick_values:
-            y = p.y1 - (tv / lay.y_top_value) * p.height
-            out.append(
-                f'<line x1="{_fmt(p.x0 - 4)}" y1="{_fmt(y)}" x2="{_fmt(p.x0)}" y2="{_fmt(y)}" stroke="{axis}"/>'
-            )
-    for swatches, colorer in (
-        (lay.legend_swatches, lambda i: series_color(spec.style_seed, i)),
-        (lay.key_swatches, lambda i: series_color(spec.style_seed, i)),
-    ):
-        for i, (name, box) in enumerate(swatches.items()):
-            out.append(
-                f'<rect x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" width="{_fmt(box.width)}" '
-                f'height="{_fmt(box.height)}" fill="{_hex(colorer(i))}"/>'
-            )
-    out.append("</g>")
-
-    out.append('<g class="labels">')
-    for t in lay.texts:
-        out.append(
-            f'<text x="{_fmt(t.x_left)}" y="{_fmt(t.baseline)}" font-size="{t.font_px}" '
-            f'font-family="monospace" fill="{_hex(TEXT_COLOR)}">{escape(t.text)}</text>'
-        )
-    out.append("</g>")
-
-    if markers:
-        out.append('<g class="marker">')
-        mk = _hex(MARKER_COLOR)
-        for mx, my in markers:
-            out.append(
-                f'<rect x="{_fmt(mx - 1.5)}" y="{_fmt(my - 4.5)}" width="3" height="9" fill="{mk}"/>'
-            )
-            out.append(
-                f'<rect x="{_fmt(mx - 4.5)}" y="{_fmt(my - 1.5)}" width="9" height="3" fill="{mk}"/>'
-            )
+            elif kind == "rule":
+                _, x1, y1, x2, y2, _ = item
+                out.append(
+                    f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+                    f'stroke="{_hex(AXIS_COLOR)}"/>'
+                )
+            elif kind == "polyline":
+                _, pts, color = item
+                d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+                out.append(f'<path d="{d}" fill="none" stroke="{_hex(color)}" stroke-width="2"/>')
+            elif kind == "pie":
+                _, cx, cy, r, wedges, colors = item
+                for (a0, a1), color in zip(wedges, colors):
+                    out.append(f'<path d="{_svg_wedge_path(cx, cy, r, a0, a1)}" fill="{_hex(color)}"/>')
+            elif kind == "cross":
+                _, x, y = item
+                mk = _hex(MARKER_COLOR)
+                out.append(f'<rect x="{_fmt(x - 1.5)}" y="{_fmt(y - 4.5)}" width="3" height="9" fill="{mk}"/>')
+                out.append(f'<rect x="{_fmt(x - 4.5)}" y="{_fmt(y - 1.5)}" width="9" height="3" fill="{mk}"/>')
+            else:  # overlay
+                box = item[1]
+                out.append(
+                    f'<rect class="overlay-box" x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" '
+                    f'width="{_fmt(box.width)}" height="{_fmt(box.height)}" fill="none" '
+                    f'stroke="{_hex(OVERLAY_COLOR)}" stroke-width="{OVERLAY_STROKE}"/>'
+                )
         out.append("</g>")
-
-    if overlays:
-        out.append('<g class="overlay">')
-        for box in overlays:
-            out.append(
-                f'<rect class="overlay-box" x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" '
-                f'width="{_fmt(box.width)}" height="{_fmt(box.height)}" fill="none" '
-                f'stroke="{_hex(OVERLAY_COLOR)}" stroke-width="{OVERLAY_STROKE}"/>'
-            )
-        out.append("</g>")
-
     out.append("</svg>")
     return "\n".join(out) + "\n", lay.geometry
 
@@ -550,22 +560,6 @@ def _glyph_run(arr: np.ndarray, ink: _Ink, x_left: float, i0: int, i1: int, adv:
         block[:, :, :sx1 - sx0] = ink(color, sx1 - sx0)
 
 
-def _draw_text_blocks(arr: np.ndarray, ink: _Ink, lay: ChartLayout) -> None:
-    """Each non-space glyph is a solid block; the marker glyph in the marker color."""
-    for t in lay.texts:
-        adv = glyph_advance(t.font_px)
-        top = t.baseline - glyph_ascent(t.font_px)
-        for m in _GLYPH_RUN.finditer(t.text):
-            color = MARKER_COLOR if m.group()[0] == MARKER_CHAR else TEXT_COLOR
-            _glyph_run(arr, ink, t.x_left, m.start(), m.end(), adv, top + 1, top + t.font_px - 1, color)
-
-
-def _draw_cross(arr: np.ndarray, ink: _Ink, x: float, y: float) -> None:
-    cx, cy = int(round(x)), int(round(y))
-    _fill_rect(arr, ink, cx - 1, cy - 4, cx + 2, cy + 5, MARKER_COLOR)
-    _fill_rect(arr, ink, cx - 4, cy - 1, cx + 5, cy + 2, MARKER_COLOR)
-
-
 def rasterize(
     spec: ChartSpec,
     markers: list[MarkerAnchor] | None = None,
@@ -578,61 +572,37 @@ def rasterize(
     clipped at canvas edges. ``layout`` is ``chart_layout(spec)`` when the
     caller already has it.
     """
-    markers = list(markers or [])
-    overlays = list(overlays or [])
-    _check_overlays(overlays, spec.canvas)
-    lay = layout if layout is not None else chart_layout(spec)
+    lay, groups = _scene(spec, markers or [], overlays or [], layout)
     w, h = spec.canvas
     arr = np.empty((h, w, 3), dtype=np.uint8)
     arr.fill(BACKGROUND[0])  # white background; all channels equal
     ink = _Ink(w)
-
-    if spec.chart_type == "bar":
-        for si, s in enumerate(spec.series):
-            color = series_color(spec.style_seed, si)
-            for cat in spec.x_labels:
-                b = lay.bar_rects[(s.name, cat)]
-                _fill_rect(arr, ink, b.x0, b.y0, b.x1, b.y1, color)
-    elif spec.chart_type == "line":
-        for si, s in enumerate(spec.series):
-            color = series_color(spec.style_seed, si)
-            pts = [lay.line_points[(s.name, cat)] for cat in spec.x_labels]
-            _draw_polyline(arr, ink, pts, color)
-            for x, y in pts:
-                _fill_rect(arr, ink, x - DOT_HALF, y - DOT_HALF, x + DOT_HALF, y + DOT_HALF, color)
-    else:
-        cx, cy = lay.pie_center
-        _fill_pie(
-            arr, cx, cy, lay.pie_radius,
-            [lay.wedge_angles[cat] for cat in spec.x_labels],
-            [series_color(spec.style_seed, ci) for ci in range(len(spec.x_labels))],
-        )
-
-    if spec.chart_type != "pie":
-        p = lay.plot
-        _fill_rect(arr, ink, p.x0, p.y1, p.x1, p.y1 + 1, AXIS_COLOR)
-        _fill_rect(arr, ink, p.x0 - 1, p.y0, p.x0, p.y1, AXIS_COLOR)
-        for cx in lay.x_centers:
-            _fill_rect(arr, ink, cx, p.y1, cx + 1, p.y1 + 4, AXIS_COLOR)
-        for tv in lay.y_tick_values:
-            y = p.y1 - (tv / lay.y_top_value) * p.height
-            _fill_rect(arr, ink, p.x0 - 4, y, p.x0, y + 1, AXIS_COLOR)
-
-    for i, box in enumerate(lay.legend_swatches.values()):
-        _fill_rect(arr, ink, box.x0, box.y0, box.x1, box.y1, series_color(spec.style_seed, i))
-    for i, box in enumerate(lay.key_swatches.values()):
-        _fill_rect(arr, ink, box.x0, box.y0, box.x1, box.y1, series_color(spec.style_seed, i))
-
-    _draw_text_blocks(arr, ink, lay)
-
-    for mx, my in markers:
-        _draw_cross(arr, ink, mx, my)
-
-    for box in overlays:
-        s = OVERLAY_STROKE
-        _fill_rect(arr, ink, box.x0 - s / 2, box.y0 - s / 2, box.x1 + s / 2, box.y0 + s / 2, OVERLAY_COLOR)
-        _fill_rect(arr, ink, box.x0 - s / 2, box.y1 - s / 2, box.x1 + s / 2, box.y1 + s / 2, OVERLAY_COLOR)
-        _fill_rect(arr, ink, box.x0 - s / 2, box.y0 - s / 2, box.x0 + s / 2, box.y1 + s / 2, OVERLAY_COLOR)
-        _fill_rect(arr, ink, box.x1 - s / 2, box.y0 - s / 2, box.x1 + s / 2, box.y1 + s / 2, OVERLAY_COLOR)
-
+    for _, items in groups:
+        for item in items:
+            kind = item[0]
+            if kind == "text":
+                # Each non-space glyph is a solid block; the marker glyph in the marker color.
+                t = item[1]
+                adv = glyph_advance(t.font_px)
+                top = t.baseline - glyph_ascent(t.font_px)
+                for m in _GLYPH_RUN.finditer(t.text):
+                    color = MARKER_COLOR if m.group()[0] == MARKER_CHAR else TEXT_COLOR
+                    _glyph_run(arr, ink, t.x_left, m.start(), m.end(), adv, top + 1, top + t.font_px - 1, color)
+            elif kind == "rect":
+                _fill_rect(arr, ink, *item[1:])
+            elif kind == "rule":
+                _fill_rect(arr, ink, *item[5], AXIS_COLOR)
+            elif kind == "polyline":
+                _draw_polyline(arr, ink, *item[1:])
+            elif kind == "pie":
+                _fill_pie(arr, *item[1:])
+            elif kind == "cross":
+                cx, cy = int(round(item[1])), int(round(item[2]))
+                _fill_rect(arr, ink, cx - 1, cy - 4, cx + 2, cy + 5, MARKER_COLOR)
+                _fill_rect(arr, ink, cx - 4, cy - 1, cx + 5, cy + 2, MARKER_COLOR)
+            else:  # overlay: four strokes centred on the box edges
+                box, s = item[1], OVERLAY_STROKE / 2
+                for x0, y0, x1, y1 in ((box.x0, box.y0, box.x1, box.y0), (box.x0, box.y1, box.x1, box.y1),
+                                       (box.x0, box.y0, box.x0, box.y1), (box.x1, box.y0, box.x1, box.y1)):
+                    _fill_rect(arr, ink, x0 - s, y0 - s, x1 + s, y1 + s, OVERLAY_COLOR)
     return Bitmap(arr), lay.geometry

@@ -100,6 +100,7 @@ def http_server():
     server = _make_server(rec)
     yield rec, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def http_config(url: str, **overrides) -> ClientConfig:
