@@ -6,7 +6,7 @@ from .bbox import NormBBox, denormalize, normalize, parse, serialize
 from .cot import Answer, CotSample, Step, generate_cot_llm, generate_cot_rule_based, validate_cot
 from .errors import ChartCotError
 from .evaluate import EvalReport, evaluate, extract_answer, relaxed_match
-from .geometry import ElementRef, GeometryMap, PixelBBox
+from .geometry import ElementRef, PixelBBox
 from .instruction import ImageRef, InstructionSample, build_instructions
 from .layout import layout
 from .marker import (
@@ -32,7 +32,6 @@ __all__ = [
     "EditedSpec",
     "ElementRef",
     "EvalReport",
-    "GeometryMap",
     "ImageRef",
     "InstructionSample",
     "NormBBox",

@@ -21,7 +21,7 @@ from . import prompts
 from .cot import CotSample, answers_match, generate_cot_rule_based, recompute_true_answer
 from .errors import ClientError, ConfigError
 from .spec import ChartSpec, parse_spec, serialize_spec
-from .util import rng_for
+from .util import known_fields, rng_for
 
 API_KEY_ENV = "CHARTPOINT_API_KEY"
 
@@ -58,11 +58,7 @@ class ClientConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClientConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown client config keys: {sorted(unknown)}")
-        return cls(**obj)
+        return cls(**known_fields(cls, obj, "client config"))
 
 
 class LlmClient:

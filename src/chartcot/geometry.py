@@ -8,8 +8,8 @@ structural marker detector rely on the same table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 # Element roles a chart exposes for grounding.
 ROLES = frozenset({"title", "legend_entry", "x_tick", "y_tick", "datapoint", "plot_area"})
@@ -144,26 +144,6 @@ class ElementRef:
             series=obj.get("series"),
             category=obj.get("category"),
         )
-
-
-@dataclass
-class GeometryMap:
-    """Exact element-to-bbox oracle produced by layout()."""
-
-    canvas: tuple[int, int]
-    entries: dict[ElementRef, PixelBBox] = field(default_factory=dict)
-
-    def __getitem__(self, ref: ElementRef) -> PixelBBox:
-        return self.entries[ref]
-
-    def __contains__(self, ref: ElementRef) -> bool:
-        return ref in self.entries
-
-    def __iter__(self) -> Iterator[ElementRef]:
-        return iter(self.entries)
-
-    def refs_with_role(self, role: str) -> list[ElementRef]:
-        return [r for r in self.entries if r.role == role]
 
 
 def nice_ticks(vmax: float, max_intervals: int = 6) -> tuple[float, list[float]]:

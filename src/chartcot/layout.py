@@ -16,7 +16,6 @@ from .geometry import (
     LABEL_FONT_PX,
     TITLE_FONT_PX,
     ElementRef,
-    GeometryMap,
     PixelBBox,
     glyph_ascent,
     nice_ticks,
@@ -52,7 +51,7 @@ class TextItem:
 @dataclass
 class ChartLayout:
     spec: ChartSpec
-    geometry: GeometryMap
+    geometry: dict[ElementRef, PixelBBox]  # exact element-to-bbox oracle
     plot: PixelBBox
     texts: list[TextItem] = field(default_factory=list)
     # bar/line
@@ -89,11 +88,11 @@ def _store_text(lay: ChartLayout, ref: ElementRef, item: TextItem, extra: PixelB
             max(box.x1, extra.x1), max(box.y1, extra.y1),
         )
     w, h = lay.canvas
-    lay.geometry.entries[ref] = box.expand(text_pad(item.font_px)).clamp(w, h)
+    lay.geometry[ref] = box.expand(text_pad(item.font_px)).clamp(w, h)
 
 
 def _check_tick_overlap(lay: ChartLayout) -> None:
-    ticks = [lay.geometry[r] for r in lay.geometry.refs_with_role("x_tick")]
+    ticks = [box for ref, box in lay.geometry.items() if ref.role == "x_tick"]
     for i in range(len(ticks)):
         for j in range(i + 1, len(ticks)):
             if ticks[i].intersects(ticks[j]):
@@ -136,7 +135,7 @@ def _layout_axes_chart(lay: ChartLayout) -> None:
                 y_top = min(y_top, plot.y1 - 0.5)  # zero values keep a sliver of ink
                 box = PixelBBox(x0, y_top, x0 + bar_w, plot.y1)
                 lay.bar_rects[(s.name, cat)] = box
-                lay.geometry.entries[ElementRef("datapoint", series=s.name, category=cat)] = box
+                lay.geometry[ElementRef("datapoint", series=s.name, category=cat)] = box
     else:  # line
         for s in spec.series:
             for cat, cx, v in zip(spec.x_labels, lay.x_centers, s.values):
@@ -144,7 +143,7 @@ def _layout_axes_chart(lay: ChartLayout) -> None:
                 lay.line_points[(s.name, cat)] = (cx, y)
                 box = PixelBBox(cx - DOT_HALF, y - DOT_HALF, cx + DOT_HALF, y + DOT_HALF)
                 w, h = lay.canvas
-                lay.geometry.entries[ElementRef("datapoint", series=s.name, category=cat)] = box.clamp(w, h)
+                lay.geometry[ElementRef("datapoint", series=s.name, category=cat)] = box.clamp(w, h)
 
     if spec.legend:
         lx = plot.x1 + 14
@@ -187,7 +186,7 @@ def _layout_pie(lay: ChartLayout) -> None:
             ys.append(cy + r * math.sin(k * math.pi / 2))
             k += 1
         box = PixelBBox(min(xs), min(ys), max(xs), max(ys)).clamp(w, h)
-        lay.geometry.entries[ElementRef("datapoint", series=series.name, category=cat)] = box
+        lay.geometry[ElementRef("datapoint", series=series.name, category=cat)] = box
 
     # Category key column on the right; these labels are the pie's tick text.
     lx = plot.x1 + 14
@@ -213,8 +212,8 @@ def chart_layout(spec: ChartSpec) -> ChartLayout:
         raise LayoutError("canvas too small for plot area")
     plot = PixelBBox(float(left), float(top), float(w - right), float(h - bottom))
 
-    lay = ChartLayout(spec=spec, geometry=GeometryMap(canvas=spec.canvas), plot=plot)
-    lay.geometry.entries[ElementRef("plot_area")] = plot
+    lay = ChartLayout(spec=spec, geometry={}, plot=plot)
+    lay.geometry[ElementRef("plot_area")] = plot
 
     if spec.title:
         x_left = (w - text_width(spec.title, TITLE_FONT_PX)) / 2
@@ -229,6 +228,6 @@ def chart_layout(spec: ChartSpec) -> ChartLayout:
     return lay
 
 
-def layout(spec: ChartSpec) -> GeometryMap:
+def layout(spec: ChartSpec) -> dict[ElementRef, PixelBBox]:
     """Lay a valid spec out; deterministic element-to-bbox oracle."""
     return chart_layout(spec).geometry

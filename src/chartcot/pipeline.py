@@ -11,6 +11,7 @@ which it writes atomically.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -19,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .bbox import FORMATS, NormBBox, normalize
+from .bbox import FORMATS, normalize
 from .client import ClientConfig, LlmClient
 from .cot import CotSample, generate_cot_llm, validate_cot
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     NotFoundError,
 )
 from .geometry import PixelBBox
-from .instruction import InstructionSample, build_instructions
+from .instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef, InstructionSample, build_instructions
 from .layout import ChartLayout, chart_layout
 from .marker import (
     MODE_POINT,
@@ -50,7 +51,7 @@ from .marker import (
 )
 from .render import Bitmap, rasterize, render_svg
 from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
-from .util import atomic_write_bytes, atomic_write_text, canonical_json, dumps_pretty, rng_for
+from .util import atomic_write_bytes, atomic_write_text, canonical_json, dumps_pretty, known_fields, rng_for
 
 STAGES = ("meta", "cot", "code", "render", "detect", "qa")
 
@@ -87,11 +88,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
+        kwargs = known_fields(cls, obj, "config")
         if "client" in kwargs:
             kwargs["client"] = ClientConfig.from_json(kwargs["client"])
         return cls(**kwargs)
@@ -99,16 +96,9 @@ class PipelineConfig:
     def to_json(self) -> dict:
         # Worker count affects scheduling only, never output bytes, so it is
         # not part of the persisted config.
-        return {
-            "seed": self.seed,
-            "n_charts": self.n_charts,
-            "type_mix": dict(self.type_mix),
-            "bbox_format": self.bbox_format,
-            "min_marker_px": self.min_marker_px,
-            "cap": self.cap,
-            "client": {k: getattr(self.client, k) for k in ClientConfig.__dataclass_fields__},
-            "fault_injection": dict(self.fault_injection),
-        }
+        obj = dataclasses.asdict(self)
+        del obj["workers"]
+        return obj
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_json()).encode("utf-8")).hexdigest()[:16]
@@ -132,29 +122,11 @@ class ChartOutcome:
         return bool(self.stages) and all(v == PASS for v in self.stages.values())
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "chart_type": self.chart_type,
-            "stages": dict(self.stages),
-            "question": self.question,
-            "steps": self.steps,
-            "detections": self.detections,
-            "records": self.records,
-            "files": self.files,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChartOutcome":
-        return cls(
-            id=obj["id"],
-            chart_type=obj["chart_type"],
-            stages=dict(obj.get("stages", {})),
-            question=obj.get("question"),
-            steps=obj.get("steps"),
-            detections=obj.get("detections"),
-            records=obj.get("records"),
-            files=dict(obj.get("files", {})),
-        )
+        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)})
 
 
 @dataclass
@@ -239,7 +211,6 @@ class _ChartTask:
         self.sample: Optional[CotSample] = None
         self.edits: list[EditedSpec] = []
         self.renders: dict = {}          # step index -> (svg, Bitmap or None)
-        self.records: list[InstructionSample] = []
         self._layout: Optional[ChartLayout] = None
 
     @property
@@ -259,15 +230,20 @@ class _ChartTask:
 
     # -- artifact io ----------------------------------------------------------
 
-    def _write_text(self, rel: str, text: str) -> None:
+    def _write(self, rel: str, data: str | bytes) -> None:
         if self.out is not None:
-            atomic_write_text(self.out / rel, text)
+            write = atomic_write_text if isinstance(data, str) else atomic_write_bytes
+            write(self.out / rel, data)
             self.outcome.files.setdefault("all", []).append(rel)
 
-    def _write_bytes(self, rel: str, data: bytes) -> None:
+    def _write_image(self, image: ImageRef) -> None:
+        """Render the vanilla spec with the image's overlays; write its SVG, then its PPM."""
         if self.out is not None:
-            atomic_write_bytes(self.out / rel, data)
-            self.outcome.files.setdefault("all", []).append(rel)
+            boxes = list(image.overlay_boxes)
+            svg, _ = render_svg(self.spec, overlays=boxes, layout=self.layout)
+            bmp, _ = rasterize(self.spec, overlays=boxes, layout=self.layout)
+            self._write(f"renders/{image.file_name('svg')}", svg)
+            self._write(f"renders/{image.file_name('ppm')}", bmp.to_ppm())
 
     def _read(self, rel: str) -> bytes:
         """A prior stage's artifact; a missing one fails this chart's stage."""
@@ -302,7 +278,7 @@ class _ChartTask:
     # -- stages ---------------------------------------------------------------
 
     def _stage_meta(self) -> None:
-        self._write_text(f"specs/{self.spec.id}.json", serialize_spec(self.spec) + "\n")
+        self._write(f"specs/{self.spec.id}.json", serialize_spec(self.spec) + "\n")
 
     def _stage_cot(self) -> None:
         try:
@@ -319,7 +295,7 @@ class _ChartTask:
             "reasoning": len(sample.steps) - grounding,
             "total": len(sample.steps),
         }
-        self._write_text(f"cot/{self.spec.id}.json", sample.to_text() + "\n")
+        self._write(f"cot/{self.spec.id}.json", sample.to_text() + "\n")
 
     def _stage_code(self) -> None:
         sample = self._load_sample()
@@ -332,15 +308,11 @@ class _ChartTask:
             edits.append(edit)
         self.edits = edits
         for edit in edits:
-            self._write_text(f"edited/{self.spec.id}__s{edit.step_index}.json", edit.to_document() + "\n")
+            self._write(f"edited/{self.spec.id}__s{edit.step_index}.json", edit.to_document() + "\n")
 
     def _stage_render(self) -> None:
         lay = self.layout  # vanilla layout must succeed even when not persisted
-        if self.out is not None:
-            svg, _ = render_svg(self.spec, layout=lay)
-            bmp, _ = rasterize(self.spec, layout=lay)
-            self._write_text(f"renders/{self.spec.id}.svg", svg)
-            self._write_bytes(f"renders/{self.spec.id}.ppm", bmp.to_ppm())
+        self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
         renders = {}
         for edit in self._load_edits():
             # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
@@ -353,9 +325,9 @@ class _ChartTask:
             renders[edit.step_index] = (esvg, ebmp)
             if self.out is not None:
                 stem = f"renders/{self.spec.id}__s{edit.step_index}"
-                self._write_text(f"{stem}.svg", esvg)
+                self._write(f"{stem}.svg", esvg)
                 if ebmp is not None:
-                    self._write_bytes(f"{stem}.ppm", ebmp.to_ppm())
+                    self._write(f"{stem}.ppm", ebmp.to_ppm())
         self.renders = renders
 
     def _stage_detect(self) -> None:
@@ -371,28 +343,12 @@ class _ChartTask:
             detections[str(step_index)] = {"bbox": list(final.as_tuple()), "method": result.method}
         self.outcome.detections = detections
 
-    def _norm_boxes(self) -> dict[int, NormBBox]:
-        boxes = {}
-        for key, det in (self.outcome.detections or {}).items():
-            pix = PixelBBox(*det["bbox"])
-            boxes[int(key)] = normalize(pix, self.spec.canvas, self.config.bbox_format)
-        return boxes
-
     def _stage_qa(self) -> None:
-        sample = self._load_sample()
-        records = build_instructions(
-            self.spec, sample, self._norm_boxes(),
-            cap=self.config.cap, seed=self.config.seed,
-        )
-        self.records = records
+        records = _chart_records(self.spec, self._load_sample(), self.outcome, self.config)
         self.outcome.records = len(records)
         for rec in records:
-            if rec.image.variant == "overlay" and self.out is not None:
-                boxes = list(rec.image.overlay_boxes)
-                osvg, _ = render_svg(self.spec, overlays=boxes, layout=self.layout)
-                obmp, _ = rasterize(self.spec, overlays=boxes, layout=self.layout)
-                self._write_text(f"renders/{rec.image.file_name('svg')}", osvg)
-                self._write_bytes(f"renders/{rec.image.file_name('ppm')}", obmp.to_ppm())
+            if rec.image.variant == VARIANT_OVERLAY:
+                self._write_image(rec.image)
 
     def run_stages(self, wanted: list[str]) -> ChartOutcome:
         handlers = {
@@ -432,6 +388,17 @@ class _ChartTask:
 
 class _StageFail(Exception):
     """Internal: a stage gate rejected the chart (not a run-level error)."""
+
+
+def _chart_records(spec: ChartSpec, sample: CotSample, outcome: ChartOutcome,
+                   config: PipelineConfig) -> list[InstructionSample]:
+    """A chart's instruction records, built from its detections as boxes in
+    the run's bbox format; the qa stage and ``emit_dataset`` share it."""
+    boxes = {
+        int(k): normalize(PixelBBox(*d["bbox"]), spec.canvas, config.bbox_format)
+        for k, d in (outcome.detections or {}).items()
+    }
+    return build_instructions(spec, sample, boxes, cap=config.cap, seed=config.seed)
 
 
 def _read_artifact(out: Path, rel: str) -> bytes:
@@ -548,16 +515,11 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
     out = manifest.out_dir
     if out is None:
         raise ConfigError("emit_dataset requires a persisted run")
-    config = manifest.config
     records: list[tuple] = []
     for outcome in manifest.passed_charts():
         spec = parse_spec(_read_artifact(out, f"specs/{outcome.id}.json").decode("utf-8"))
         sample = validate_cot(_read_artifact(out, f"cot/{outcome.id}.json").decode("utf-8"))
-        boxes = {
-            int(k): normalize(PixelBBox(*d["bbox"]), spec.canvas, config.bbox_format)
-            for k, d in (outcome.detections or {}).items()
-        }
-        for rec in build_instructions(spec, sample, boxes, cap=config.cap, seed=config.seed):
+        for rec in _chart_records(spec, sample, outcome, manifest.config):
             records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name('ppm')}")))
     records.sort(key=lambda pair: pair[0])
     lines = "".join(canonical_json(r) + "\n" for _, r in records)

@@ -197,7 +197,7 @@ def render_svg(
 ):
     """Render to an SVG 1.1 subset (rect, line, path, text, g).
 
-    Returns (svg_text, GeometryMap). Byte-deterministic for fixed inputs;
+    Returns (svg_text, layout geometry). Byte-deterministic for fixed inputs;
     overlay boxes are stroked above all chart content. ``layout`` is
     ``chart_layout(spec)`` when the caller already has it.
     """
@@ -566,7 +566,7 @@ def rasterize(
     overlays: list[PixelBBox] | None = None,
     layout: ChartLayout | None = None,
 ):
-    """Rasterize to canvas-sized RGB. Returns (Bitmap, GeometryMap).
+    """Rasterize to canvas-sized RGB. Returns (Bitmap, layout geometry).
 
     Each marker anchor becomes a 9x9 cross in the reserved marker color,
     clipped at canvas edges. ``layout`` is ``chart_layout(spec)`` when the

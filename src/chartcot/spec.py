@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .errors import ConfigError, SpecSyntaxError, ValidationError
@@ -23,12 +23,6 @@ MAX_CANVAS = 4096
 
 # The marker character is reserved; generated text must never contain it.
 MARKER_CHAR = "@"
-
-_SPEC_KEYS = {
-    "id", "chart_type", "title", "series", "x_labels",
-    "canvas", "style_seed", "legend", "value_labels",
-}
-_SERIES_KEYS = {"name", "values"}
 
 
 @dataclass(frozen=True)
@@ -48,6 +42,10 @@ class ChartSpec:
     style_seed: int
     legend: bool
     value_labels: bool
+
+
+_SPEC_KEYS = frozenset(f.name for f in fields(ChartSpec))
+_SERIES_KEYS = frozenset(f.name for f in fields(Series))
 
 
 def validate_spec(spec: ChartSpec) -> ChartSpec:
@@ -89,17 +87,12 @@ def validate_spec(spec: ChartSpec) -> ChartSpec:
 
 
 def spec_to_json(spec: ChartSpec) -> dict:
-    return {
-        "id": spec.id,
-        "chart_type": spec.chart_type,
-        "title": spec.title,
-        "series": [{"name": s.name, "values": list(s.values)} for s in spec.series],
-        "x_labels": list(spec.x_labels),
-        "canvas": list(spec.canvas),
-        "style_seed": spec.style_seed,
-        "legend": spec.legend,
-        "value_labels": spec.value_labels,
-    }
+    """The spec's fields as a JSON object; tuples encode as JSON arrays.
+
+    Built from the instance dicts: ``dataclasses.asdict`` deep-copies every
+    value and costs about four times as much per spec.
+    """
+    return {**vars(spec), "series": [{**vars(s)} for s in spec.series]}
 
 
 def serialize_spec(spec: ChartSpec) -> str:
@@ -122,7 +115,7 @@ def spec_from_json(obj: object) -> ChartSpec:
     series = []
     for entry in raw_series:
         if not isinstance(entry, dict) or set(entry) != _SERIES_KEYS:
-            raise SpecSyntaxError("each series needs exactly the keys {name, values}")
+            raise SpecSyntaxError(f"each series needs exactly the keys {sorted(_SERIES_KEYS)}")
         if not isinstance(entry["values"], list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry["values"]
         ):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import random
 from pathlib import Path
 from typing import Any
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 
 def rng_for(*parts: Any) -> random.Random:
@@ -59,16 +60,22 @@ def dumps_pretty(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
+def known_fields(cls: type, obj: dict, what: str) -> dict:
+    """``obj`` as keyword arguments for the dataclass ``cls``; a key that is
+    not one of its fields raises ConfigError("unknown <what> keys: [...]")."""
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(obj)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never see a partial file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write UTF-8 text as ``atomic_write_bytes`` does."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write via temp file + rename so readers never see a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
