@@ -1,7 +1,8 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chartcot.cot import Answer
@@ -91,13 +92,18 @@ class TestRelaxedMatch:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    pred=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    gold=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    k=st.floats(min_value=0.1, max_value=100.0),
+    pred=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
+    gold=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
+    exp=st.integers(min_value=-3, max_value=6),
     sign=st.sampled_from([-1.0, 1.0]),
 )
-def test_scale_invariance(pred, gold, k, sign):
-    k = k * sign
+def test_scale_invariance(pred, gold, exp, sign):
+    # A power-of-two factor scales every float64 step exactly as long as no
+    # value falls into the subnormal range, so the relative error, and the
+    # verdict even at the margin itself, cannot change. Any other factor
+    # rounds, and flips pairs that sit exactly on the margin.
+    k = sign * 2.0 ** exp
+    assume(all(x == 0 or abs(x * k) >= sys.float_info.min for x in (pred, gold)))
     base = relaxed_match(Answer(pred), Answer(gold), 0.1)
     scaled = relaxed_match(Answer(pred * k), Answer(gold * k), 0.1)
     assert base == scaled
