@@ -180,13 +180,17 @@ def _hex(color: tuple[int, int, int]) -> str:
 
 
 def _svg_wedge_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
-    x0, y0 = cx + r * math.cos(a0), cy + r * math.sin(a0)
-    x1, y1 = cx + r * math.cos(a1), cy + r * math.sin(a1)
+    def rim(a: float) -> str:
+        return f"{_fmt(cx + r * math.cos(a))} {_fmt(cy + r * math.sin(a))}"
+
+    start, end = rim(a0), rim(a1)
     large = 1 if (a1 - a0) > math.pi else 0
-    return (
-        f"M {_fmt(cx)} {_fmt(cy)} L {_fmt(x0)} {_fmt(y0)} "
-        f"A {_fmt(r)} {_fmt(r)} 0 {large} 1 {_fmt(x1)} {_fmt(y1)} Z"
-    )
+    arc = f"A {_fmt(r)} {_fmt(r)} 0"
+    if large and end == start:
+        # A full turn. SVG draws nothing for an arc that ends where it starts,
+        # so go round in two halves.
+        return f"M {_fmt(cx)} {_fmt(cy)} L {start} {arc} 0 1 {rim((a0 + a1) / 2)} {arc} 0 1 {end} Z"
+    return f"M {_fmt(cx)} {_fmt(cy)} L {start} {arc} {large} 1 {end} Z"
 
 
 def render_svg(

@@ -134,6 +134,18 @@ class TestSvg:
         with pytest.raises(ValidationError, match="canvas"):
             render_svg(bar_spec, overlays=[PixelBBox(700, 500, 900, 700)])
 
+    def test_full_turn_wedge_draws_two_half_arcs(self):
+        # A viewer skips an arc whose end point is its start point, so a
+        # one-category pie must go round in two arcs that end apart.
+        spec = make_spec(chart_type="pie", series=(Series("Share", (5.0,)),), x_labels=("All",))
+        svg, _ = render_svg(spec)
+        (path,) = re.findall(r'<path d="([^"]*)"', svg)
+        start = re.search(r" L ([\d.]+ [\d.]+)", path).group(1)
+        ends = re.findall(r" A [\d.]+ [\d.]+ 0 [01] 1 ([\d.]+ [\d.]+)", path)
+        assert len(ends) == 2
+        assert ends[0] != ends[1] and ends[0] != start
+        assert ends[1] == start
+
     def test_escapes_markup_text(self):
         spec = make_spec(title="A<B & C")
         svg, _ = render_svg(spec)

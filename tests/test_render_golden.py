@@ -560,17 +560,17 @@ GOLDEN = {
     ),
     'edge-pie-one-category-vanilla': (
         'e09fbd795ed77b1b3a9ab9249327206075eef35c828943d25e0e5e54b34fce60',
-        '4ea3ba52dd92aa3215d068ae8c538d76f9023d7338e9392f9f8ad097a8f7cefa',
+        'b48cfdcc511ed3ac1b69ed337e66ccfce04fcb42f82a64fdbeb9dd288dcd6150',
         [],
     ),
     'edge-pie-one-category-corner': (
         'a83985bf77b700226ef8a93f029c0bb0190368d99b8b3c3f6ef915de6089d150',
-        '600bb3b81ea798de4a644939650f4222b46abb26ebf64532b8d46afc1da40171',
+        'd3275ee0796a2b515579c88e000730a967fedef12045a1a5c885d9ec500e4bed',
         [(0, 0, 5, 6), (956, 714, 960, 720)],
     ),
     'edge-pie-one-category-full': (
         '5f6c60b1cf14d66039a55133d3a4009c991f5d8cec1999bef084815e9ab75340',
-        '77c1db397407596e277b22c242e1d6e5f9ca12c7eb3e262cf9bf0448d40d3e1f',
+        '7c5a2acc6a4b79b92d80c720d0a0ed8c8c67a7e1f482f597e7e37dc899f37d93',
         [],
     ),
 }
