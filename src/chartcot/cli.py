@@ -156,9 +156,12 @@ def _read_records(path: str, parse) -> list:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    try:
+        margins = tuple(float(m) for m in args.margins.split(",") if m)
+    except ValueError:
+        raise ConfigError(f"--margins must be comma-separated numbers, not {args.margins!r}") from None
     gold = _read_records(args.gold, GoldEntry.from_json)
     preds = _read_records(args.pred, _prediction)
-    margins = tuple(float(m) for m in args.margins.split(",") if m)
     report = evaluate(preds, gold, margins=margins, mode=args.mode, group_by=args.group_by)
     out_dir = Path(args.out) if args.out else Path(".")
     report_path = out_dir / "eval_report.json"

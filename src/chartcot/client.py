@@ -21,7 +21,7 @@ from . import prompts
 from .cot import CotSample, answers_match, generate_cot_rule_based, recompute_true_answer
 from .errors import ClientError, ConfigError
 from .spec import ChartSpec, parse_spec, serialize_spec
-from .util import known_fields, rng_for
+from .util import check_field_types, known_fields, rng_for
 
 API_KEY_ENV = "CHARTPOINT_API_KEY"
 
@@ -47,6 +47,7 @@ class ClientConfig:
     stub_fault_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self, "client config")
         if self.mode not in ("stub", "http"):
             raise ConfigError(f"unknown client mode {self.mode!r}")
         if self.mode == "http" and not self.endpoint:

@@ -153,17 +153,9 @@ def nice_ticks(vmax: float, max_intervals: int = 6) -> tuple[float, list[float]]
     """
     if vmax <= 0:
         vmax = 1.0
-    exp = math.floor(math.log10(vmax / max_intervals)) if vmax > 0 else 0
-    step = None
-    for k in range(exp, exp + 4):
-        for base in (1.0, 2.0, 5.0):
-            cand = base * 10.0 ** k
-            if math.ceil(vmax / cand) <= max_intervals:
-                step = cand
-                break
-        if step is not None:
-            break
-    if step is None:  # pragma: no cover - loop always terminates above
-        step = vmax
+    exp = math.floor(math.log10(vmax / max_intervals))
+    # 10 ** (exp + 1) > vmax / max_intervals, so a step is found by k = exp + 1.
+    steps = (base * 10.0 ** k for k in range(exp, exp + 2) for base in (1.0, 2.0, 5.0))
+    step = next(s for s in steps if math.ceil(vmax / s) <= max_intervals)
     n = max(1, math.ceil(vmax / step - 1e-9))
     return step, [i * step for i in range(n + 1)]

@@ -157,6 +157,18 @@ def _layout_axes_chart(lay: ChartLayout) -> None:
             _store_text(lay, ElementRef("legend_entry", series=s.name), item, extra=swatch)
 
 
+def sector_bounds(cx: float, cy: float, r: float, a0: float, a1: float) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1) bounding the centre, rim ends and rim extremes of a disc sector."""
+    xs = [cx, cx + r * math.cos(a0), cx + r * math.cos(a1)]
+    ys = [cy, cy + r * math.sin(a0), cy + r * math.sin(a1)]
+    k = math.ceil(a0 / (math.pi / 2))
+    while k * math.pi / 2 <= a1 + 1e-12:
+        xs.append(cx + r * math.cos(k * math.pi / 2))
+        ys.append(cy + r * math.sin(k * math.pi / 2))
+        k += 1
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def _layout_pie(lay: ChartLayout) -> None:
     spec = lay.spec
     plot = lay.plot
@@ -178,14 +190,7 @@ def _layout_pie(lay: ChartLayout) -> None:
         mid = (a0 + a1) / 2
         d = (4 * r * math.sin(span / 2)) / (3 * span) if span > 0 else 0.0
         lay.wedge_centroids[cat] = (cx + d * math.cos(mid), cy + d * math.sin(mid))
-        xs = [cx, cx + r * math.cos(a0), cx + r * math.cos(a1)]
-        ys = [cy, cy + r * math.sin(a0), cy + r * math.sin(a1)]
-        k = math.ceil(a0 / (math.pi / 2))
-        while k * math.pi / 2 <= a1 + 1e-12:
-            xs.append(cx + r * math.cos(k * math.pi / 2))
-            ys.append(cy + r * math.sin(k * math.pi / 2))
-            k += 1
-        box = PixelBBox(min(xs), min(ys), max(xs), max(ys)).clamp(w, h)
+        box = PixelBBox(*sector_bounds(cx, cy, r, a0, a1)).clamp(w, h)
         lay.geometry[ElementRef("datapoint", series=series.name, category=cat)] = box
 
     # Category key column on the right; these labels are the pie's tick text.

@@ -15,6 +15,8 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -51,7 +53,16 @@ from .marker import (
 )
 from .render import Bitmap, rasterize, render_svg
 from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
-from .util import atomic_write_bytes, atomic_write_text, canonical_json, dumps_pretty, known_fields, rng_for
+from .util import (
+    atomic_write_bytes,
+    atomic_write_text,
+    canonical_json,
+    check_field_types,
+    dumps_pretty,
+    is_number,
+    known_fields,
+    rng_for,
+)
 
 STAGES = ("meta", "cot", "code", "render", "detect", "qa")
 
@@ -74,17 +85,21 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        check_field_types(self, "config")
         if self.n_charts < 1:
             raise ConfigError("n_charts must be >= 1")
         if self.bbox_format not in FORMATS:
             raise ConfigError(f"bbox_format must be one of {FORMATS}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for chart_type, weight in self.type_mix.items():
+            if not (is_number(weight) and 0.0 <= weight < math.inf):
+                raise ConfigError(f"type_mix weight of {chart_type!r} must be a finite number >= 0, not {weight!r}")
         for stage, p in self.fault_injection.items():
             if stage not in STAGES:
                 raise ConfigError(f"unknown fault injection stage {stage!r}")
-            if not (0.0 <= float(p) <= 1.0):
-                raise ConfigError("fault probabilities must be in [0, 1]")
+            if not (is_number(p) and 0.0 <= p <= 1.0):
+                raise ConfigError(f"fault probability of {stage!r} must be a number in [0, 1], not {p!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
@@ -182,16 +197,16 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
+        """The manifest at ``path``; IntegrityError naming it when it is cut
+        short, not JSON, or lacks a key of the config or of a chart entry."""
         path = Path(path)
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        config = PipelineConfig.from_json(obj["config"])
-        manifest = cls(
-            config=config,
-            charts=[ChartOutcome.from_json(c) for c in obj.get("charts", [])],
-            out_dir=path.parent,
-            generated_at=obj.get("generated_at", ""),
-        )
-        return manifest
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            return cls(config=PipelineConfig.from_json(obj["config"]),
+                       charts=[ChartOutcome.from_json(c) for c in obj.get("charts", [])],
+                       out_dir=path.parent, generated_at=obj.get("generated_at", ""))
+        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+            raise IntegrityError(f"manifest {path} is cut short or malformed: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +238,8 @@ class _ChartTask:
     # -- fault injection ----------------------------------------------------
 
     def _injected_fault(self, stage: str) -> bool:
-        p = float(self.config.fault_injection.get(stage, 0.0))
-        if p <= 0.0:
-            return False
-        return rng_for(self.config.seed, "fault", stage, self.spec.id).random() < p
+        p = self.config.fault_injection.get(stage, 0.0)
+        return p > 0.0 and rng_for(self.config.seed, "fault", stage, self.spec.id).random() < p
 
     # -- artifact io ----------------------------------------------------------
 
@@ -351,14 +364,6 @@ class _ChartTask:
                 self._write_image(rec.image)
 
     def run_stages(self, wanted: list[str]) -> ChartOutcome:
-        handlers = {
-            "meta": self._stage_meta,
-            "cot": self._stage_cot,
-            "code": self._stage_code,
-            "render": self._stage_render,
-            "detect": self._stage_detect,
-            "qa": self._stage_qa,
-        }
         for pos, stage in enumerate(STAGES):
             if stage not in wanted:
                 continue
@@ -372,7 +377,7 @@ class _ChartTask:
                 self.outcome.stages[stage] = "fail:injected"
                 break
             try:
-                handlers[stage]()
+                getattr(self, f"_stage_{stage}")()
             except _StageFail as exc:
                 self.outcome.stages[stage] = f"fail:{exc}"
                 break
@@ -412,15 +417,12 @@ def _read_artifact(out: Path, rel: str) -> bytes:
 # Run orchestration
 
 def _stage_window(stop_after: Optional[str], only_stage: Optional[str]) -> list[str]:
+    for stage in (only_stage, stop_after):
+        if stage is not None and stage not in STAGES:
+            raise ConfigError(f"unknown stage {stage!r}")
     if only_stage is not None:
-        if only_stage not in STAGES:
-            raise ConfigError(f"unknown stage {only_stage!r}")
         return [only_stage]
-    if stop_after is not None:
-        if stop_after not in STAGES:
-            raise ConfigError(f"unknown stage {stop_after!r}")
-        return list(STAGES[: STAGES.index(stop_after) + 1])
-    return list(STAGES)
+    return list(STAGES[: STAGES.index(stop_after) + 1] if stop_after is not None else STAGES)
 
 
 def run(
@@ -533,31 +535,19 @@ def compute_stats(manifest: DatasetManifest) -> dict:
     passed = [c for c in manifest.charts if c.all_passed() and c.steps]
     if not passed:
         raise EmptyError("no charts passed the pipeline")
-    hists: dict[str, dict] = {"grounding": {}, "reasoning": {}, "total": {}}
-    for c in passed:
-        for key in hists:
-            count = c.steps[key]
-            hists[key][str(count)] = hists[key].get(str(count), 0) + 1
-    for key in hists:
-        hists[key] = dict(sorted(hists[key].items(), key=lambda kv: int(kv[0])))
-    types: dict[str, int] = {}
-    for c in passed:
-        types[c.chart_type] = types.get(c.chart_type, 0) + 1
+    counts = {key: Counter(c.steps[key] for c in passed) for key in ("grounding", "reasoning", "total")}
+    total = counts["total"]
+    types = Counter(c.chart_type for c in passed)
     n = len(passed)
-    mode = min(
-        (k for k in hists["total"]),
-        key=lambda k: (-hists["total"][k], int(k)),
-    )
     with_records = [c.records for c in passed if c.records is not None]
-    stats = {
+    return {
         "passed_charts": n,
-        "step_histograms": hists,
-        "total_step_mode": int(mode),
-        "chart_type_distribution": {t: types.get(t, 0) / n for t in sorted(types)},
-        "records_total": sum(with_records) if with_records else 0,
+        "step_histograms": {key: {str(k): hist[k] for k in sorted(hist)} for key, hist in counts.items()},
+        "total_step_mode": min(total, key=lambda k: (-total[k], k)),
+        "chart_type_distribution": {t: types[t] / n for t in sorted(types)},
+        "records_total": sum(with_records),
         "records_per_chart_mean": (sum(with_records) / len(with_records)) if with_records else None,
     }
-    return stats
 
 
 def write_stats(manifest: DatasetManifest) -> Path:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IntegrityError, ValidationError
 from .geometry import PixelBBox, glyph_advance, glyph_ascent
-from .layout import DOT_HALF, ChartLayout, chart_layout
+from .layout import DOT_HALF, ChartLayout, chart_layout, sector_bounds
 from .spec import MARKER_CHAR, ChartSpec
 
 MARKER_COLOR = (255, 0, 255)  # reserved: never used by palette, text, or overlays
@@ -109,7 +109,8 @@ class Bitmap:
 #
 #   ("rect", x0, y0, x1, y1, color)          bar, line-chart dot, legend or key swatch
 #   ("polyline", points, color)              one line series
-#   ("pie", cx, cy, r, wedges, colors)       every wedge (a0, a1) at once, as _fill_pie paints them
+#   ("pie", cx, cy, r, wedges, colors)       the wedges (a0, a1), which tile one turn; one item,
+#                                            so the last wedge closes on the first one's ray
 #   ("rule", x1, y1, x2, y2, rect)           an axis or tick line; rect is its 1 px raster stand-in
 #   ("text", TextItem)                       a label; marker glyphs take the marker colour
 #   ("cross", x, y)                          a marker anchor's 9x9 cross
@@ -331,200 +332,37 @@ def _draw_polyline(arr: np.ndarray, ink: _Ink, pts, color) -> None:
     _stamp_points(arr, ink, np.concatenate([s[0] for s in segs]), np.concatenate([s[1] for s in segs]), color)
 
 
-# ---------------------------------------------------------------------------
-# Pie fan
-#
-# Each wedge is a fan of ceil(span / PIE_SEGMENT) equal triangles around the
-# centre. A pixel belongs to a triangle when its centre passes the float64
-# edge test of _fan_inside, evaluated over that triangle's own bbox; later
-# triangles win shared pixels. Rather than test every triangle over its bbox
-# (their bboxes add up to ~7.6x the pie's area), pixels are classified by
-# angle and radius: those well inside one triangle, or well outside the disc,
-# take their label from a lookup table, and only the thin rims along rays and
-# chords run the exact test, against the triangles whose angular range comes
-# near them. The classification has slack far above float error, so the label
-# plane equals the triangle-by-triangle result.
-
-PIE_SEGMENT = 2 * math.pi / 64  # max angular width of one fan triangle
-_FAN_BINS = 16384   # angle lookup resolution over one turn (~3.8e-4 rad per bin)
-_FAN_BAND = 64      # plane rows classified at once; bounds the temporaries
-_FAN_CHUNK = 4096   # rim pixels per exact test; bounds its temporaries
-_FAN_THIN = 1e-6    # triangles narrower than this (rad) take the exact bbox test
-_FAN_SLACK = 0.05   # px of radial slack around the fast inside/outside classes
-
-
-def _fan_edge(px, py, ax, ay, bx, by):
-    return (px - ax) * (by - ay) - (py - ay) * (bx - ax)
-
-
-def _fan_inside(px, py, cx, cy, x0, y0, x1, y1):
-    """Pixel centre (px, py) on the inner side of every edge of triangle
-    (c, p0, p1), either winding."""
-    e0 = _fan_edge(px, py, cx, cy, x0, y0)
-    e1 = _fan_edge(px, py, x0, y0, x1, y1)
-    e2 = _fan_edge(px, py, x1, y1, cx, cy)
-    return ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
-
-
-def _fan_triangles(cx: float, cy: float, r: float, wedges) -> list[tuple]:
-    """(wedge index, b0, b1, x0, y0, x1, y1) per fan triangle, in draw order."""
-    tris = []
-    for wi, (a0, a1) in enumerate(wedges):
-        span = a1 - a0
-        nseg = max(1, int(math.ceil(span / PIE_SEGMENT - 1e-12)))
-        step = span / nseg
-        for i in range(nseg):
-            b0 = a0 + i * step
-            b1 = b0 + step
-            tris.append((wi, b0, b1, cx + r * math.cos(b0), cy + r * math.sin(b0),
-                         cx + r * math.cos(b1), cy + r * math.sin(b1)))
-    return tris
-
-
-def _fan_bbox(cx: float, cy: float, tri: tuple, w: int, h: int) -> tuple[int, int, int, int]:
-    xs, ys = (cx, tri[3], tri[5]), (cy, tri[4], tri[6])
-    return (max(0, int(math.floor(min(xs)))), min(w, int(math.ceil(max(xs))) + 1),
-            max(0, int(math.floor(min(ys)))), min(h, int(math.ceil(max(ys))) + 1))
-
-
-class _FanTable:
-    """Angle-bin lookup over the regular (not thin) fan triangles, in draw order.
-
-    Bin b covers angles base + [b, b + 1) / bins_per_rad; a triangle touches
-    the bins its angular range meets. Pixels whose angle falls in bin b are
-    tested against ``first[b] : first[b] + count[b]``, the triangles touching
-    bins b - 2 .. b + 2 in the extended list (the triangles repeated one turn
-    earlier and later, so the ends of the turn see each other). ``label[b]``
-    is the label of the one triangle touching bins b - 2 .. b + 2 when it
-    touches all of them, else 0. The margins dwarf float32 angle error.
-    """
-
-    def __init__(self, tris: list[tuple], labels: list[int], dtype):
-        turn = 2 * math.pi
-        n = len(tris)
-        self.base = -math.pi / 2
-        self.bins_per_rad = _FAN_BINS / turn
-        self.offset = _FAN_BINS - self.base * self.bins_per_rad  # keeps bins positive before the mask
-        coords = np.array([t[3:7] for t in tris], dtype=np.float64)
-        self.x0, self.y0, self.x1, self.y1 = np.tile(coords, (3, 1)).T
-        self.labels = np.tile(np.array(labels, dtype=dtype), 3)
-        shifts = np.repeat([-turn, 0.0, turn], n)
-        f0, f1 = (  # first and last bin each extended triangle touches
-            np.floor((np.tile([t[i] for t in tris], 3) + shifts - self.base) * self.bins_per_rad)
-            .astype(np.intp)
-            for i in (1, 2)
-        )
-
-        def at_most(f, lo: int, hi: int) -> np.ndarray:
-            """#{j : f[j] <= t} for t = lo .. hi (f is sorted)."""
-            hist = np.bincount(np.clip(f, lo, hi + 1) - lo, minlength=hi - lo + 2)
-            return np.cumsum(hist)[:hi - lo + 1]
-
-        bins = np.arange(_FAN_BINS)
-        self.first = at_most(f1, -3, _FAN_BINS - 4)               # f1 < b - 2
-        self.count = at_most(f0, 2, _FAN_BINS + 1) - self.first   # and f0 <= b + 2
-        only = np.minimum(self.first, 3 * n - 1)
-        whole = (self.count == 1) & (f0[only] <= bins - 2) & (f1[only] >= bins + 2)
-        self.label = np.where(whole, self.labels[only], 0).astype(dtype)
-
-    def bins(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        turns = np.arctan2(dy, dx) * self.bins_per_rad + self.offset
-        return turns.astype(np.intp) & (_FAN_BINS - 1)
-
-    def hits(self, xs, ys, cx: float, cy: float, first, count) -> np.ndarray:
-        """Highest label among the candidate triangles containing each pixel
-        (xs, ys), 0 if none."""
-        if not xs.size:
-            return np.zeros(0, dtype=self.labels.dtype)
-        k = np.arange(max(1, int(count.max())))
-        valid = k[None, :] < count[:, None]
-        idx = np.where(valid, first[:, None] + k[None, :], 0)
-        px = xs.astype(np.float64)[:, None] + 0.5
-        py = ys.astype(np.float64)[:, None] + 0.5
-        inside = _fan_inside(px, py, cx, cy,
-                             self.x0[idx], self.y0[idx], self.x1[idx], self.y1[idx])
-        return np.where(inside & valid, self.labels[idx], 0).max(axis=1)
-
-
 def _fill_pie(arr: np.ndarray, cx: float, cy: float, r: float, wedges, colors) -> None:
-    """Fill the fan of every wedge (a0, a1) with its colour.
+    """Paint the wedges (a0, a1), which tile one turn in order, as exact disc sectors.
 
-    Pixels come out exactly as filling each fan triangle in order through
-    _fan_inside over its own canvas-clipped bbox; see the section comment.
-    The pie's bbox must still be plain background: it is painted whole.
+    A pixel is painted when its centre lies within r of (cx, cy), at or after
+    the wedge's start ray and at or before its end ray (either, for a wedge
+    wider than a half turn), and inside the wedge's sector bbox; later wedges
+    paint over earlier ones. Float64 products, no arctan2 (its SIMD variants
+    differ between machines). Neighbouring wedges test one shared ray and the
+    last ends on the first one's, so rounding cannot leave a disc pixel unpainted.
     """
     h, w, _ = arr.shape
-    tris = _fan_triangles(cx, cy, r, wedges)
-    boxes = [_fan_bbox(cx, cy, t, w, h) for t in tris]
-    boxes_in = [b for b in boxes if b[0] < b[1] and b[2] < b[3]]
-    if not boxes_in:
-        return
-    x0, x1 = min(b[0] for b in boxes_in), max(b[1] for b in boxes_in)
-    y0, y1 = min(b[2] for b in boxes_in), max(b[3] for b in boxes_in)
-    dtype = np.uint8 if len(tris) < 255 else np.uint16
-    # Label k + 1 -> colour of triangle k, as one 3-byte item per pixel.
-    rgb = np.array([BACKGROUND] + [colors[t[0]] for t in tris], dtype=np.uint8).view("V3")[:, 0]
-
-    # Label plane: 1 + index of the last triangle containing the pixel, 0 if none.
-    plane = np.zeros((y1 - y0, x1 - x0), dtype=dtype)
-    regular = [k for k, t in enumerate(tris) if t[2] - t[1] >= _FAN_THIN]
-    slivers = [k for k, t in enumerate(tris) if t[2] - t[1] < _FAN_THIN]
-    if regular:
-        table = _FanTable([tris[k] for k in regular], [k + 1 for k in regular], dtype)
-        # Every regular triangle holds the disc sector out to its chord, which
-        # is no nearer the centre than r * cos(PIE_SEGMENT / 2), and nothing
-        # beyond r.
-        inner = r * math.cos(PIE_SEGMENT / 2) - _FAN_SLACK
-        inner2 = inner * inner if inner > 0 else -1.0
-        outer2 = (r + _FAN_SLACK) ** 2
-        dx = (np.arange(x0, x1, dtype=np.float64) + 0.5 - cx).astype(np.float32)
-        dx2 = dx * dx
-        rims, rim_bins = [], []
-        for r0 in range(0, y1 - y0, _FAN_BAND):
-            r1 = min(r0 + _FAN_BAND, y1 - y0)
-            dy = np.arange(y0 + r0, y0 + r1, dtype=np.float64) + 0.5 - cy
-            gap = 0.0 if dy[0] <= 0.0 <= dy[-1] else float(np.abs(dy).min())
-            if gap * gap >= outer2:
-                continue
-            # Only the columns of the band's widest chord can reach the disc.
-            half = math.sqrt(outer2 - gap * gap)
-            c0 = max(0, int(cx - half) - 1 - x0)
-            c1 = min(x1 - x0, int(cx + half) + 2 - x0)
-            dy = dy.astype(np.float32)[:, None]
-            d2 = dx2[c0:c1] + dy * dy
-            bins = table.bins(dx[c0:c1], dy)
-            found = np.where(d2 <= inner2, table.label[bins], 0)
-            rim = np.flatnonzero((found == 0) & (d2 < outer2))
-            plane[r0:r1, c0:c1] = found
-            ys, xs = np.divmod(rim, c1 - c0)
-            rims.append((ys + r0) * (x1 - x0) + xs + c0)
-            rim_bins.append(bins.flat[rim])
-        # Pixels near a ray or the rim: the exact test, against nearby triangles only.
-        if rims:
-            rim_all, bins_all = np.concatenate(rims), np.concatenate(rim_bins)
-            for i in range(0, rim_all.size, _FAN_CHUNK):
-                rim, b = rim_all[i:i + _FAN_CHUNK], bins_all[i:i + _FAN_CHUNK]
-                ys, xs = np.divmod(rim, x1 - x0)
-                plane.flat[rim] = table.hits(xs + x0, ys + y0, cx, cy, table.first[b], table.count[b])
-        # Within a pixel of the centre the angle says nothing: test every triangle.
-        ys, xs = np.meshgrid(np.arange(math.floor(cy) - 1, math.floor(cy) + 2),
-                             np.arange(math.floor(cx) - 1, math.floor(cx) + 2), indexing="ij")
-        near = ((xs + 0.5 - cx) ** 2 + (ys + 0.5 - cy) ** 2 < 1.0) & (xs >= x0) & (xs < x1) & (ys >= y0) & (ys < y1)
-        ys, xs = ys[near], xs[near]
-        every = np.full(ys.size, len(regular))
-        plane[ys - y0, xs - x0] = table.hits(xs, ys, cx, cy, every, every)
-    for k in slivers:
-        # Sliver: its edges are nearly degenerate, so test it the direct way.
-        bx0, bx1, by0, by1 = boxes[k]
-        if bx0 < bx1 and by0 < by1:
-            px = np.arange(bx0, bx1, dtype=np.float64)[None, :] + 0.5
-            py = np.arange(by0, by1, dtype=np.float64)[:, None] + 0.5
-            view = plane[by0 - y0:by1 - y0, bx0 - x0:bx1 - x0]
-            inside = _fan_inside(px, py, cx, cy, *tris[k][3:7])
-            view[inside] = np.maximum(view[inside], k + 1)
-    out = arr.view("V3")[y0:y1, x0:x1, 0]
-    for r0 in range(0, y1 - y0, _FAN_BAND):
-        np.take(rgb, plane[r0:r0 + _FAN_BAND], out=out[r0:r0 + _FAN_BAND], mode="clip")
+    out = arr.view("V3")[:, :, 0]  # one 3-byte item per pixel
+    rays = [(math.cos(a0), math.sin(a0)) for a0, _ in wedges]
+    rays.append(rays[0])
+    for k, ((a0, a1), color) in enumerate(zip(wedges, colors)):
+        bx0, by0, bx1, by1 = sector_bounds(cx, cy, r, a0, a1)
+        x0, x1 = max(0, math.floor(bx0)), min(w, math.ceil(bx1) + 1)
+        y0, y1 = max(0, math.floor(by0)), min(h, math.ceil(by1) + 1)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        (c0, s0), (c1, s1) = rays[k], rays[k + 1]
+        dx = np.arange(x0, x1, dtype=np.float64) + 0.5 - cx
+        dy = np.arange(y0, y1, dtype=np.float64) + 0.5 - cy
+        after = np.greater_equal.outer(c0 * dy, s0 * dx)
+        before = np.less_equal.outer(c1 * dy, s1 * dx)
+        # Wider than a half turn: the end ray lies behind the start ray, or on
+        # it for a full turn. Judged from the rays, as the pixel tests are.
+        wide = s0 * c1 > c0 * s1 or (s0 * c1 == c0 * s1 and a1 - a0 > math.pi)
+        inside = (after | before) if wide else (after & before)
+        inside &= np.add.outer(dy * dy, dx * dx) <= r * r
+        out[y0:y1, x0:x1][inside] = np.array(color, dtype=np.uint8).view("V3")[0]
 
 
 _GLYPH_RUN = re.compile(f"[^ {re.escape(MARKER_CHAR)}]+|{re.escape(MARKER_CHAR)}+")

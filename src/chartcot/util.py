@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import random
+import typing
 from pathlib import Path
 from typing import Any
 
@@ -63,10 +65,33 @@ def dumps_pretty(obj: Any) -> str:
 def known_fields(cls: type, obj: dict, what: str) -> dict:
     """``obj`` as keyword arguments for the dataclass ``cls``; a key that is
     not one of its fields raises ConfigError("unknown <what> keys: [...]")."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {type(obj).__name__}")
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return dict(obj)
+
+
+def is_number(value: Any) -> bool:
+    """An int or float as JSON reads them; JSON true/false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a JSON object", type(None): "null"}
+_type_hints = functools.cache(typing.get_type_hints)  # resolves string annotations once per class
+
+
+def check_field_types(obj: Any, what: str) -> None:
+    """ConfigError naming the first field of the dataclass instance ``obj``
+    whose value its annotation does not admit; an int passes for a float."""
+    for name, hint in _type_hints(type(obj)).items():
+        admitted = typing.get_args(hint) or (hint,)  # Optional[X] admits X and None
+        value = getattr(obj, name)
+        if isinstance(value, bool) and bool not in admitted or not (
+                isinstance(value, admitted) or float in admitted and is_number(value)):
+            names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in admitted)
+            raise ConfigError(f"{what} key {name!r} must be {names}, not {value!r}")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

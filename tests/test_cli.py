@@ -95,6 +95,25 @@ class TestUsageErrors:
         assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_charts="5")
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: config key 'n_charts' must be an integer, not '5'\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["build", "stats", "gallery"])
+    def test_truncated_manifest_exits_1(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:300])
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} is cut short or malformed: JSONDecodeError: ")
+        assert "Traceback" not in err
+
 
 class TestEvalCommand:
     def test_eval_writes_report(self, tmp_path, capsys):
@@ -130,6 +149,17 @@ class TestEvalCommand:
         assert report["cells"]["0.05"]["aug"]["correct"] == 0
         stdout = capsys.readouterr().out
         assert "Avg." in stdout and "ALL" in stdout
+
+    def test_eval_non_numeric_margin_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        gold.write_text(json.dumps({"sample_id": "s1", "answer": 1.0, "group": "human"}), encoding="utf-8")
+        pred.write_text(json.dumps({"sample_id": "s1", "raw_text": "\\box{1}"}), encoding="utf-8")
+        code = main(["eval", "--gold", str(gold), "--pred", str(pred), "--margins", "0.05,x",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --margins must be comma-separated numbers, not '0.05,x'\n"
+        assert not (tmp_path / "eval_report.json").exists()
 
     def test_eval_missing_gold_is_domain_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

@@ -49,6 +49,33 @@ class TestConfig:
         cfg = small_config(cap=3.24, fault_injection={"render": 0.1})
         assert PipelineConfig.from_json(cfg.to_json()).config_hash() == cfg.config_hash()
 
+    @pytest.mark.parametrize("obj,key", [
+        ({"n_charts": "5"}, "'n_charts'"),
+        ({"workers": 2.5}, "'workers'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": None}, "'seed'"),
+        ({"cap": "1"}, "'cap'"),
+        ({"type_mix": {"bar": "x"}}, "'bar'"),
+        ({"type_mix": {"bar": float("nan"), "line": 1.0}}, "'bar'"),
+        ({"fault_injection": {"detect": "0.5"}}, "'detect'"),
+        ({"fault_injection": {"detect": [0.5]}}, "'detect'"),
+        ({"client": {"timeout": "30"}}, "'timeout'"),
+        ({"client": {"max_retries": 2.0}}, "'max_retries'"),
+        ({"client": {"max_concurrency": "4"}}, "'max_concurrency'"),
+        ({"client": {"temperature": [0]}}, "'temperature'"),
+        ({"client": {"backoff": False}}, "'backoff'"),
+        ({"client": {"stub_seed": "7"}}, "'stub_seed'"),
+        ({"client": {"stub_fault_rate": None}}, "'stub_fault_rate'"),
+        ({"client": [{"mode": "stub"}]}, "client config"),
+    ])
+    def test_value_of_wrong_type_names_its_key(self, obj, key):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_json(obj)
+
+    def test_ints_pass_for_numbers(self):
+        cfg = PipelineConfig.from_json({"min_marker_px": 12, "cap": 3, "client": {"timeout": 30}})
+        assert cfg.min_marker_px == 12 and cfg.client.timeout == 30
+
 
 class TestFaultFreeRun:
     def test_all_charts_reach_qa(self, tmp_path):
@@ -332,6 +359,29 @@ class TestEmitEdgeCases:
         loaded = DatasetManifest.load(tmp_path / "manifest.json")
         assert loaded.digest() == manifest.digest()
         assert Path(tmp_path / "stats.json").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "not json", "no config", "chart key", "chart list"])
+    def test_damaged_manifest_is_integrity_error(self, tmp_path, damage):
+        run(PipelineConfig(seed=4, n_charts=3), out_dir=tmp_path, stop_after="meta")
+        path = tmp_path / "manifest.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if damage == "truncated":
+            text = path.read_text(encoding="utf-8")[:300]
+        elif damage == "not json":
+            text = "\x00\x01 not a manifest"
+        elif damage == "no config":
+            del obj["config"]
+        elif damage == "chart key":
+            del obj["charts"][1]["stages"]
+        else:
+            obj["charts"] = ["c00000"]
+        if damage in ("no config", "chart key", "chart list"):
+            text = json.dumps(obj)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(IntegrityError, match=r"^manifest .*manifest\.json is "):
+            DatasetManifest.load(path)
+        with pytest.raises(IntegrityError):
+            run(PipelineConfig(seed=4, n_charts=3), out_dir=tmp_path)
 
 
 class TestForkedWorkers:

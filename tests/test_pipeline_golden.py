@@ -6,7 +6,9 @@ every other file of a persisted run plus dataset and stats; and the manifest
 digest of an in-memory run with injected detect faults, so failure entries
 are pinned too. A refactor of the config, manifest, spec or artifact code
 must reproduce these exactly. Re-record (``python tests/test_pipeline_golden.py``)
-only for a deliberate output change that is named as such.
+only for a deliberate output change that is named as such; the pie wedge rule
+change re-recorded ``build.files_digest`` alone (its pie PPMs changed, no
+record or manifest entry did).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ GOLDEN = {
     "config_hash.default": "274944fd233a8a91",
     "config_hash.non_default": "5e4398c40f8bf0aa",
     "build.manifest_digest": "8a9405aa21e87429b2486982206fd3a969ac55ff2341a1e0d9f2439b3d023a37",
-    "build.files_digest": "7fd23638459702f3c32e81f31195d7445d05eba7ff9d17e23fa01cfc54cf96a5",
+    "build.files_digest": "d25f1bd6dfc0b375ac038442dc3a1d7c3ac989fd32026ceff99f7ad0af7ebc47",
     "faults.manifest_digest": "2c8f5236f490cd5a0d4fd1593d2e5cf8137f26ae360bca5ceb1cafb2532ff68a",
 }
 

@@ -7,12 +7,11 @@ import pytest
 
 from chartcot.errors import LayoutError, ValidationError
 from chartcot.geometry import ElementRef, PixelBBox
-from chartcot.layout import chart_layout, layout
+from chartcot.layout import chart_layout, layout, sector_bounds
 from chartcot.render import (
     BACKGROUND,
     MARKER_COLOR,
     PALETTE,
-    PIE_SEGMENT,
     Bitmap,
     _fill_pie,
     rasterize,
@@ -229,40 +228,17 @@ def test_wedge_angles_cover_circle(pie_spec):
     assert abs(spans[0] / (2 * np.pi) - 0.45) < 1e-9
 
 
-def _reference_pie(arr, cx, cy, r, wedges, colors):
-    """The pie fan drawn one triangle at a time over its own bbox, later
-    triangles on top: the pixel rule the lookup-table fan must reproduce."""
-    h, w, _ = arr.shape
-    for (a0, a1), color in zip(wedges, colors):
-        nseg = max(1, int(math.ceil((a1 - a0) / PIE_SEGMENT - 1e-12)))
-        step = (a1 - a0) / nseg
-        for i in range(nseg):
-            b0 = a0 + i * step
-            b1 = b0 + step
-            p0 = (cx, cy)
-            p1 = (cx + r * math.cos(b0), cy + r * math.sin(b0))
-            p2 = (cx + r * math.cos(b1), cy + r * math.sin(b1))
-            xs, ys = (p0[0], p1[0], p2[0]), (p0[1], p1[1], p2[1])
-            x0, x1 = max(0, math.floor(min(xs))), min(w, math.ceil(max(xs)) + 1)
-            y0, y1 = max(0, math.floor(min(ys))), min(h, math.ceil(max(ys)) + 1)
-            if x0 >= x1 or y0 >= y1:
-                continue
-            px = np.arange(x0, x1, dtype=np.float64)[None, :] + 0.5
-            py = np.arange(y0, y1, dtype=np.float64)[:, None] + 0.5
+def _pie_cases():
+    """(label, canvas size, cx, cy, r, wedges, colors) for generated pies.
 
-            def edge(a, b):
-                return (px - a[0]) * (b[1] - a[1]) - (py - a[1]) * (b[0] - a[0])
-
-            e0, e1, e2 = edge(p0, p1), edge(p1, p2), edge(p2, p0)
-            inside = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
-            arr[y0:y1, x0:x1][inside] = color
-
-
-def test_pie_fan_matches_triangle_by_triangle_reference():
-    # Off-grid and half-integer centres (a pixel centre on the pie centre),
-    # pies clipped by the canvas, a full-turn wedge, and slivers from shares
-    # down to 1e-13 of the whole.
+    Off-grid and half-integer centres (a pixel centre on the pie centre),
+    pies clipped by the canvas, a full-turn wedge, and slivers from shares
+    down to 1e-13 of the whole; then equal shares around half-integer
+    centres, whose rays run exactly along pixel centres, with one wedge a
+    half turn wide.
+    """
     rng = random.Random(4)
+    cases = []
     for case in range(40):
         w, h = rng.randint(120, 260), rng.randint(120, 260)
         cx = rng.choice([w / 2, w / 2 + 0.5, rng.uniform(0, w)])
@@ -270,13 +246,64 @@ def test_pie_fan_matches_triangle_by_triangle_reference():
         r = rng.uniform(17, 140)
         n = 1 if case == 0 else rng.randint(2, 9)
         shares = [rng.choice([1e-13, 1e-8, 1e-4, rng.uniform(0.02, 1.0)]) for _ in range(n)]
+        cases.append((f"case {case}", w, h, cx, cy, r, shares))
+    for shares in ([1.0], [1.0, 1.0], [1.0, 1.0, 2.0], [1.0] * 8, [3.0, 1e-13, 1.0]):
+        cases.append(("equal shares", 121, 121, 60.5, 60.5, 50.0, shares))
+    for label, w, h, cx, cy, r, shares in cases:
         angle, wedges = -math.pi / 2, []
         for v in shares:
             wedges.append((angle, angle + v / sum(shares) * 2 * math.pi))
             angle = wedges[-1][1]
-        colors = [PALETTE[i % len(PALETTE)] for i in range(n)]
+        colors = [PALETTE[i % len(PALETTE)] for i in range(len(shares))]
+        yield f"{label}: cx={cx} cy={cy} r={r} shares={shares}", (w, h), cx, cy, r, wedges, colors
+
+
+def _reference_pie(arr, cx, cy, r, wedges, colors):
+    """The sector rule one pixel at a time: a disc pixel takes the colour of
+    the last wedge whose clipped sector bbox and sector hold its centre."""
+    h, w, _ = arr.shape
+    rays = [(math.cos(a0), math.sin(a0)) for a0, _ in wedges]
+    rays.append(rays[0])  # the last wedge ends on the ray the first starts on
+    tests = []
+    for k, (a0, a1) in enumerate(wedges):
+        bx0, by0, bx1, by1 = sector_bounds(cx, cy, r, a0, a1)
+        (c0, s0), (c1, s1) = rays[k], rays[k + 1]
+        # Wider than a half turn: the end ray lies behind the start ray, or on
+        # it for a full turn.
+        wide = s0 * c1 > c0 * s1 or (s0 * c1 == c0 * s1 and a1 - a0 > math.pi)
+        tests.append((math.floor(bx0), math.ceil(bx1) + 1, math.floor(by0), math.ceil(by1) + 1,
+                      c0, s0, c1, s1, wide, colors[k]))
+    for y in range(h):
+        dy = y + 0.5 - cy
+        for x in range(w):
+            dx = x + 0.5 - cx
+            if dx * dx + dy * dy > r * r:
+                continue
+            for x0, x1, y0, y1, c0, s0, c1, s1, wide, color in reversed(tests):
+                if x0 <= x < x1 and y0 <= y < y1:
+                    after, before = c0 * dy >= s0 * dx, c1 * dy <= s1 * dx
+                    if (after or before) if wide else (after and before):
+                        arr[y, x] = color
+                        break
+
+
+def test_pie_matches_per_pixel_sector_reference():
+    for label, (w, h), cx, cy, r, wedges, colors in _pie_cases():
         want = np.full((h, w, 3), BACKGROUND[0], dtype=np.uint8)
         got = want.copy()
         _reference_pie(want, cx, cy, r, wedges, colors)
         _fill_pie(got, cx, cy, r, wedges, colors)
-        assert np.array_equal(got, want), f"case {case}: cx={cx} cy={cy} r={r} shares={shares}"
+        assert np.array_equal(got, want), label
+
+
+def test_pie_paints_every_disc_pixel_and_nothing_else():
+    # A polygon inscribed in the circle leaves rim pixels white; rounding at
+    # a ray must not leave a line of them either.
+    for label, (w, h), cx, cy, r, wedges, colors in _pie_cases():
+        arr = np.full((h, w, 3), BACKGROUND[0], dtype=np.uint8)
+        _fill_pie(arr, cx, cy, r, wedges, colors)
+        dx = np.arange(w) + 0.5 - cx
+        dy = np.arange(h) + 0.5 - cy
+        disc = np.add.outer(dy * dy, dx * dx) <= r * r
+        painted = np.isin(arr.view("V3")[..., 0], np.array(colors, dtype=np.uint8).view("V3")[:, 0])
+        assert np.array_equal(painted, disc), f"{label}: {int((disc & ~painted).sum())} disc pixels unpainted"

@@ -6,10 +6,12 @@ Pins sha256 digests of ``Bitmap.to_ppm()`` bytes and SVG text, plus the
 canvas corners, with a text-marker edit and with overlays. Hand-made edge
 specs the corpus never produces (no title or legend, a title that needs SVG
 escaping, one category, a zero bar) are pinned vanilla, with corner crosses
-and with a full-canvas overlay. The digests were
-recorded from the original per-primitive rasterizer; a faster kernel must
-reproduce them exactly. Re-record (``python tests/test_render_golden.py``)
-only for a deliberate pixel change that is named as such.
+and with a full-canvas overlay. The bar and line digests were recorded from
+the original per-primitive rasterizer; the pie PPM digests were re-recorded
+once, when wedges became exact disc sectors in place of a 64-sided polygon fan
+(only rim pixels changed). A faster kernel must reproduce them exactly.
+Re-record (``python tests/test_render_golden.py``) only for a deliberate pixel
+change that is named as such.
 """
 
 from __future__ import annotations
@@ -374,127 +376,127 @@ GOLDEN = {
         [],
     ),
     'pie-800x600-vanilla': (
-        'd170c6cd7bad524a4c9ce70351a23dcf536e728777bbbf12eec9dd239324e2cd',
+        'a2e200cb4950ba59077190d38cfd02cd9d42ed009a18816737b68c8bb0b1d2a4',
         'e93375c70ff457529cc624ed1d9840a655e197de0df415a2e5800a628a837ee6',
         [],
     ),
     'pie-800x600-cross': (
-        '86f2dea6f5b07c2a7ffc97b3ad85c66bd92b3da3c3a42c099dd8c0faf7ae44b1',
+        '3f686a06003e532bdf00a3edad68fd665a07ed90ac95988ccee4e64ab610585c',
         '75dcce633cad77f6b348948d7c6fce9395b751949f5af3e11615f9184c95c9e9',
         [(251, 182, 260, 191)],
     ),
     'pie-800x600-corner': (
-        'feabdd463d35d7a349ed746604bd9b38a8bd20a3ea42f0bc3b7c162f3559969f',
+        '7ed3e704db263bb15d20e356dc48a27a351119075dc6980b6c38209bfde7d0c6',
         'f95f4be257e90dcf2e1b7f1027ebf89ee929b4efe224a6e2f381e02a4737d157',
         [(0, 0, 5, 6), (796, 594, 800, 600)],
     ),
     'pie-800x600-text': (
-        'c664e5042a622148abda38e0683bb8da473fcc8b278769d9527dc78c577e94db',
+        'f3fa6f87c533be6b551d5918cda4885678cdf914acf56aba97511846032693b1',
         '0d4004bbb6b3af772181da112ee0ecf97e2ab9159d54df81f52f6231af5900a1',
         [(693, 41, 699, 51)],
     ),
     'pie-800x600-overlay': (
-        'a1a96063de01cb345c2a3a24adfb2d963ed3e6079a248a313119c44373cea8af',
+        '40ad12f56fc28ba4300a39fc4921b80b55508d779fcd77dc3ba84ab92939b47c',
         'c8884ba73046dcd75d8fb9ab8533dd834fdb414fe33cba6e3f1ee608504dc5b1',
         [],
     ),
     'pie-960x600-vanilla': (
-        'df55ba50864050789d012f56f8ce48f877acb0f9abea1be32849b7342086857f',
+        '91791ef25401a00fe50fc987f7fda0867d04422909da13f9e28844e4bf319f09',
         'a06b0e682b78214d2efeecbb6f3d8389a63234b582167ee51d2f30da2385c098',
         [],
     ),
     'pie-960x600-cross': (
-        '71e865f21ffc20b7f01ff1d96f5bc64dedc30b2d213f3af5f9b51136196fd0d7',
+        '47c71126dbbd44318b5e8afb809e024fd69e20d2b0076ed8b60189892bc3ad5f',
         '472f221215a9f3e9abc34b7f7c67fd21764cec0aff6645e8e6ada9696b06eaa0',
         [(301, 223, 310, 232)],
     ),
     'pie-960x600-corner': (
-        '5a25ea7d85c83738e65e9f3256505ab06a435550b3adaac9ddb971a74bcdb7ec',
+        '441527841b6396b276f6dec59cf86d5df1b814fd981c836251f6f68d5679ab8b',
         '608875abe4b3cb1dc293eee304319e6d964f5286ae16ae4a75633ff009b56ea2',
         [(0, 0, 5, 6), (956, 594, 960, 600)],
     ),
     'pie-960x600-text': (
-        '183a33b96369883523cfc1b77f01a29308c1ea8686ce8e5527bc16f31e81e562',
+        'afa86a3b1610692f3c9f08c305eba21f2c6dcb158ed8170ac8484cead4a814c6',
         'c9b8c46a6212a1a9e3a67d04acdb22ed9b5f5ac78da12136a594e97da52d9b4c',
         [(874, 63, 880, 73)],
     ),
     'pie-960x600-overlay': (
-        '89a6b151cfa83f63d6e14fe7c0e3c5d5cda7febdbc5c00ef892c5c3b87ddd1f4',
+        'b3324dcd84ee8bd3cb75faee4c2a38f492188474030f26c22946372bfc4e783d',
         '8a3bcaf3219e81660a90a6312396a57a25f6979c74c7a50453f816aac5aac282',
         [],
     ),
     'pie-1000x640-vanilla': (
-        'd93cf41e934643071972136b3fc34a88d44f8af20191b741b51a02e87e893329',
+        '93e4da5aadd1c1c28e2f63def9259d7f3871929bb214f419f729d0bf760cf25d',
         'fa833437ae1f4259de363852c4f490629f745c692573c600d295f144e5817560',
         [],
     ),
     'pie-1000x640-cross': (
-        'b310f8419230b4a19098891fd07dc7a3a41abd39ca6849b08411db5433cc95e1',
+        'd20c3af0a44a7681972c029308459be8cb3790df86fc987b7c91be648d74f274',
         'eeba1c8bbbd8608ce5446a178f41add80e4bcdd5f7c12cee865283405b9d9f4b',
         [(317, 229, 326, 238)],
     ),
     'pie-1000x640-corner': (
-        '973567b6f8ff981d3c4de7b40f76a1cf10cb2323df2ad554637343b5ad2f542a',
+        'ce77e9f7cd9a04d03978bb3cdf46447e124fab6ce996305421cfc849066f4d21',
         'c777283ecb887053269d44c46e307aa5d9c715994f80a807dc264e185a6ac898',
         [(0, 0, 5, 6), (996, 634, 1000, 640)],
     ),
     'pie-1000x640-text': (
-        '31746f77eb5f4a7d646219e8f25918e007bacda861a5b6854d0092257ca3fcc9',
+        'd14256f20da871cf3c5cb8915bdefdf5808524997ea5542572fdee74517f571d',
         'd1f3edaad4e921f70b00d7f8cb5ab77efb8eeafe04d1f5b256bae6a3f5e0bd5b',
         [(893, 85, 899, 95)],
     ),
     'pie-1000x640-overlay': (
-        '3e2b2ecd335fe821cf832c9a28c0fde79ffb21aa8bb74a69c3c432e2d170a86c',
+        '46ba43137a171e02936ed55f99d7052778ffc01b12f7a76528ab67019ce0d825',
         '8dbada474cd256099bec36cdc270790b46991f4b6a83f721257e18de85263451',
         [],
     ),
     'pie-1120x700-vanilla': (
-        'd346e00ae1be0ceb7ce64dc6ee72284b00d13b216d7411fc307e68d8418bab8b',
+        '8c29bec46eaa693e758b99dda9acc9bcd5f4d7ee34d5a9e9dceefbfb61ce7b60',
         'e8fc52142c2e8703a94a5b3f9f2cc4de4f5e98ddbb67a6ccc5a9ebcb087c8389',
         [],
     ),
     'pie-1120x700-cross': (
-        '93d399085af701a6c9145e06817781e3936c87e7980ec9135b02eb20be32bf27',
+        'e37d277894a1da01d452741b0e7e4a5ab841cf1a79541f4eb796bef0f0741808',
         '25925f2aeddcfe654a78da45fa459ef89a4f9f28b36cdb2f26395e2159b441df',
         [(412, 198, 421, 207)],
     ),
     'pie-1120x700-corner': (
-        '2fa1ad2db5bd764414402e1b3237c2ec167821f245d5970ab00be968166e5eff',
+        '5a209fb2ab05587aa374fa148bb7f778bdfa97e6b5d87f4323d2fb45c2b1319e',
         '34000ed005a22cfcf9d3df08017d4d532f517ed98be63c31a90d37b342fa8716',
         [(0, 0, 5, 6), (1116, 694, 1120, 700)],
     ),
     'pie-1120x700-text': (
-        '8c04f4f2ea904687d37c4b4301cf751a37a2c832ba61e785af9d464b257af9e8',
+        'fefb926c576f8427e3ee1540b007f7cc10c1417c18faeb077eacf3dcaf89e377',
         'd37f175d0ef03fa43191d6e2f84d7746642a68d517293d3b966771a8655cd161',
         [(1020, 107, 1026, 117)],
     ),
     'pie-1120x700-overlay': (
-        '5af192f4d6218895ee054c01eebbc3b6e2a734e06dd4c815a291e813fdcccd66',
+        '1ca509b17318c1c5c44be2c9777756ab7e4b042ea14bace623f476bc1117cecb',
         'bd2a8ec4327e0fc3044c42384fd5f8ff723f301dfefccb552fd816748cb8b14d',
         [],
     ),
     'pie-960x720-vanilla': (
-        '5330ec220645993e72b632547b64a0c65d8ddef41fa67d14de5a531c669f7f10',
+        '4c35b1b196ce999d319f4cb77b8da1e529c17668c15f08a929b5b14d357058b4',
         'fabe08bcf71f2d0391e3b5cabf8385a7070122767b294ed993cd3a1fdd9166df',
         [],
     ),
     'pie-960x720-cross': (
-        'da14bffa7b713193327eb8de8b92c6f97df20d1a0a964c7ffdb936ed498557eb',
+        '45df815dbc15b28d0465ead2482e39dd3bbc0f395cc2fba475e6f641fa435d26',
         '6370d689e7df4f4d29e2218117e03f679d0e40d75f80c4068a639c1bf5f0b603',
         [(381, 184, 390, 193)],
     ),
     'pie-960x720-corner': (
-        '3904fb820e3d90a530f7af7d4b61557f8f007da00004e4ae0386023f85e1ea86',
+        'e6bf698dcc6bff8bcf210f25911c01d07e746f59a6b0b402a0ed9b742b608b97',
         '77e07cb530256e574d63308e8b9bec006b335dc990307f29ffb1b2b9576ce557',
         [(0, 0, 5, 6), (956, 714, 960, 720)],
     ),
     'pie-960x720-text': (
-        '08c7662c7edd7eb5b6c677b0ee0ac34ee644cdbb99703371a75123f4cd17a68a',
+        '48565b6cf3d6e4db52b7ac149cec5cbee918772709c16139fe624ba8f39b3b06',
         'd9b290ce6b4c670f54493f794909ed779ea0a9e35b0ce34b08c8e32de94e43cb',
         [(853, 129, 859, 139)],
     ),
     'pie-960x720-overlay': (
-        '8129b0b77ca1022d30803d985c68511eef5039229d00d938643bb4ac5081a59b',
+        '39d16f956812771e512e0165dfba9c8656ac77be504a79a6946c74ec5aa54534',
         '94eeaeebd6e53ea94cf3574dbc012e8d5d19d1051d4b7d9b81b7b7075b52b3f6',
         [],
     ),
@@ -559,17 +561,17 @@ GOLDEN = {
         [],
     ),
     'edge-pie-one-category-vanilla': (
-        'e09fbd795ed77b1b3a9ab9249327206075eef35c828943d25e0e5e54b34fce60',
+        '520232b0b94de363bd459cea12c0b776129b07f92458e20b6a1cffe121db0700',
         'b48cfdcc511ed3ac1b69ed337e66ccfce04fcb42f82a64fdbeb9dd288dcd6150',
         [],
     ),
     'edge-pie-one-category-corner': (
-        'a83985bf77b700226ef8a93f029c0bb0190368d99b8b3c3f6ef915de6089d150',
+        '85bafe44850c6522a8424dfbb31b80f1a3e1da215d5abb50c80b59a8d3da719c',
         'd3275ee0796a2b515579c88e000730a967fedef12045a1a5c885d9ec500e4bed',
         [(0, 0, 5, 6), (956, 714, 960, 720)],
     ),
     'edge-pie-one-category-full': (
-        '5f6c60b1cf14d66039a55133d3a4009c991f5d8cec1999bef084815e9ab75340',
+        '36eb51d91066148bbe303647b07a945d4cb43a1a21380169155fff578b3c9743',
         '7c5a2acc6a4b79b92d80c720d0a0ed8c8c67a7e1f482f597e7e37dc899f37d93',
         [],
     ),
