@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ChartCotError, ConfigError, InputError
-from .evaluate import DEFAULT_MARGINS, GoldEntry, Prediction, evaluate
+from .evaluate import DEFAULT_MARGINS, GoldEntry, Prediction, check_margin, evaluate
 from .gallery import build_gallery
 from .pipeline import DatasetManifest, PipelineConfig, compute_stats, emit_dataset, run, write_stats
 from .util import atomic_write_text, dumps_pretty, jsonl_lines, read_jsonl
@@ -160,6 +160,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         margins = tuple(float(m) for m in args.margins.split(",") if m)
     except ValueError:
         raise ConfigError(f"--margins must be comma-separated numbers, not {args.margins!r}") from None
+    for m in margins:
+        check_margin(m)
     gold = _read_records(args.gold, GoldEntry.from_json)
     preds = _read_records(args.pred, _prediction)
     report = evaluate(preds, gold, margins=margins, mode=args.mode, group_by=args.group_by)

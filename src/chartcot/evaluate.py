@@ -9,6 +9,7 @@ are reduced to answers either by taking the last \\box{...} occurrence
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -79,10 +80,16 @@ def _norm_text(value: str) -> str:
     return _ARTICLE_RE.sub("", out).strip()
 
 
+def check_margin(margin: float) -> None:
+    """ValidationError unless ``margin`` is a finite number >= 0: a NaN margin
+    would fail every numeric answer and an infinite one pass every one."""
+    if not 0.0 <= margin < math.inf:
+        raise ValidationError(f"margin must be a finite number >= 0, not {margin!r}")
+
+
 def relaxed_match(pred: Answer, gt: Answer, margin: float) -> bool:
     """Correctness at one margin; text gold needs lenient exact equality."""
-    if margin < 0:
-        raise ValidationError("margin must be >= 0")
+    check_margin(margin)
     p = _as_float(pred)
     g = _as_float(gt)
     if p is not None and g is not None:
@@ -169,8 +176,11 @@ def evaluate(
     """Score predictions against gold answers at each margin.
 
     "Avg." is the unweighted mean over group accuracies; "ALL" pools every
-    sample. With group_by="none" all samples land in one group.
+    sample. With group_by="none" all samples land in one group. Every margin
+    is checked (``check_margin``) before any prediction is read.
     """
+    for m in margins:
+        check_margin(m)
     gold_by_id = {}
     for entry in gold:
         gold_by_id[entry.sample_id] = entry

@@ -51,7 +51,7 @@ from .marker import (
     structural_hits,
     verify_marker,
 )
-from .render import Bitmap, rasterize, render_svg
+from .render import Bitmap, overlay_svg, paint_overlays, rasterize, render_svg
 from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
 from .util import (
     atomic_write_bytes,
@@ -61,6 +61,7 @@ from .util import (
     dumps_pretty,
     is_number,
     known_fields,
+    read_buffer,
     rng_for,
 )
 
@@ -227,6 +228,11 @@ class _ChartTask:
         self.edits: list[EditedSpec] = []
         self.renders: dict = {}          # step index -> (svg, Bitmap or None)
         self._layout: Optional[ChartLayout] = None
+        # Persisted runs: the vanilla SVG, and a vanilla raster with the
+        # overlay boxes of the images written so far stroked onto it.
+        self._vanilla_svg: Optional[str] = None
+        self._canvas: Optional[Bitmap] = None
+        self._painted: set[PixelBBox] = set()
 
     @property
     def layout(self) -> ChartLayout:
@@ -250,15 +256,27 @@ class _ChartTask:
             self.outcome.files.setdefault("all", []).append(rel)
 
     def _write_image(self, image: ImageRef) -> None:
-        """Render the vanilla spec with the image's overlays; write its SVG, then its PPM."""
-        if self.out is not None:
-            boxes = list(image.overlay_boxes)
-            svg, _ = render_svg(self.spec, overlays=boxes, layout=self.layout)
-            bmp, _ = rasterize(self.spec, overlays=boxes, layout=self.layout)
-            self._write(f"renders/{image.file_name('svg')}", svg)
-            self._write(f"renders/{image.file_name('ppm')}", bmp.to_ppm())
+        """Write the image's SVG, then its PPM: the vanilla chart, rendered once
+        per chart, with the image's overlay boxes stroked on top.
 
-    def _read(self, rel: str) -> bytes:
+        Overlay boxes are one opaque colour painted last, so strokes already on
+        the canvas need not be painted again. The boxes of successive overlay
+        images only grow; should they not, the canvas is rasterised afresh.
+        """
+        if self.out is None:
+            return
+        boxes = image.overlay_boxes
+        if self._vanilla_svg is None:
+            self._vanilla_svg, _ = render_svg(self.spec, layout=self.layout)
+        if self._canvas is None or not self._painted <= set(boxes):
+            self._canvas, _ = rasterize(self.spec, layout=self.layout)
+            self._painted = set()
+        paint_overlays(self._canvas, [box for box in boxes if box not in self._painted])
+        self._painted.update(boxes)
+        self._write(f"renders/{image.file_name('svg')}", overlay_svg(self._vanilla_svg, boxes))
+        self._write(f"renders/{image.file_name('ppm')}", self._canvas.to_ppm())
+
+    def _read(self, rel: str) -> bytearray:
         """A prior stage's artifact; a missing one fails this chart's stage."""
         assert self.out is not None, "resume requires a run directory"
         return _read_artifact(self.out, rel)
@@ -406,9 +424,10 @@ def _chart_records(spec: ChartSpec, sample: CotSample, outcome: ChartOutcome,
     return build_instructions(spec, sample, boxes, cap=config.cap, seed=config.seed)
 
 
-def _read_artifact(out: Path, rel: str) -> bytes:
+def _read_artifact(out: Path, rel: str) -> bytearray:
+    """The artifact's bytes in a writable buffer, which a PPM decode views in place."""
     try:
-        return (out / rel).read_bytes()
+        return read_buffer(out / rel)
     except FileNotFoundError:
         raise IntegrityError(f"missing artifact {rel}") from None
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -45,11 +44,26 @@ def series_color(style_seed: int, index: int) -> tuple[int, int, int]:
     return PALETTE[(style_seed + index) % len(PALETTE)]
 
 
-@dataclass
 class Bitmap:
-    """8-bit RGB raster backed by a (H, W, 3) numpy array."""
+    """8-bit RGB raster held in its binary PPM (P6, maxval 255) file layout.
 
-    array: np.ndarray
+    One flat uint8 buffer holds the header and then the pixels. ``array`` is
+    the (H, W, 3) view of the pixels, so painting the canvas edits the file
+    image in place and ``to_ppm`` copies nothing.
+    """
+
+    def __init__(self, ppm: np.ndarray, width: int, height: int):
+        """``ppm``: a flat, writable uint8 buffer ending in width x height x 3 pixel bytes."""
+        self._ppm = ppm
+        self.array = ppm[len(ppm) - width * height * 3:].reshape(height, width, 3)
+
+    @classmethod
+    def blank(cls, width: int, height: int) -> "Bitmap":
+        """A canvas with its PPM header written and its pixels not yet set."""
+        header = _ppm_header(width, height)
+        ppm = np.empty(len(header) + width * height * 3, dtype=np.uint8)
+        ppm[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+        return cls(ppm, width, height)
 
     @property
     def width(self) -> int:
@@ -59,31 +73,39 @@ class Bitmap:
     def height(self) -> int:
         return self.array.shape[0]
 
-    def to_ppm(self) -> bytes:
-        h, w, _ = self.array.shape
-        # bytes.join copies the pixels once; concatenating tobytes() copies them twice.
-        return b"".join((b"P6\n%d %d\n255\n" % (w, h), np.ascontiguousarray(self.array).data))
+    def to_ppm(self) -> memoryview:
+        """The PPM file as a read-only view of the canvas's own buffer (its
+        ``len`` is the file size), valid until the canvas is painted again."""
+        return self._ppm.data.toreadonly()
 
     @classmethod
-    def from_ppm(cls, data: bytes) -> "Bitmap":
-        """Decode a binary PPM (P6, maxval 255); IntegrityError if malformed or cut short."""
-        if not data.startswith(b"P6"):
+    def from_ppm(cls, data) -> "Bitmap":
+        """Decode a binary PPM (P6, maxval 255) from any bytes-like object;
+        IntegrityError if malformed or cut short.
+
+        A writable buffer holding exactly one PPM with the header ``to_ppm``
+        writes becomes the bitmap's own buffer, uncopied; anything else
+        (read-only input, header comments, trailing bytes) is copied.
+        """
+        view = memoryview(data).cast("B")
+        end = len(view)
+        if bytes(view[:2]) != b"P6":
             raise IntegrityError("not a binary PPM (P6) file")
         fields: list[bytes] = []
         pos = 2
         while len(fields) < 3:
-            while pos < len(data) and data[pos:pos + 1].isspace():
+            while pos < end and view[pos] in _PPM_SPACE:
                 pos += 1
-            if data[pos:pos + 1] == b"#":  # comment line
-                while pos < len(data) and data[pos:pos + 1] != b"\n":
+            if pos < end and view[pos] == ord("#"):  # comment line
+                while pos < end and view[pos] != ord("\n"):
                     pos += 1
                 continue
             start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
+            while pos < end and view[pos] not in _PPM_SPACE:
                 pos += 1
-            if pos >= len(data):
-                raise IntegrityError(f"PPM header cut off: the file ends at byte {len(data)}")
-            fields.append(data[start:pos])
+            if pos >= end:
+                raise IntegrityError(f"PPM header cut off: the file ends at byte {end}")
+            fields.append(bytes(view[start:pos]))
         pos += 1  # single whitespace after maxval
         try:
             w, h, maxval = (int(f) for f in fields)
@@ -92,12 +114,22 @@ class Bitmap:
         if maxval != 255 or w < 1 or h < 1:
             raise IntegrityError(f"unsupported PPM: {w}x{h}, maxval {maxval} (need 8-bit, non-empty)")
         need = w * h * 3
-        if len(data) - pos < need:
+        if end - pos < need:
             raise IntegrityError(
-                f"PPM pixel data cut short: expected {need} bytes for {w}x{h}, found {len(data) - pos}"
+                f"PPM pixel data cut short: expected {need} bytes for {w}x{h}, found {end - pos}"
             )
-        arr = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3)
-        return cls(arr.copy())
+        if not view.readonly and end - pos == need and bytes(view[:pos]) == _ppm_header(w, h):
+            return cls(np.frombuffer(view, dtype=np.uint8), w, h)
+        bmp = cls.blank(w, h)
+        bmp.array.reshape(-1)[:] = np.frombuffer(view, dtype=np.uint8, count=need, offset=pos)
+        return bmp
+
+
+_PPM_SPACE = b" \t\n\r\v\f"  # what bytes.isspace() accepts
+
+
+def _ppm_header(width: int, height: int) -> bytes:
+    return b"P6\n%d %d\n255\n" % (width, height)
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +146,15 @@ class Bitmap:
 #   ("rule", x1, y1, x2, y2, rect)           an axis or tick line; rect is its 1 px raster stand-in
 #   ("text", TextItem)                       a label; marker glyphs take the marker colour
 #   ("cross", x, y)                          a marker anchor's 9x9 cross
-#   ("overlay", box)                         a stroked overlay PixelBBox
+#
+# Overlay boxes are not scene items: they are one layer, stroked in one opaque
+# colour above everything, that overlay_svg and paint_overlays add to a
+# finished image. So an overlay image is its vanilla image plus that layer.
 
 
-def _scene(spec: ChartSpec, markers: list[MarkerAnchor], overlays: list[PixelBBox],
+def _scene(spec: ChartSpec, markers: list[MarkerAnchor],
            layout: ChartLayout | None) -> tuple[ChartLayout, list[tuple[str, list[tuple]]]]:
     """(layout, [(group, items)]) for one chart; ``layout`` defaults to ``chart_layout(spec)``."""
-    w, h = spec.canvas
-    for box in overlays:
-        if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
-            raise ValidationError(f"overlay box {box} exceeds the canvas")
     lay = layout if layout is not None else chart_layout(spec)
     colors = [series_color(spec.style_seed, i) for i in range(max(len(spec.series), len(spec.x_labels)))]
 
@@ -163,9 +194,14 @@ def _scene(spec: ChartSpec, markers: list[MarkerAnchor], overlays: list[PixelBBo
     groups = [("chart", chart), ("axes", axes), ("labels", [("text", t) for t in lay.texts])]
     if markers:
         groups.append(("marker", [("cross", x, y) for x, y in markers]))
-    if overlays:
-        groups.append(("overlay", [("overlay", box) for box in overlays]))
     return lay, groups
+
+
+def _check_overlays(canvas: tuple[int, int], boxes) -> None:
+    w, h = canvas
+    for box in boxes:
+        if box.x0 < 0 or box.y0 < 0 or box.x1 > w or box.y1 > h:
+            raise ValidationError(f"overlay box {box} exceeds the canvas")
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +239,11 @@ def render_svg(
     """Render to an SVG 1.1 subset (rect, line, path, text, g).
 
     Returns (svg_text, layout geometry). Byte-deterministic for fixed inputs;
-    overlay boxes are stroked above all chart content. ``layout`` is
-    ``chart_layout(spec)`` when the caller already has it.
+    overlay boxes are stroked above all chart content (``overlay_svg``).
+    ``layout`` is ``chart_layout(spec)`` when the caller already has it.
     """
-    lay, groups = _scene(spec, markers or [], overlays or [], layout)
+    _check_overlays(spec.canvas, overlays or ())
+    lay, groups = _scene(spec, markers or [], layout)
     w, h = spec.canvas
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -245,21 +282,31 @@ def render_svg(
                 _, cx, cy, r, wedges, colors = item
                 for (a0, a1), color in zip(wedges, colors):
                     out.append(f'<path d="{_svg_wedge_path(cx, cy, r, a0, a1)}" fill="{_hex(color)}"/>')
-            elif kind == "cross":
+            else:  # cross
                 _, x, y = item
                 mk = _hex(MARKER_COLOR)
                 out.append(f'<rect x="{_fmt(x - 1.5)}" y="{_fmt(y - 4.5)}" width="3" height="9" fill="{mk}"/>')
                 out.append(f'<rect x="{_fmt(x - 4.5)}" y="{_fmt(y - 1.5)}" width="9" height="3" fill="{mk}"/>')
-            else:  # overlay
-                box = item[1]
-                out.append(
-                    f'<rect class="overlay-box" x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" '
-                    f'width="{_fmt(box.width)}" height="{_fmt(box.height)}" fill="none" '
-                    f'stroke="{_hex(OVERLAY_COLOR)}" stroke-width="{OVERLAY_STROKE}"/>'
-                )
         out.append("</g>")
     out.append("</svg>")
-    return "\n".join(out) + "\n", lay.geometry
+    return overlay_svg("\n".join(out) + "\n", overlays or ()), lay.geometry
+
+
+def overlay_svg(svg: str, boxes) -> str:
+    """``svg`` with the overlay boxes stroked above all its content, as a last
+    ``<g class="overlay">`` before ``</svg>``; unchanged when there are none."""
+    if not boxes:
+        return svg
+    head, end, tail = svg.rpartition("</svg>")
+    if not end:
+        raise ValidationError("not an SVG document: no closing </svg>")
+    stroke = f'fill="none" stroke="{_hex(OVERLAY_COLOR)}" stroke-width="{OVERLAY_STROKE}"'
+    rects = "".join(
+        f'<rect class="overlay-box" x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" '
+        f'width="{_fmt(box.width)}" height="{_fmt(box.height)}" {stroke}/>\n'
+        for box in boxes
+    )
+    return f'{head}<g class="overlay">\n{rects}</g>\n{end}{tail}'
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +458,14 @@ def rasterize(
     """Rasterize to canvas-sized RGB. Returns (Bitmap, layout geometry).
 
     Each marker anchor becomes a 9x9 cross in the reserved marker color,
-    clipped at canvas edges. ``layout`` is ``chart_layout(spec)`` when the
+    clipped at canvas edges; overlay boxes are stroked last
+    (``paint_overlays``). ``layout`` is ``chart_layout(spec)`` when the
     caller already has it.
     """
-    lay, groups = _scene(spec, markers or [], overlays or [], layout)
+    lay, groups = _scene(spec, markers or [], layout)
     w, h = spec.canvas
-    arr = np.empty((h, w, 3), dtype=np.uint8)
+    bmp = Bitmap.blank(w, h)
+    arr = bmp.array
     arr.fill(BACKGROUND[0])  # white background; all channels equal
     ink = _Ink(w)
     for _, items in groups:
@@ -438,13 +487,22 @@ def rasterize(
                 _draw_polyline(arr, ink, *item[1:])
             elif kind == "pie":
                 _fill_pie(arr, *item[1:])
-            elif kind == "cross":
+            else:  # cross
                 cx, cy = int(round(item[1])), int(round(item[2]))
                 _fill_rect(arr, ink, cx - 1, cy - 4, cx + 2, cy + 5, MARKER_COLOR)
                 _fill_rect(arr, ink, cx - 4, cy - 1, cx + 5, cy + 2, MARKER_COLOR)
-            else:  # overlay: four strokes centred on the box edges
-                box, s = item[1], OVERLAY_STROKE / 2
-                for x0, y0, x1, y1 in ((box.x0, box.y0, box.x1, box.y0), (box.x0, box.y1, box.x1, box.y1),
-                                       (box.x0, box.y0, box.x0, box.y1), (box.x1, box.y0, box.x1, box.y1)):
-                    _fill_rect(arr, ink, x0 - s, y0 - s, x1 + s, y1 + s, OVERLAY_COLOR)
-    return Bitmap(arr), lay.geometry
+    paint_overlays(bmp, overlays or ())
+    return bmp, lay.geometry
+
+
+def paint_overlays(bitmap: Bitmap, boxes) -> None:
+    """Stroke each box onto a finished raster: four strokes, OVERLAY_STROKE
+    wide and centred on the box edges, in the overlay colour. A box outside
+    the canvas raises ValidationError before anything is painted."""
+    arr = bitmap.array
+    _check_overlays((bitmap.width, bitmap.height), boxes)
+    ink, s = _Ink(bitmap.width), OVERLAY_STROKE / 2
+    for box in boxes:
+        for x0, y0, x1, y1 in ((box.x0, box.y0, box.x1, box.y0), (box.x0, box.y1, box.x1, box.y1),
+                               (box.x0, box.y0, box.x0, box.y1), (box.x1, box.y0, box.x1, box.y1)):
+            _fill_rect(arr, ink, x0 - s, y0 - s, x1 + s, y1 + s, OVERLAY_COLOR)

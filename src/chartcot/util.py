@@ -99,13 +99,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via temp file + rename so readers never see a partial file."""
+def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
+    """Write any bytes-like ``data`` via temp file + rename so readers never
+    see a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def read_buffer(path: str | Path) -> bytearray:
+    """A file's bytes in a writable buffer sized from its stat and filled by one read."""
+    with Path(path).open("rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]  # the file may have shrunk since the stat
+    return buf
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -161,6 +161,15 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "error: --margins must be comma-separated numbers, not '0.05,x'\n"
         assert not (tmp_path / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("margins", ["nan,0.05", "0.05,inf", "-0.1"])
+    def test_eval_bad_margin_exits_1_before_reading_files(self, tmp_path, capsys, margins):
+        # Neither input file exists: the margins are rejected before either is read.
+        code = main(["eval", "--gold", str(tmp_path / "gold.jsonl"), "--pred", str(tmp_path / "pred.jsonl"),
+                     "--margins", margins, "--out", str(tmp_path)])
+        assert code == 1
+        assert re.fullmatch(r"error: margin must be a finite number >= 0, not \S+\n", capsys.readouterr().err)
+        assert not (tmp_path / "eval_report.json").exists()
+
     def test_eval_missing_gold_is_domain_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"

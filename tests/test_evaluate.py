@@ -89,6 +89,14 @@ class TestRelaxedMatch:
         with pytest.raises(ValidationError):
             relaxed_match(Answer(1.0), Answer(1.0), -0.1)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_margin_that_is_not_finite_and_non_negative_rejected(self, margin):
+        # NaN would score an exact answer wrong, inf any answer right.
+        with pytest.raises(ValidationError, match=r"^margin must be a finite number >= 0, not "):
+            relaxed_match(Answer(100.0), Answer(100.0), margin)
+        with pytest.raises(ValidationError, match=r"^margin must be a finite number >= 0, not "):
+            evaluate([Prediction("s", "\\box{100}")], [GoldEntry("s", Answer(100.0))], margins=(0.05, margin))
+
 
 @settings(max_examples=300, deadline=None)
 @given(

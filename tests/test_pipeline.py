@@ -11,6 +11,7 @@ from chartcot.client import ClientConfig
 from chartcot.errors import ConfigError, EmptyError, IntegrityError
 from chartcot.pipeline import (
     STAGES,
+    ChartOutcome,
     DatasetManifest,
     PipelineConfig,
     compute_stats,
@@ -18,7 +19,11 @@ from chartcot.pipeline import (
     run,
     write_stats,
 )
+from chartcot.geometry import PixelBBox
+from chartcot.instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef
 from chartcot.marker import structural_hits
+from chartcot.render import rasterize, render_svg
+from chartcot.spec import generate_corpus
 from chartcot.util import read_jsonl
 
 
@@ -296,6 +301,89 @@ class TestEditedRasters:
                 ppm = tmp_path / f"renders/{c.id}__s{key}.ppm"
                 assert ppm.exists() == (det["method"] == "raster"), (c.id, key, det["method"])
         assert methods == {"raster", "structural"}
+
+
+class TestOverlayImages:
+    """Overlay images are the vanilla raster of the chart with boxes stroked on top."""
+
+    A, B, C = PixelBBox(10, 20, 110, 90), PixelBBox(200.5, 40.25, 320, 150), PixelBBox(0, 0, 800, 600)
+
+    def _write_sequence(self, monkeypatch, tmp_path, sequence) -> int:
+        """Write the vanilla image, then one overlay image per box tuple, through
+        one chart task; check each against a full render and return how many
+        times the task rasterised."""
+        spec = generate_corpus(seed=3, n=1, type_mix={"bar": 1.0})[0]
+        calls = []
+        real_raster = pipeline.rasterize
+
+        def counting_raster(spec, **kw):
+            calls.append(kw)
+            return real_raster(spec, **kw)
+
+        monkeypatch.setattr(pipeline, "rasterize", counting_raster)
+        task = pipeline._ChartTask(spec, ChartOutcome(id=spec.id, chart_type=spec.chart_type),
+                                   small_config(), None, tmp_path)
+        images = [ImageRef(spec.id, VARIANT_VANILLA)]
+        images += [ImageRef(spec.id, VARIANT_OVERLAY, boxes, upto) for upto, boxes in enumerate(sequence)]
+        for image in images:
+            task._write_image(image)
+            boxes = list(image.overlay_boxes)
+            renders = tmp_path / "renders"
+            assert (renders / image.file_name("svg")).read_text(encoding="utf-8") == render_svg(spec, overlays=boxes)[0]
+            assert (renders / image.file_name("ppm")).read_bytes() == rasterize(spec, overlays=boxes)[0].to_ppm()
+        return len(calls)
+
+    def test_nested_boxes_rasterise_once(self, monkeypatch, tmp_path):
+        A, B, C = self.A, self.B, self.C
+        assert self._write_sequence(monkeypatch, tmp_path, [(A,), (A, B), (A, B, C)]) == 1
+
+    def test_repeated_box_rasterises_once(self, monkeypatch, tmp_path):
+        A, B = self.A, self.B
+        assert self._write_sequence(monkeypatch, tmp_path, [(A,), (A, A), (A, A, B)]) == 1
+
+    def test_boxes_that_do_not_nest_rasterise_again(self, monkeypatch, tmp_path):
+        A, B, C = self.A, self.B, self.C
+        # (A, C) drops B, whose strokes cannot be taken off the canvas.
+        assert self._write_sequence(monkeypatch, tmp_path, [(A, B), (A, C), (A, C)]) == 2
+
+    @staticmethod
+    def _count_rasters(monkeypatch, tmp_path) -> Path:
+        """Make every pipeline rasterize leave a file named after the chart and
+        the kind of render: the renders run in forked workers."""
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        real_raster = pipeline.rasterize
+
+        def counting_raster(spec, **kw):
+            kind = "edit" if "markers" in kw else "vanilla"
+            (calls / f"{spec.id}.{kind}.{uuid.uuid4().hex}").touch()
+            return real_raster(spec, **kw)
+
+        monkeypatch.setattr(pipeline, "rasterize", counting_raster)
+        return calls
+
+    def test_persisted_run_rasterises_vanilla_once_per_chart(self, monkeypatch, tmp_path):
+        out = tmp_path / "run"
+        calls = self._count_rasters(monkeypatch, tmp_path)
+        manifest = run(small_config(n_charts=20), out_dir=out)
+        names = [p.name for p in calls.iterdir()]
+        overlays = sorted((out / "renders").glob("*__ov*.ppm"))
+        assert len(overlays) > len({p.name.split("__")[0] for p in overlays})  # some chart has two
+        for c in manifest.charts:
+            undecided = len(list((out / "renders").glob(f"{c.id}__s*.ppm")))
+            assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == int(c.passed("render")), c.id
+            assert sum(n.startswith(f"{c.id}.edit.") for n in names) == undecided, c.id
+
+    def test_resumed_qa_rasterises_vanilla_once_per_chart_with_overlays(self, monkeypatch, tmp_path):
+        out = tmp_path / "run"
+        run(small_config(n_charts=20), out_dir=out, stop_after="detect")
+        calls = self._count_rasters(monkeypatch, tmp_path)
+        manifest = run(small_config(n_charts=20), out_dir=out)
+        names = [p.name for p in calls.iterdir()]
+        assert all(".vanilla." in n for n in names)
+        for c in manifest.charts:
+            has_overlay = any((out / "renders").glob(f"{c.id}__ov*.ppm"))
+            assert sum(n.startswith(f"{c.id}.") for n in names) == int(has_overlay), c.id
 
 
 class TestStats:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from chartcot.errors import LayoutError, ValidationError
+from chartcot.errors import IntegrityError, LayoutError, ValidationError
 from chartcot.geometry import ElementRef, PixelBBox
 from chartcot.layout import chart_layout, layout, sector_bounds
 from chartcot.render import (
@@ -189,9 +189,33 @@ class TestRaster:
     def test_ppm_roundtrip(self, bar_spec):
         bmp, _ = rasterize(bar_spec)
         data = bmp.to_ppm()
-        assert data.startswith(b"P6\n800 600\n255\n")
+        assert bytes(data[:15]) == b"P6\n800 600\n255\n"
         again = Bitmap.from_ppm(data)
         assert np.array_equal(again.array, bmp.array)
+
+    def test_ppm_decode_views_a_writable_buffer_and_copies_anything_else(self, bar_spec):
+        bmp, _ = rasterize(bar_spec)
+        data = bytes(bmp.to_ppm())
+        viewed = bytearray(data)
+        assert np.shares_memory(Bitmap.from_ppm(viewed).array, np.frombuffer(viewed, dtype=np.uint8))
+        pixels = data[15:]
+        for other in (data, data + b"\n", b"P6\n# made by hand\n800 600\n255\n" + pixels,
+                      bytearray(b"P6 800\t600\r\n255\n" + pixels)):
+            again = Bitmap.from_ppm(other)
+            assert again.array.flags.writeable and np.array_equal(again.array, bmp.array)
+            assert again.to_ppm() == data
+
+    @pytest.mark.parametrize("data,message", [
+        (b"P3\n2 1\n255\n" + bytes(6), "not a binary PPM"),
+        (b"P6\n2 1\n25", "PPM header cut off: the file ends at byte 9"),
+        (b"P6\n2 x\n255\n" + bytes(6), "PPM header fields are not integers"),
+        (b"P6\n2 1\n65535\n" + bytes(12), "unsupported PPM: 2x1, maxval 65535"),
+        (b"P6\n2 1\n255\n" + bytes(5), "PPM pixel data cut short: expected 6 bytes for 2x1, found 5"),
+    ])
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_malformed_ppm_is_integrity_error(self, data, message, kind):
+        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}"):
+            Bitmap.from_ppm(kind(data))
 
     def test_overlay_stroke_drawn(self, bar_spec):
         bmp, _ = rasterize(bar_spec, overlays=[PixelBBox(100, 100, 200, 160)])

@@ -25,7 +25,7 @@ from chartcot.cot import KIND_GROUNDING, Step
 from chartcot.geometry import ElementRef, PixelBBox
 from chartcot.layout import layout
 from chartcot.marker import apply_marker, raster_components
-from chartcot.render import rasterize, render_svg
+from chartcot.render import overlay_svg, paint_overlays, rasterize, render_svg
 from chartcot.spec import CANVAS_CHOICES, ChartSpec, Series, generate_corpus, validate_spec
 
 CHART_TYPES = ("bar", "line", "pie")
@@ -585,6 +585,32 @@ def test_golden_render(name, spec, k, variant):
     assert svg_digest == want_svg, f"{name}: SVG text changed"
     assert ppm_digest == want_ppm, f"{name}: PPM bytes changed"
     assert boxes == [tuple(b) for b in want_boxes], f"{name}: marker components changed"
+
+
+def _overlay_boxes(spec, variant: str) -> list[PixelBBox]:
+    """The boxes ``_render_case`` strokes for the ``overlay`` and ``full`` variants."""
+    w, h = spec.canvas
+    if variant == "full":
+        return [PixelBBox(0.0, 0.0, float(w), float(h))]
+    target = ElementRef("datapoint", series=spec.series[0].name, category=spec.x_labels[0])
+    return [layout(spec)[target], PixelBBox(0.0, 0.0, 60.5, 40.25), PixelBBox(w - 90.25, h - 33.5, float(w), float(h))]
+
+
+@pytest.mark.parametrize("name,spec,k,variant",
+                         [p for p in _params() if p.values[3] in ("overlay", "full")])
+def test_overlay_layer_over_vanilla_output(name, spec, k, variant):
+    # Overlays are one layer over a finished image: stroking them onto the
+    # vanilla output gives the pinned overlay render, byte for byte.
+    overlays = _overlay_boxes(spec, variant)
+    svg, _ = render_svg(spec)
+    bmp, _ = rasterize(spec)
+    paint_overlays(bmp, overlays)
+    layered_svg = overlay_svg(svg, overlays)
+    assert layered_svg == render_svg(spec, overlays=overlays)[0]
+    assert bmp.to_ppm() == rasterize(spec, overlays=overlays)[0].to_ppm()
+    want_ppm, want_svg, _ = GOLDEN[name]
+    assert hashlib.sha256(layered_svg.encode("utf-8")).hexdigest() == want_svg
+    assert hashlib.sha256(bmp.to_ppm()).hexdigest() == want_ppm
 
 
 if __name__ == "__main__":  # re-record: a deliberate, named pixel change only

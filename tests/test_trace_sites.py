@@ -1,9 +1,14 @@
-"""Every call site that the benchmark's traced run wraps must exist.
+"""Every call site that the benchmark's traced run wraps must exist, and
+must see the work the benchmark counts through it.
 
 perfbench/layers.py lists, per layer span, the ``module:attr`` or
 ``module:Class.attr`` names it wraps. A refactor that drops or renames one
 breaks the traced benchmark run; this test catches it in the unit suite.
-The plan file is loaded by path and only read.
+The layer metrics also assume how the pipeline uses some sites: one
+``Bitmap.to_ppm`` call per PPM written, one ``Bitmap.from_ppm`` call per
+PPM decoded on resume, and written sizes taken from the data handed to the
+atomic writers. Those are checked on small runs. The plan file is loaded by
+path and only read.
 """
 
 import importlib
@@ -13,14 +18,21 @@ from pathlib import Path
 
 import pytest
 
+from chartcot import pipeline, render
+from chartcot.pipeline import PipelineConfig, run
+
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def _plan_sites() -> list[tuple[str, str]]:
+def _layers():
     spec = importlib.util.spec_from_file_location("_perfbench_layers", LAYERS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(name, site) for name, sites, _ in module.PLAN for site in sites]
+    return module
+
+
+def _plan_sites() -> list[tuple[str, str]]:
+    return [(name, site) for name, sites, _ in _layers().PLAN for site in sites]
 
 
 @pytest.mark.parametrize("name,site", _plan_sites(), ids=lambda v: v)
@@ -37,3 +49,49 @@ def test_plan_site_resolves(name, site):
     raw = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
     assert raw is not None, f"{name}: {site} no longer exists"
     assert callable(raw) or isinstance(raw, classmethod), f"{name}: {site} is not callable"
+
+
+def test_every_ppm_is_encoded_once_and_every_write_counts_its_file_size(tmp_path, monkeypatch):
+    # render.ppm_encode counts Bitmap.to_ppm calls; util.write_bytes counts
+    # the data handed to the pipeline's atomic writers, as layers.py reads it.
+    count_bytes = _layers()._write_bytes
+    encodes, writes = [], []
+    real_to_ppm = render.Bitmap.to_ppm
+
+    def counting_to_ppm(self):
+        encodes.append(self)
+        return real_to_ppm(self)
+
+    def recording(real):
+        def write(path, data):
+            real(path, data)
+            writes.append((Path(path), count_bytes((path, data), None)["util.write_bytes"], Path(path).stat().st_size))
+        return write
+
+    monkeypatch.setattr(render.Bitmap, "to_ppm", counting_to_ppm)
+    for name in ("atomic_write_bytes", "atomic_write_text"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    run(PipelineConfig(seed=5, n_charts=6, workers=1), out_dir=tmp_path)
+    ppms = sorted(tmp_path.glob("renders/*.ppm"))
+    assert any("__ov" in p.name for p in ppms) and any("__s" in p.name for p in ppms)
+    assert len(encodes) == len(ppms)
+    assert sorted(path for path, _, _ in writes if path.suffix == ".ppm") == ppms
+    for path, counted, size in writes:
+        assert counted == size, path
+
+
+def test_resume_decodes_one_ppm_per_raster_detection(tmp_path, monkeypatch):
+    config = PipelineConfig(seed=5, n_charts=6, workers=1)
+    run(config, out_dir=tmp_path, stop_after="render")
+    decodes = []
+    real_from_ppm = render.Bitmap.from_ppm.__func__
+
+    def counting_from_ppm(cls, data):
+        decodes.append(data)
+        return real_from_ppm(cls, data)
+
+    monkeypatch.setattr(render.Bitmap, "from_ppm", classmethod(counting_from_ppm))
+    manifest = run(config, out_dir=tmp_path)
+    raster = sum(d["method"] == "raster" for c in manifest.charts for d in (c.detections or {}).values())
+    assert raster > 0
+    assert len(decodes) == raster
