@@ -178,14 +178,19 @@ def evaluate(
     "Avg." is the unweighted mean over group accuracies; "ALL" pools every
     sample. With group_by="none" all samples land in one group. Every margin
     is checked (``check_margin``) before any prediction is read.
+
+    One pass: each prediction is extracted once and matched once per margin,
+    and its verdicts go into its group's tally, so the cost does not grow
+    with the group count.
     """
+    margins = tuple(margins)
     for m in margins:
         check_margin(m)
     gold_by_id = {}
     for entry in gold:
         gold_by_id[entry.sample_id] = entry
     seen: set[str] = set()
-    scored: list[tuple[str, dict]] = []
+    tallies: dict[str, list[int]] = {}  # group -> [total, correct at margins[0], ...]
     failures = 0
     for pred in predictions:
         if pred.sample_id in seen:
@@ -197,40 +202,40 @@ def evaluate(
         group = "all"
         if group_by != "none":
             group = entry.group or pred.group or "all"
+        tally = tallies.get(group)
+        if tally is None:
+            tally = tallies[group] = [0] * (len(margins) + 1)
+        tally[0] += 1
         try:
             answer = extract_answer(pred.raw_text, mode=mode)
-            verdicts = {m: relaxed_match(answer, entry.answer, m) for m in margins}
         except ExtractionError:
             failures += 1
-            verdicts = {m: False for m in margins}
-        scored.append((group, verdicts))
+            continue
+        for k, m in enumerate(margins, 1):
+            if relaxed_match(answer, entry.answer, m):
+                tally[k] += 1
 
-    groups = sorted({g for g, _ in scored})
+    groups = sorted(tallies)
+    n_predictions = sum(tally[0] for tally in tallies.values())
     cells = {}
     averages = {}
-    for m in margins:
+    for k, m in enumerate(margins, 1):
         per_group = {}
         for g in groups:
-            totals = [v[m] for grp, v in scored if grp == g]
-            correct = sum(totals)
-            per_group[g] = {
-                "correct": int(correct),
-                "total": len(totals),
-                "accuracy": correct / len(totals) if totals else 0.0,
-            }
+            total, correct = tallies[g][0], tallies[g][k]
+            per_group[g] = {"correct": correct, "total": total, "accuracy": correct / total}
         cells[m] = per_group
-        all_verdicts = [v[m] for _, v in scored]
         averages[m] = {
             "avg": (
                 sum(per_group[g]["accuracy"] for g in groups) / len(groups) if groups else 0.0
             ),
-            "all": (sum(all_verdicts) / len(all_verdicts)) if all_verdicts else 0.0,
+            "all": sum(tallies[g][k] for g in groups) / n_predictions if n_predictions else 0.0,
         }
     return EvalReport(
-        margins=tuple(margins),
+        margins=margins,
         groups=groups,
         cells=cells,
         averages=averages,
-        n_predictions=len(scored),
+        n_predictions=n_predictions,
         extraction_failures=failures,
     )

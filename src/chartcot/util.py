@@ -103,9 +103,12 @@ def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
     """Write any bytes-like ``data`` via temp file + rename so readers never
     see a partial file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    try:
+        tmp.write_bytes(data)
+    except FileNotFoundError:  # the parent directory is made only when missing
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -117,12 +120,17 @@ def read_buffer(path: str | Path) -> bytearray:
     return buf
 
 
+# json.loads wraps this in type, BOM and whitespace checks that a stripped
+# str line does not need; read_jsonl calls it directly.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """Records of a JSONL file; blank lines are skipped.
 
-    A line that is not UTF-8 JSON raises InputError naming ``path:line``. The
-    file is searched for that line only after a failure, so reading a good
-    file does no extra work per line.
+    A line that is not UTF-8 JSON (one value and nothing after it) raises
+    InputError naming ``path:line``. The file is searched for that line only
+    after a failure, so reading a good file does no extra work per line.
     """
     records = []
     try:
@@ -130,8 +138,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
             for line in f:
                 line = line.strip()
                 if line:
-                    records.append(json.loads(line))
-    except ValueError:  # json.JSONDecodeError or UnicodeDecodeError
+                    record, end = _raw_decode(line)
+                    if end != len(line):
+                        raise ValueError("extra data after the record")
+                    records.append(record)
+    except ValueError:  # json.JSONDecodeError, UnicodeDecodeError or extra data
         for lineno, line in jsonl_lines(path):
             try:
                 line.encode("utf-8")  # lone surrogates stand for bytes that are not UTF-8

@@ -13,12 +13,13 @@ path and only read.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from chartcot import pipeline, render
+from chartcot import cli, pipeline, render
 from chartcot.pipeline import PipelineConfig, run
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -95,3 +96,32 @@ def test_resume_decodes_one_ppm_per_raster_detection(tmp_path, monkeypatch):
     raster = sum(d["method"] == "raster" for c in manifest.charts for d in (c.detections or {}).values())
     assert raster > 0
     assert len(decodes) == raster
+
+
+def test_eval_calls_each_scoring_site_once_per_unit_of_work(tmp_path, monkeypatch):
+    # evaluate.extract counts one call per prediction, evaluate.match one per
+    # (extracted prediction, margin) and util.read_jsonl one per input file.
+    calls = {}
+    for name, sites, _ in _layers().PLAN:
+        if name in ("evaluate.extract", "evaluate.match", "util.read_jsonl"):
+            for site in sites:
+                modname, _, attr = site.partition(":")
+                module = importlib.import_module(modname)
+                real = getattr(module, attr)
+
+                def counting(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, counting)
+    replies = ["\\box{10}", "about 9.5", "\\box{}", "no number", "\\box{North}", "\\box{1,000}"]
+    gold = tmp_path / "gold.jsonl"
+    pred = tmp_path / "pred.jsonl"
+    gold.write_text("".join(json.dumps({"sample_id": f"s{i}", "answer": 10, "group": f"g{i % 2}"}) + "\n"
+                            for i in range(len(replies))), encoding="utf-8")
+    pred.write_text("".join(json.dumps({"sample_id": f"s{i}", "raw_text": r}) + "\n"
+                            for i, r in enumerate(replies)), encoding="utf-8")
+    assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path),
+                     "--margins", "0.05,0.1,0.1,0.2"]) == 0
+    # Four replies yield an answer, each matched at all four margins.
+    assert calls == {"util.read_jsonl": 2, "evaluate.extract": 6, "evaluate.match": 4 * 4}
