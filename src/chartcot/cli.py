@@ -23,8 +23,8 @@ from .util import atomic_write_text, dumps_pretty, jsonl_lines, read_jsonl
 _STAGE_COMMANDS = {
     "gen": ("meta", "generate the chart spec corpus"),
     "cot": ("cot", "generate and review chain-of-thought samples"),
-    "edit": ("code", "insert markers for every grounding step"),
-    "render": ("render", "render vanilla and edited charts"),
+    "edit": ("code", "insert and verify a marker for every grounding step (kept in memory only)"),
+    "render": ("render", "write vanilla PPMs, and edited PPMs for the raster detector"),
     "detect": ("detect", "detect marker boxes in the edited renders"),
 }
 

@@ -1,8 +1,10 @@
 """Static HTML gallery for offline review of a finished run.
 
 One page per chart: the vanilla render, each edited render with its detected
-box drawn on top, the CoT steps, and the chart's instruction records. Plain
-HTML with relative links only; nothing needs a server or scripts.
+box drawn on top, the CoT steps, and the chart's instruction records. The
+run keeps no SVG, so the gallery draws its renders from the specs and CoTs
+into its own directory. Plain HTML with relative links only; nothing needs a
+server or scripts.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ import html
 import json
 from pathlib import Path
 
-from .cot import validate_cot
+from .cot import CotSample, validate_cot
+from .errors import ChartCotError
 from .geometry import PixelBBox
-from .marker import parse_edited_document
-from .pipeline import DatasetManifest
+from .layout import ChartLayout, chart_layout
+from .pipeline import ChartOutcome, DatasetManifest, marker_edits
 from .render import render_svg
+from .spec import ChartSpec, parse_spec
 from .util import atomic_write_text, read_jsonl
 
 _PAGE_STYLE = (
@@ -34,7 +38,27 @@ def _page(title: str, body: str) -> str:
     )
 
 
+def _edited_renders(spec: ChartSpec, sample: CotSample, lay: ChartLayout, outcome: ChartOutcome,
+                    gallery_dir: Path, parts: list[str]) -> None:
+    """Each detected step's edit, recomputed as the pipeline does, drawn with
+    its detected box on top."""
+    edits = {edit.step_index: edit for edit in marker_edits(spec, sample, lay)}
+    parts.append("<h2>Edited renders with detected boxes</h2>")
+    for key, det in sorted(outcome.detections.items(), key=lambda kv: int(kv[0])):
+        k = int(key)
+        edit = edits[k]
+        svg, _ = render_svg(edit.spec, overlays=[PixelBBox(*det["bbox"])], markers=list(edit.markers))
+        annotated = f"annotated/{outcome.id}__s{k}.svg"
+        atomic_write_text(gallery_dir / annotated, svg)
+        parts.append(
+            f"<h3>step {k} (method: {html.escape(det['method'])})</h3>"
+            f'<img src="../{annotated}" alt="edited render step {k}">'
+        )
+
+
 def _chart_page(manifest: DatasetManifest, outcome, records: list[dict], gallery_dir: Path) -> str:
+    """A chart's page. Renders are drawn here from the spec and CoT, which
+    the run keeps; a missing or damaged one is named on the page instead."""
     out = manifest.out_dir
     cid = outcome.id
     parts = [f"<h1>{html.escape(cid)} ({html.escape(outcome.chart_type)})</h1>"]
@@ -42,37 +66,31 @@ def _chart_page(manifest: DatasetManifest, outcome, records: list[dict], gallery
     status = ", ".join(f"{s}: {html.escape(v)}" for s, v in outcome.stages.items())
     parts.append(f"<p>Stages &mdash; {status}</p>")
 
-    parts.append("<h2>Vanilla render</h2>")
-    parts.append(f'<img src="../../renders/{cid}.svg" alt="vanilla chart">')
-
-    cot_path = out / f"cot/{cid}.json"
-    sample = None
-    if cot_path.exists():
-        sample = validate_cot(cot_path.read_text(encoding="utf-8"))
-        parts.append("<h2>Question and steps</h2>")
-        parts.append(f"<p><b>Q:</b> {html.escape(sample.question)}</p>")
-        parts.append("<ol start=\"1\">")
-        for step in sample.steps:
-            parts.append(f"<li>[{step.kind}] {html.escape(step.text)}</li>")
-        parts.append("</ol>")
-        parts.append(f"<p><b>Answer:</b> {html.escape(sample.answer.to_text())}</p>")
-
-    if sample is not None and outcome.detections:
-        parts.append("<h2>Edited renders with detected boxes</h2>")
-        for key, det in sorted(outcome.detections.items(), key=lambda kv: int(kv[0])):
-            k = int(key)
-            edited_path = out / f"edited/{cid}__s{k}.json"
-            if not edited_path.exists():
-                continue
-            edit = parse_edited_document(edited_path.read_text(encoding="utf-8"), step_index=k)
-            box = PixelBBox(*det["bbox"])
-            svg, _ = render_svg(edit.spec, overlays=[box], markers=list(edit.markers))
-            rel = f"annotated/{cid}__s{k}.svg"
-            atomic_write_text(gallery_dir / rel, svg)
-            parts.append(
-                f"<h3>step {k} (method: {html.escape(det['method'])})</h3>"
-                f'<img src="../{rel}" alt="edited render step {k}">'
-            )
+    rel = f"specs/{cid}.json"
+    try:
+        spec = parse_spec((out / rel).read_text(encoding="utf-8")) if outcome.passed("meta") else None
+        if spec is not None:
+            lay = chart_layout(spec)
+            vanilla = f"vanilla/{cid}.svg"
+            atomic_write_text(gallery_dir / vanilla, render_svg(spec, layout=lay)[0])
+            parts.append("<h2>Vanilla render</h2>")
+            parts.append(f'<img src="../{vanilla}" alt="vanilla chart">')
+        rel = f"cot/{cid}.json"
+        if spec is not None and outcome.passed("cot"):
+            sample = validate_cot((out / rel).read_text(encoding="utf-8"))
+            parts.append("<h2>Question and steps</h2>")
+            parts.append(f"<p><b>Q:</b> {html.escape(sample.question)}</p>")
+            parts.append("<ol start=\"1\">")
+            for step in sample.steps:
+                parts.append(f"<li>[{step.kind}] {html.escape(step.text)}</li>")
+            parts.append("</ol>")
+            parts.append(f"<p><b>Answer:</b> {html.escape(sample.answer.to_text())}</p>")
+            if outcome.detections:
+                _edited_renders(spec, sample, lay, outcome, gallery_dir, parts)
+    except (FileNotFoundError, UnicodeDecodeError, KeyError, ChartCotError) as exc:
+        # The files are read in order, so ``rel`` names the one at fault.
+        error = "missing" if isinstance(exc, FileNotFoundError) else f"{type(exc).__name__}: {exc}"
+        parts.append(f"<p><b>{html.escape(rel)}</b> cannot be used: {html.escape(error)}</p>")
 
     if records:
         parts.append("<h2>Instruction records</h2>")

@@ -43,10 +43,10 @@ class ImageRef:
         if self.variant == VARIANT_VANILLA and self.overlay_boxes:
             raise ValidationError("vanilla variant carries no overlay boxes")
 
-    def file_name(self, ext: str = "ppm") -> str:
+    def file_name(self) -> str:
         if self.variant == VARIANT_VANILLA:
-            return f"{self.chart_id}.{ext}"
-        return f"{self.chart_id}__ov{self.overlay_upto}.{ext}"
+            return f"{self.chart_id}.ppm"
+        return f"{self.chart_id}__ov{self.overlay_upto}.ppm"
 
 
 @dataclass(frozen=True)

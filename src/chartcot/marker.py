@@ -9,7 +9,6 @@ component scan of marker-colored pixels in the raster.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -22,14 +21,13 @@ from .errors import (
     AmbiguousError,
     CollisionError,
     NotFoundError,
-    SpecSyntaxError,
     TargetError,
     ValidationError,
 )
 from .geometry import ElementRef, PixelBBox, glyph_bbox
 from .layout import ChartLayout, chart_layout
 from .render import MARKER_COLOR, Bitmap, MarkerAnchor
-from .spec import MARKER_CHAR, ChartSpec, Series, spec_from_json, spec_to_json, validate_spec
+from .spec import MARKER_CHAR, ChartSpec, Series, validate_spec
 
 TEXT_ROLES = frozenset({"title", "legend_entry", "x_tick", "y_tick"})
 
@@ -79,32 +77,6 @@ class EditedSpec:
     step_index: int
     mode: str
     target: Optional[ElementRef] = None
-
-    def to_document(self) -> str:
-        doc = spec_to_json(self.spec)
-        if self.markers:
-            doc["markers"] = [{"x": x, "y": y} for x, y in self.markers]
-        return json.dumps(doc, ensure_ascii=False, sort_keys=True)
-
-
-def parse_edited_document(text: str, step_index: int = -1) -> EditedSpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecSyntaxError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SpecSyntaxError("edited document must be a JSON object")
-    raw_markers = obj.pop("markers", [])
-    if not isinstance(raw_markers, list):
-        raise SpecSyntaxError("markers must be a list of {x, y}")
-    markers = tuple((float(m["x"]), float(m["y"])) for m in raw_markers)
-    spec = spec_from_json(obj)
-    return EditedSpec(
-        spec=spec,
-        markers=markers,
-        step_index=step_index,
-        mode=MODE_POINT if markers else MODE_TEXT,
-    )
 
 
 def _spec_text_fields(spec: ChartSpec) -> list[str]:

@@ -39,19 +39,16 @@ from .geometry import PixelBBox
 from .instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef, InstructionSample, build_instructions
 from .layout import ChartLayout, chart_layout
 from .marker import (
-    MODE_POINT,
     EditedSpec,
     apply_marker,
     detect_markers,
     finalize_bbox,
     marker_min_size,
-    mode_for_role,
-    parse_edited_document,
     structural_decides,
     structural_hits,
     verify_marker,
 )
-from .render import Bitmap, overlay_svg, paint_overlays, rasterize, render_svg
+from .render import Bitmap, paint_overlays, rasterize, render_svg
 from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
 from .util import (
     atomic_write_bytes,
@@ -214,8 +211,9 @@ class DatasetManifest:
 # Per-chart execution
 
 class _ChartTask:
-    """Runs one chart through a window of stages, loading prior artifacts
-    from disk when resuming."""
+    """Runs one chart through a window of stages. A persisted run keeps only
+    what cannot be recomputed; a later stage recomputes the edits and their
+    renders from the spec and CoT, and reads back the edited rasters."""
 
     def __init__(self, spec: ChartSpec, outcome: ChartOutcome, config: PipelineConfig,
                  client: LlmClient, out_dir: Optional[Path]):
@@ -225,12 +223,11 @@ class _ChartTask:
         self.client = client
         self.out = out_dir
         self.sample: Optional[CotSample] = None
-        self.edits: list[EditedSpec] = []
-        self.renders: dict = {}          # step index -> (svg, Bitmap or None)
+        self.edits: Optional[list[EditedSpec]] = None
+        self.renders: Optional[dict] = None   # step index -> (svg, Bitmap or None)
         self._layout: Optional[ChartLayout] = None
-        # Persisted runs: the vanilla SVG, and a vanilla raster with the
-        # overlay boxes of the images written so far stroked onto it.
-        self._vanilla_svg: Optional[str] = None
+        # Persisted runs: a vanilla raster with the overlay boxes of the
+        # images written so far stroked onto it.
         self._canvas: Optional[Bitmap] = None
         self._painted: set[PixelBBox] = set()
 
@@ -256,8 +253,8 @@ class _ChartTask:
             self.outcome.files.setdefault("all", []).append(rel)
 
     def _write_image(self, image: ImageRef) -> None:
-        """Write the image's SVG, then its PPM: the vanilla chart, rendered once
-        per chart, with the image's overlay boxes stroked on top.
+        """Write the image's PPM: the vanilla chart, rasterised once per chart,
+        with the image's overlay boxes stroked on top.
 
         Overlay boxes are one opaque colour painted last, so strokes already on
         the canvas need not be painted again. The boxes of successive overlay
@@ -266,15 +263,12 @@ class _ChartTask:
         if self.out is None:
             return
         boxes = image.overlay_boxes
-        if self._vanilla_svg is None:
-            self._vanilla_svg, _ = render_svg(self.spec, layout=self.layout)
         if self._canvas is None or not self._painted <= set(boxes):
             self._canvas, _ = rasterize(self.spec, layout=self.layout)
             self._painted = set()
         paint_overlays(self._canvas, [box for box in boxes if box not in self._painted])
         self._painted.update(boxes)
-        self._write(f"renders/{image.file_name('svg')}", overlay_svg(self._vanilla_svg, boxes))
-        self._write(f"renders/{image.file_name('ppm')}", self._canvas.to_ppm())
+        self._write(f"renders/{image.file_name()}", self._canvas.to_ppm())
 
     def _read(self, rel: str) -> bytearray:
         """A prior stage's artifact; a missing one fails this chart's stage."""
@@ -286,24 +280,33 @@ class _ChartTask:
             self.sample = validate_cot(self._read(f"cot/{self.spec.id}.json").decode("utf-8"))
         return self.sample
 
-    def _load_edits(self) -> list[EditedSpec]:
-        if not self.edits:
-            for step in self._load_sample().grounding_steps():
-                text = self._read(f"edited/{self.spec.id}__s{step.index}.json").decode("utf-8")
-                self.edits.append(parse_edited_document(text, step_index=step.index))
+    def _edits(self) -> list[EditedSpec]:
+        """The chart's verified marker edits, computed once: in the code stage,
+        or from the persisted CoT by a later stage on resume."""
+        if self.edits is None:
+            self.edits = marker_edits(self.spec, self._load_sample(), self.layout)
         return self.edits
 
-    def _load_renders(self) -> dict:
-        if not self.renders:
-            for edit in self._load_edits():
-                stem = f"renders/{self.spec.id}__s{edit.step_index}"
-                svg = self._read(f"{stem}.svg").decode("utf-8")
-                # Only edits the structural pass cannot decide have a raster on
-                # disk; older runs also hold the others, which are never read.
+    def _renders(self, rasterise: bool) -> dict:
+        """Each edit's SVG, and its raster when the structural pass cannot
+        decide it. The render stage (``rasterise``) draws that raster and
+        writes its PPM; a later stage on resume reads the PPM back."""
+        if self.renders is None:
+            renders = {}
+            for edit in self._edits():
+                # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
+                elay = self.layout if edit.spec == self.spec else chart_layout(edit.spec)
+                svg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
                 bmp = None
                 if not structural_decides(structural_hits(svg)):
-                    bmp = Bitmap.from_ppm(self._read(f"{stem}.ppm"))
-                self.renders[edit.step_index] = (svg, bmp)
+                    rel = f"renders/{self.spec.id}__s{edit.step_index}.ppm"
+                    if rasterise:
+                        bmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
+                        self._write(rel, bmp.to_ppm())
+                    else:
+                        bmp = Bitmap.from_ppm(self._read(rel))
+                renders[edit.step_index] = (svg, bmp)
+            self.renders = renders
         return self.renders
 
     # -- stages ---------------------------------------------------------------
@@ -329,43 +332,17 @@ class _ChartTask:
         self._write(f"cot/{self.spec.id}.json", sample.to_text() + "\n")
 
     def _stage_code(self) -> None:
-        sample = self._load_sample()
-        edits = []
-        for step in sample.grounding_steps():
-            point = step.target is not None and mode_for_role(step.target.role) == MODE_POINT
-            edit = apply_marker(self.spec, step, full_layout=self.layout if point else None)
-            if not verify_marker(edit):
-                raise _StageFail(f"marker verification failed at step {step.index}")
-            edits.append(edit)
-        self.edits = edits
-        for edit in edits:
-            self._write(f"edited/{self.spec.id}__s{edit.step_index}.json", edit.to_document() + "\n")
+        self._edits()
 
     def _stage_render(self) -> None:
-        lay = self.layout  # vanilla layout must succeed even when not persisted
         self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
-        renders = {}
-        for edit in self._load_edits():
-            # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
-            elay = lay if edit.spec == self.spec else chart_layout(edit.spec)
-            esvg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
-            # Detection reads pixels only when the structural pass cannot decide.
-            ebmp = None
-            if not structural_decides(structural_hits(esvg)):
-                ebmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
-            renders[edit.step_index] = (esvg, ebmp)
-            if self.out is not None:
-                stem = f"renders/{self.spec.id}__s{edit.step_index}"
-                self._write(f"{stem}.svg", esvg)
-                if ebmp is not None:
-                    self._write(f"{stem}.ppm", ebmp.to_ppm())
-        self.renders = renders
+        self._renders(rasterise=True)
 
     def _stage_detect(self) -> None:
         w, _ = self.spec.canvas
         min_px = marker_min_size(w, self.config.min_marker_px)
         detections = {}
-        for step_index, (svg, bmp) in sorted(self._load_renders().items()):
+        for step_index, (svg, bmp) in sorted(self._renders(rasterise=False).items()):
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:
@@ -409,8 +386,20 @@ class _ChartTask:
         return self.outcome
 
 
-class _StageFail(Exception):
-    """Internal: a stage gate rejected the chart (not a run-level error)."""
+class _StageFail(ChartCotError):
+    """A stage gate rejected the chart (not a run-level error)."""
+
+
+def marker_edits(spec: ChartSpec, sample: CotSample, layout: ChartLayout) -> list[EditedSpec]:
+    """One verified marker edit per grounding step of ``sample``; ``layout``
+    is the vanilla spec's, which places the datapoint anchors."""
+    edits = []
+    for step in sample.grounding_steps():
+        edit = apply_marker(spec, step, full_layout=layout)
+        if not verify_marker(edit):
+            raise _StageFail(f"marker verification failed at step {step.index}")
+        edits.append(edit)
+    return edits
 
 
 def _chart_records(spec: ChartSpec, sample: CotSample, outcome: ChartOutcome,
@@ -541,7 +530,7 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
         spec = parse_spec(_read_artifact(out, f"specs/{outcome.id}.json").decode("utf-8"))
         sample = validate_cot(_read_artifact(out, f"cot/{outcome.id}.json").decode("utf-8"))
         for rec in _chart_records(spec, sample, outcome, manifest.config):
-            records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name('ppm')}")))
+            records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name()}")))
     records.sort(key=lambda pair: pair[0])
     lines = "".join(canonical_json(r) + "\n" for _, r in records)
     atomic_write_text(out / "dataset.jsonl", lines)

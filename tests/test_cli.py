@@ -255,6 +255,28 @@ class TestGallery:
         page = (out / f"gallery/charts/{rich[0].id}.html").read_text(encoding="utf-8")
         assert page.count("annotated/") == 3
 
+    @pytest.mark.parametrize("kind", ["truncated cot", "missing spec"])
+    def test_bad_artifact_is_named_on_its_page_alone(self, tmp_path, kind):
+        cfg = write_config(tmp_path, n_charts=10)
+        out = tmp_path / "run"
+        main(["build", "--config", str(cfg), "--out", str(out)])
+        victim = sorted((out / ("cot" if kind == "truncated cot" else "specs")).glob("*.json"))[0]
+        if kind == "truncated cot":
+            victim.write_bytes(victim.read_bytes()[:40])
+        else:
+            victim.unlink()
+        assert main(["gallery", "--out", str(out)]) == 0
+        index = out / "gallery/index.html"
+        pages = sorted((out / "gallery/charts").glob("*.html"))
+        assert len(pages) == 10
+        for page in [index, *pages]:
+            for link in _links(page.read_text(encoding="utf-8")):
+                assert (page.parent / link).resolve().exists(), f"{page.name} -> {link}"
+        rel = f"{victim.parent.name}/{victim.name}"
+        for page in pages:
+            assert (rel in page.read_text(encoding="utf-8")) == (page.stem == victim.stem), page.name
+        assert any("annotated/" in page.read_text(encoding="utf-8") for page in pages if page.stem != victim.stem)
+
     def test_empty_manifest_states_zero(self, tmp_path):
         manifest = DatasetManifest(config=PipelineConfig(), charts=[], out_dir=tmp_path)
         from chartcot.gallery import build_gallery

@@ -21,7 +21,6 @@ from chartcot.marker import (
     detect_markers,
     finalize_bbox,
     marker_min_size,
-    parse_edited_document,
     raster_components,
     structural_decides,
     structural_hits,
@@ -107,14 +106,6 @@ class TestApplyMarker:
                        mode="text_suffix")
         with pytest.raises(ValidationError):
             MarkerEdit(step_index=0, target=ElementRef("title"), mode="point_anchor")
-
-    def test_document_roundtrip(self, two_bar_spec):
-        ref = ElementRef("datapoint", series="Alpha", category="Q1")
-        edit = apply_marker(two_bar_spec, grounding(2, ref))
-        again = parse_edited_document(edit.to_document(), step_index=2)
-        assert again.spec == edit.spec
-        assert again.markers[0] == pytest.approx(edit.markers[0])
-        assert again.mode == "point_anchor"
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ import pytest
 from chartcot import pipeline
 from chartcot.client import ClientConfig
 from chartcot.errors import ConfigError, EmptyError, IntegrityError
+from chartcot.gallery import build_gallery
 from chartcot.pipeline import (
     STAGES,
     ChartOutcome,
@@ -22,7 +23,7 @@ from chartcot.pipeline import (
 from chartcot.geometry import PixelBBox
 from chartcot.instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef
 from chartcot.marker import structural_hits
-from chartcot.render import rasterize, render_svg
+from chartcot.render import rasterize
 from chartcot.spec import generate_corpus
 from chartcot.util import read_jsonl
 
@@ -197,8 +198,8 @@ class TestResume:
             if c.passed("cot"):
                 assert (tmp_path / f"cot/{c.id}.json").exists()
             if c.passed("render"):
-                assert (tmp_path / f"renders/{c.id}.svg").exists()
                 assert (tmp_path / f"renders/{c.id}.ppm").exists()
+                assert not (tmp_path / f"renders/{c.id}.svg").exists()
 
 
     def test_truncated_edited_ppm_fails_only_that_chart(self, tmp_path):
@@ -231,26 +232,62 @@ class TestResume:
             else:
                 assert c.stages == straight[c.id]
 
-    def test_extra_edited_ppms_of_older_runs_are_not_read(self, tmp_path):
-        # Runs written before edited rasters were limited to raster-decided
-        # edits hold a PPM for every edit; resume must not read the others.
+    def test_run_directory_in_older_layout_resumes_to_straight_bytes(self, tmp_path):
+        # Older runs also wrote each edit's document (edited/*.json), its SVG
+        # and, whatever the detection method, its PPM. Resume recomputes the
+        # edits and their SVGs and reads only the PPMs of raster-decided edits,
+        # so garbage in all the other files changes nothing.
         cfg = small_config()
         straight_dir = tmp_path / "straight"
         straight = run(cfg, out_dir=straight_dir)
         emit_dataset(straight)
         resumed_dir = tmp_path / "resumed"
         run(cfg, out_dir=resumed_dir, stop_after="render")
-        planted = 0
-        for svg in (resumed_dir / "renders").glob("*__s*.svg"):
-            ppm = svg.with_suffix(".ppm")
-            if not ppm.exists():
-                ppm.write_bytes(b"not a raster")
-                planted += 1
-        assert planted
+        (resumed_dir / "edited").mkdir()
+        structural = 0
+        for c in straight.charts:
+            for key, det in (c.detections or {}).items():
+                stem = f"{c.id}__s{key}"
+                (resumed_dir / f"edited/{stem}.json").write_text("{not an edit", encoding="utf-8")
+                (resumed_dir / f"renders/{stem}.svg").write_text("<svg>not a chart", encoding="utf-8")
+                if det["method"] == "structural":
+                    (resumed_dir / f"renders/{stem}.ppm").write_bytes(b"not a raster")
+                    structural += 1
+        assert structural
         resumed = run(cfg, out_dir=resumed_dir)
         emit_dataset(resumed)
-        assert [c.stages for c in resumed.charts] == [c.stages for c in straight.charts]
+        assert [(c.stages, c.detections) for c in resumed.charts] == [(c.stages, c.detections) for c in straight.charts]
         assert (resumed_dir / "dataset.jsonl").read_bytes() == (straight_dir / "dataset.jsonl").read_bytes()
+        for image in {rec["image"]["file"] for rec in read_jsonl(straight_dir / "dataset.jsonl")}:
+            assert (resumed_dir / image).read_bytes() == (straight_dir / image).read_bytes(), image
+
+
+class TestRunDirectory:
+    def test_run_keeps_only_what_cannot_be_recomputed(self, tmp_path):
+        # specs/, cot/ and renders/ hold exactly: a spec and a CoT per chart
+        # that passed those stages, every image the dataset names, and the PPM
+        # of each raster-decided edit. Edits and SVGs are recomputed, so no
+        # edited/ and no SVG outside the gallery, which draws its own.
+        manifest = run(small_config(n_charts=20), out_dir=tmp_path)
+        emit_dataset(manifest)
+        write_stats(manifest)
+        build_gallery(manifest)
+        # Every chart that reaches render passes: no render artifact of a
+        # discarded chart falls outside the expected set.
+        assert all(c.all_passed() for c in manifest.charts if c.passed("render"))
+        expected = {rec["image"]["file"] for rec in read_jsonl(tmp_path / "dataset.jsonl")}
+        for c in manifest.charts:
+            expected |= {f"specs/{c.id}.json"} if c.passed("meta") else set()
+            expected |= {f"cot/{c.id}.json"} if c.passed("cot") else set()
+            expected |= {f"renders/{c.id}__s{key}.ppm"
+                         for key, det in (c.detections or {}).items() if det["method"] == "raster"}
+        found = {p.relative_to(tmp_path).as_posix()
+                 for top in ("specs", "cot", "renders") for p in (tmp_path / top).rglob("*") if p.is_file()}
+        assert found == expected
+        assert any("__s" in name for name in found) and any("__ov" in name for name in found)
+        assert not (tmp_path / "edited").exists()
+        assert [p for p in tmp_path.rglob("*.svg") if p.relative_to(tmp_path).parts[0] != "gallery"] == []
+        assert any((tmp_path / "gallery").rglob("*.svg"))
 
 
 class TestEditedRasters:
@@ -328,9 +365,7 @@ class TestOverlayImages:
         for image in images:
             task._write_image(image)
             boxes = list(image.overlay_boxes)
-            renders = tmp_path / "renders"
-            assert (renders / image.file_name("svg")).read_text(encoding="utf-8") == render_svg(spec, overlays=boxes)[0]
-            assert (renders / image.file_name("ppm")).read_bytes() == rasterize(spec, overlays=boxes)[0].to_ppm()
+            assert (tmp_path / "renders" / image.file_name()).read_bytes() == rasterize(spec, overlays=boxes)[0].to_ppm()
         return len(calls)
 
     def test_nested_boxes_rasterise_once(self, monkeypatch, tmp_path):

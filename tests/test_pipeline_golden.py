@@ -8,7 +8,9 @@ are pinned too. A refactor of the config, manifest, spec or artifact code
 must reproduce these exactly. Re-record (``python tests/test_pipeline_golden.py``)
 only for a deliberate output change that is named as such; the pie wedge rule
 change re-recorded ``build.files_digest`` alone (its pie PPMs changed, no
-record or manifest entry did).
+record or manifest entry did), and dropping the edit documents and SVGs from
+the run directory re-recorded both ``build`` digests (fewer files, and fewer
+entries in each chart's ``files``; no remaining file changed).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ NON_DEFAULT = PipelineConfig(
 GOLDEN = {
     "config_hash.default": "274944fd233a8a91",
     "config_hash.non_default": "5e4398c40f8bf0aa",
-    "build.manifest_digest": "8a9405aa21e87429b2486982206fd3a969ac55ff2341a1e0d9f2439b3d023a37",
-    "build.files_digest": "d25f1bd6dfc0b375ac038442dc3a1d7c3ac989fd32026ceff99f7ad0af7ebc47",
+    "build.manifest_digest": "f277162c6e6def336f25b28d6b5841a5c19b0b0d68a2233fdace6f3904cf9b19",
+    "build.files_digest": "dbc73f8f4809d7e73f79980d7070fe719dc16083595cc23616097d4d8cb29886",
     "faults.manifest_digest": "2c8f5236f490cd5a0d4fd1593d2e5cf8137f26ae360bca5ceb1cafb2532ff68a",
 }
 
