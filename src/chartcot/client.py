@@ -138,12 +138,6 @@ class LlmClient:
             if fault < self.config.stub_fault_rate:
                 return reply[: max(10, len(reply) // 3)]  # truncated, never valid JSON
             return reply
-        if template == prompts.REVIEW_TEMPLATE_ID:
-            spec = parse_spec(blocks[0])
-            from .cot import validate_cot
-
-            sample = validate_cot(blocks[1])
-            return "yes" if _review_locally(sample, spec) else "no"
         raise ClientError(f"stub has no handler for template {template!r}")
 
     # -- review -------------------------------------------------------------

@@ -22,17 +22,13 @@ from .errors import (
     CollisionError,
     NotFoundError,
     TargetError,
-    ValidationError,
 )
-from .geometry import ElementRef, PixelBBox, glyph_bbox
+from .geometry import PixelBBox, glyph_bbox
 from .layout import ChartLayout, chart_layout
 from .render import MARKER_COLOR, Bitmap, MarkerAnchor
 from .spec import MARKER_CHAR, ChartSpec, Series, validate_spec
 
 TEXT_ROLES = frozenset({"title", "legend_entry", "x_tick", "y_tick"})
-
-MODE_TEXT = "text_suffix"
-MODE_POINT = "point_anchor"
 
 # Minimum detection box edge at the reference canvas width.
 MIN_MARKER_PX = 12
@@ -41,25 +37,6 @@ REFERENCE_CANVAS_W = 1000
 
 def marker_min_size(canvas_w: int, base: float = MIN_MARKER_PX) -> float:
     return base * canvas_w / REFERENCE_CANVAS_W
-
-
-def mode_for_role(role: str) -> str:
-    return MODE_POINT if role == "datapoint" else MODE_TEXT
-
-
-@dataclass(frozen=True)
-class MarkerEdit:
-    step_index: int
-    target: ElementRef
-    mode: str
-
-    def __post_init__(self) -> None:
-        if self.mode == MODE_TEXT and self.target.role not in TEXT_ROLES:
-            raise ValidationError(f"text_suffix cannot target role {self.target.role!r}")
-        if self.mode == MODE_POINT and self.target.role != "datapoint":
-            raise ValidationError(f"point_anchor cannot target role {self.target.role!r}")
-        if self.mode not in (MODE_TEXT, MODE_POINT):
-            raise ValidationError(f"unknown marker mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +52,6 @@ class EditedSpec:
     spec: ChartSpec
     markers: tuple[MarkerAnchor, ...]
     step_index: int
-    mode: str
-    target: Optional[ElementRef] = None
 
 
 def _spec_text_fields(spec: ChartSpec) -> list[str]:
@@ -90,10 +65,8 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
     if any(MARKER_CHAR in text for text in _spec_text_fields(spec)):
         raise CollisionError(f"spec text already contains {MARKER_CHAR!r}")
     target = step.target
-    mode = mode_for_role(target.role)
-    MarkerEdit(step_index=step.index, target=target, mode=mode)
 
-    if mode == MODE_TEXT:
+    if target.role in TEXT_ROLES:
         if target.role == "title":
             if not spec.title:
                 raise TargetError("spec has no title to mark")
@@ -119,10 +92,10 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
             )
         else:  # y_tick: tick text is derived from data, not an editable field
             raise TargetError("y tick labels are derived values; target a spec text element")
-        return EditedSpec(
-            spec=validate_spec(edited), markers=(), step_index=step.index, mode=mode, target=target
-        )
+        return EditedSpec(spec=validate_spec(edited), markers=(), step_index=step.index)
 
+    if target.role != "datapoint":
+        raise TargetError(f"role {target.role!r} takes no marker")
     lay = full_layout if full_layout is not None else chart_layout(spec)
     if target not in lay.geometry:
         raise TargetError(f"datapoint target {target} does not resolve")
@@ -134,9 +107,7 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
         anchor = lay.line_points[(target.series, target.category)]
     else:
         anchor = lay.wedge_centroids[target.category]
-    return EditedSpec(
-        spec=spec, markers=(anchor,), step_index=step.index, mode=mode, target=target
-    )
+    return EditedSpec(spec=spec, markers=(anchor,), step_index=step.index)
 
 
 def verify_marker(edited: EditedSpec) -> bool:

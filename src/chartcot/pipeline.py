@@ -212,8 +212,9 @@ class DatasetManifest:
 
 class _ChartTask:
     """Runs one chart through a window of stages. A persisted run keeps only
-    what cannot be recomputed; a later stage recomputes the edits and their
-    renders from the spec and CoT, and reads back the edited rasters."""
+    what cannot be recomputed: specs, CoTs and the images the dataset names.
+    A later stage recomputes the edits and their renders from the spec and
+    CoT, and reads the vanilla image back to stroke overlays onto it."""
 
     def __init__(self, spec: ChartSpec, outcome: ChartOutcome, config: PipelineConfig,
                  client: LlmClient, out_dir: Optional[Path]):
@@ -226,7 +227,7 @@ class _ChartTask:
         self.edits: Optional[list[EditedSpec]] = None
         self.renders: Optional[dict] = None   # step index -> (svg, Bitmap or None)
         self._layout: Optional[ChartLayout] = None
-        # Persisted runs: a vanilla raster with the overlay boxes of the
+        # Persisted runs: the vanilla raster with the overlay boxes of the
         # images written so far stroked onto it.
         self._canvas: Optional[Bitmap] = None
         self._painted: set[PixelBBox] = set()
@@ -257,18 +258,29 @@ class _ChartTask:
         with the image's overlay boxes stroked on top.
 
         Overlay boxes are one opaque colour painted last, so strokes already on
-        the canvas need not be painted again. The boxes of successive overlay
-        images only grow; should they not, the canvas is rasterised afresh.
+        the canvas need not be painted again. An overlay image that finds no
+        canvas in memory (on resume, or when its boxes do not hold those
+        painted so far) starts from the vanilla image read back from disk.
         """
         if self.out is None:
             return
         boxes = image.overlay_boxes
         if self._canvas is None or not self._painted <= set(boxes):
-            self._canvas, _ = rasterize(self.spec, layout=self.layout)
+            self._canvas = self._read_vanilla() if boxes else rasterize(self.spec, layout=self.layout)[0]
             self._painted = set()
         paint_overlays(self._canvas, [box for box in boxes if box not in self._painted])
         self._painted.update(boxes)
         self._write(f"renders/{image.file_name()}", self._canvas.to_ppm())
+
+    def _read_vanilla(self) -> Bitmap:
+        """The render stage's vanilla image; IntegrityError naming the file
+        when it is missing or malformed."""
+        rel = f"renders/{ImageRef(self.spec.id, VARIANT_VANILLA).file_name()}"
+        data = self._read(rel)
+        try:
+            return Bitmap.from_ppm(data)
+        except IntegrityError as exc:
+            raise IntegrityError(f"{rel}: {exc}") from None
 
     def _read(self, rel: str) -> bytearray:
         """A prior stage's artifact; a missing one fails this chart's stage."""
@@ -287,10 +299,9 @@ class _ChartTask:
             self.edits = marker_edits(self.spec, self._load_sample(), self.layout)
         return self.edits
 
-    def _renders(self, rasterise: bool) -> dict:
+    def _renders(self) -> dict:
         """Each edit's SVG, and its raster when the structural pass cannot
-        decide it. The render stage (``rasterise``) draws that raster and
-        writes its PPM; a later stage on resume reads the PPM back."""
+        decide it; both are drawn in memory and never written."""
         if self.renders is None:
             renders = {}
             for edit in self._edits():
@@ -299,12 +310,7 @@ class _ChartTask:
                 svg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
                 bmp = None
                 if not structural_decides(structural_hits(svg)):
-                    rel = f"renders/{self.spec.id}__s{edit.step_index}.ppm"
-                    if rasterise:
-                        bmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
-                        self._write(rel, bmp.to_ppm())
-                    else:
-                        bmp = Bitmap.from_ppm(self._read(rel))
+                    bmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
                 renders[edit.step_index] = (svg, bmp)
             self.renders = renders
         return self.renders
@@ -336,13 +342,13 @@ class _ChartTask:
 
     def _stage_render(self) -> None:
         self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
-        self._renders(rasterise=True)
+        self._renders()
 
     def _stage_detect(self) -> None:
         w, _ = self.spec.canvas
         min_px = marker_min_size(w, self.config.min_marker_px)
         detections = {}
-        for step_index, (svg, bmp) in sorted(self._renders(rasterise=False).items()):
+        for step_index, (svg, bmp) in sorted(self._renders().items()):
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:

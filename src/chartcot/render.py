@@ -80,52 +80,36 @@ class Bitmap:
 
     @classmethod
     def from_ppm(cls, data) -> "Bitmap":
-        """Decode a binary PPM (P6, maxval 255) from any bytes-like object;
-        IntegrityError if malformed or cut short.
+        """Decode what ``to_ppm`` writes, from any bytes-like object: the header
+        ``P6\\n<width> <height>\\n255\\n``, then exactly width x height x 3
+        pixel bytes. Anything else is an IntegrityError saying what is wrong.
 
-        A writable buffer holding exactly one PPM with the header ``to_ppm``
-        writes becomes the bitmap's own buffer, uncopied; anything else
-        (read-only input, header comments, trailing bytes) is copied.
+        A writable buffer becomes the bitmap's own buffer, uncopied; a
+        read-only one is copied.
         """
         view = memoryview(data).cast("B")
-        end = len(view)
-        if bytes(view[:2]) != b"P6":
-            raise IntegrityError("not a binary PPM (P6) file")
-        fields: list[bytes] = []
-        pos = 2
-        while len(fields) < 3:
-            while pos < end and view[pos] in _PPM_SPACE:
-                pos += 1
-            if pos < end and view[pos] == ord("#"):  # comment line
-                while pos < end and view[pos] != ord("\n"):
-                    pos += 1
-                continue
-            start = pos
-            while pos < end and view[pos] not in _PPM_SPACE:
-                pos += 1
-            if pos >= end:
-                raise IntegrityError(f"PPM header cut off: the file ends at byte {end}")
-            fields.append(bytes(view[start:pos]))
-        pos += 1  # single whitespace after maxval
-        try:
-            w, h, maxval = (int(f) for f in fields)
-        except ValueError:
-            raise IntegrityError(f"PPM header fields are not integers: {fields!r}") from None
-        if maxval != 255 or w < 1 or h < 1:
-            raise IntegrityError(f"unsupported PPM: {w}x{h}, maxval {maxval} (need 8-bit, non-empty)")
-        need = w * h * 3
-        if end - pos < need:
-            raise IntegrityError(
-                f"PPM pixel data cut short: expected {need} bytes for {w}x{h}, found {end - pos}"
-            )
-        if not view.readonly and end - pos == need and bytes(view[:pos]) == _ppm_header(w, h):
-            return cls(np.frombuffer(view, dtype=np.uint8), w, h)
-        bmp = cls.blank(w, h)
-        bmp.array.reshape(-1)[:] = np.frombuffer(view, dtype=np.uint8, count=need, offset=pos)
-        return bmp
+        head = _PPM_HEADER.match(view)
+        if head is None:
+            start = bytes(view[:32])
+            if start[:2] != b"P6":
+                raise IntegrityError("not a binary PPM (P6) file")
+            if start[2:3] == b"\n" and start.count(b"\n") < 3 and len(view) < 32:
+                raise IntegrityError(f"PPM header cut off: the file ends at byte {len(view)}")
+            raise IntegrityError(f"PPM header fields are not integers laid out as P6\\n<width> <height>\\n255\\n: "
+                                 f"the file starts {start!r}")
+        w, h = int(head[1]), int(head[2])
+        if head[3] != b"255":
+            raise IntegrityError(f"unsupported PPM: {w}x{h}, maxval {head[3].decode()} (need 255)")
+        need, found = w * h * 3, len(view) - head.end()
+        if found != need:
+            raise IntegrityError(f"PPM pixel data {'cut short' if found < need else 'too long'}: "
+                                 f"expected {need} bytes for {w}x{h}, found {found}")
+        ppm = np.frombuffer(view, dtype=np.uint8)
+        return cls(ppm.copy() if view.readonly else ppm, w, h)
 
 
-_PPM_SPACE = b" \t\n\r\v\f"  # what bytes.isspace() accepts
+# The one header to_ppm writes (_ppm_header); no comments, no other whitespace.
+_PPM_HEADER = re.compile(rb"P6\n([1-9][0-9]*) ([1-9][0-9]*)\n([0-9]+)\n")
 
 
 def _ppm_header(width: int, height: int) -> bytes:
@@ -412,43 +396,6 @@ def _fill_pie(arr: np.ndarray, cx: float, cy: float, r: float, wedges, colors) -
         out[y0:y1, x0:x1][inside] = np.array(color, dtype=np.uint8).view("V3")[0]
 
 
-_GLYPH_RUN = re.compile(f"[^ {re.escape(MARKER_CHAR)}]+|{re.escape(MARKER_CHAR)}+")
-
-
-def _glyph_run(arr: np.ndarray, ink: _Ink, x_left: float, i0: int, i1: int, adv: int,
-               y0: float, y1: float, color) -> None:
-    """Blocks for glyphs i0 .. i1 - 1 of a text item, as _fill_rect draws them.
-
-    Glyph i spans round(x_left + i * adv) .. round(x_left + i * adv + adv - 1).
-    Away from a rounding tie every block is the one before shifted by adv; at
-    an exact tie (x_left = k + 0.5) every second one is. So each class of
-    blocks is one strided assignment, unless x_left is within a hair of a tie
-    without being one or the run leaves the canvas: then glyph by glyph.
-    """
-    h, w, _ = arr.shape
-    spans = []
-    for i in range(i0, min(i0 + 2, i1)):
-        x0 = x_left + i * adv
-        rx0, rx1 = int(round(x0)), int(round(x0 + adv - 1))
-        spans.append((rx0, max(rx1, rx0 + 1)))
-    period = 1 if len(spans) == 1 or spans[1] == (spans[0][0] + adv, spans[0][1] + adv) else 2
-    pitch = period * adv
-    classes = [(sx0, sx1, len(range(i0 + k, i1, period))) for k, (sx0, sx1) in enumerate(spans[:period])]
-    frac = x_left - math.floor(x_left)
-    if (adv < 1 or (frac != 0.5 and abs(frac - 0.5) < 1e-9)
-            or any(sx0 < 0 or sx0 + cnt * pitch > w for sx0, _, cnt in classes)):
-        for i in range(i0, i1):
-            x0 = x_left + i * adv
-            _fill_rect(arr, ink, x0, y0, x0 + adv - 1, y1, color)
-        return
-    iy0, iy1 = max(0, int(round(y0))), min(h, max(int(round(y1)), int(round(y0)) + 1))
-    if iy0 >= iy1:
-        return
-    for sx0, sx1, cnt in classes:
-        block = arr[iy0:iy1, sx0:sx0 + cnt * pitch].reshape(iy1 - iy0, cnt, pitch, 3)
-        block[:, :, :sx1 - sx0] = ink(color, sx1 - sx0)
-
-
 def rasterize(
     spec: ChartSpec,
     markers: list[MarkerAnchor] | None = None,
@@ -476,9 +423,11 @@ def rasterize(
                 t = item[1]
                 adv = glyph_advance(t.font_px)
                 top = t.baseline - glyph_ascent(t.font_px)
-                for m in _GLYPH_RUN.finditer(t.text):
-                    color = MARKER_COLOR if m.group()[0] == MARKER_CHAR else TEXT_COLOR
-                    _glyph_run(arr, ink, t.x_left, m.start(), m.end(), adv, top + 1, top + t.font_px - 1, color)
+                for i, ch in enumerate(t.text):
+                    if ch != " ":
+                        x0 = t.x_left + i * adv
+                        _fill_rect(arr, ink, x0, top + 1, x0 + adv - 1, top + t.font_px - 1,
+                                   MARKER_COLOR if ch == MARKER_CHAR else TEXT_COLOR)
             elif kind == "rect":
                 _fill_rect(arr, ink, *item[1:])
             elif kind == "rule":

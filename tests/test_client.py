@@ -10,10 +10,10 @@ import pytest
 
 from chartcot import prompts
 from chartcot.client import ClientConfig, LlmClient
-from chartcot.cot import Answer, generate_cot_rule_based
+from chartcot.cot import Answer, generate_cot_rule_based, validate_cot
 from chartcot.errors import ClientError, ConfigError
 from chartcot.pipeline import PipelineConfig, run
-from chartcot.spec import generate_corpus, serialize_spec
+from chartcot.spec import generate_corpus, parse_spec, serialize_spec
 
 
 class _Recorder:
@@ -36,6 +36,17 @@ _FAULT_BODIES = {
     "binary": b"\xff\xfe{\x00",
     "no_text": b'{"choices": [{"message": {"content": null}}]}',
 }
+
+
+def _teacher_reply(messages: list) -> str:
+    """The served teacher: the stub's reply to a CoT prompt, and to a review
+    prompt the verdict of the stub's local review."""
+    content = "\n".join(m["content"] for m in messages)
+    if f"## task: {prompts.REVIEW_TEMPLATE_ID}\n" not in content:
+        return LlmClient(ClientConfig()).chat(messages)
+    spec_json, sample_json = re.findall(r"```json\n(.*?)\n```", content, re.DOTALL)
+    verdict = LlmClient(ClientConfig()).review_qa(validate_cot(sample_json), parse_spec(spec_json))
+    return "yes" if verdict else "no"
 
 
 def _make_server(rec: _Recorder):
@@ -72,7 +83,7 @@ def _make_server(rec: _Recorder):
                     return
                 if fault == "drop":
                     return  # the connection closes without a response
-                reply = rec.reply if rec.reply is not None else LlmClient(ClientConfig()).chat(messages)
+                reply = rec.reply if rec.reply is not None else _teacher_reply(messages)
                 body = _FAULT_BODIES.get(fault) or json.dumps(
                     {"choices": [{"message": {"content": reply}}]}
                 ).encode()

@@ -10,13 +10,11 @@ from chartcot.errors import (
     CollisionError,
     NotFoundError,
     TargetError,
-    ValidationError,
 )
 from chartcot.geometry import ElementRef, PixelBBox, glyph_bbox
 from chartcot.layout import chart_layout, layout
 from chartcot.marker import (
     EditedSpec,
-    MarkerEdit,
     apply_marker,
     detect_markers,
     finalize_bbox,
@@ -100,12 +98,9 @@ class TestApplyMarker:
         with pytest.raises(TargetError):
             apply_marker(bar_spec, Step(index=0, kind="Reasoning", text="think"))
 
-    def test_mode_role_pairing(self):
-        with pytest.raises(ValidationError):
-            MarkerEdit(step_index=0, target=ElementRef("datapoint", series="A", category="B"),
-                       mode="text_suffix")
-        with pytest.raises(ValidationError):
-            MarkerEdit(step_index=0, target=ElementRef("title"), mode="point_anchor")
+    def test_plot_area_takes_no_marker(self, bar_spec):
+        with pytest.raises(TargetError, match="'plot_area'"):
+            apply_marker(bar_spec, grounding(0, ElementRef("plot_area")))
 
 
 class TestVerify:
@@ -114,13 +109,11 @@ class TestVerify:
         assert verify_marker(edit)
 
     def test_unedited_fails(self, bar_spec):
-        bare = EditedSpec(spec=bar_spec, markers=(), step_index=0, mode="text_suffix")
+        bare = EditedSpec(spec=bar_spec, markers=(), step_index=0)
         assert not verify_marker(bare)
 
     def test_two_anchors_fail(self, bar_spec):
-        corrupted = EditedSpec(
-            spec=bar_spec, markers=((10.0, 10.0), (50.0, 50.0)), step_index=0, mode="point_anchor"
-        )
+        corrupted = EditedSpec(spec=bar_spec, markers=((10.0, 10.0), (50.0, 50.0)), step_index=0)
         assert not verify_marker(corrupted)
 
 

@@ -23,7 +23,7 @@ from chartcot.pipeline import (
 from chartcot.geometry import PixelBBox
 from chartcot.instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef
 from chartcot.marker import structural_hits
-from chartcot.render import rasterize
+from chartcot.render import Bitmap, rasterize
 from chartcot.spec import generate_corpus
 from chartcot.util import read_jsonl
 
@@ -202,41 +202,47 @@ class TestResume:
                 assert not (tmp_path / f"renders/{c.id}.svg").exists()
 
 
-    def test_truncated_edited_ppm_fails_only_that_chart(self, tmp_path):
+    @staticmethod
+    def _resume_with_damaged_vanilla(tmp_path, damage) -> None:
+        # Detection never reads the vanilla image; qa reads it back to stroke
+        # the overlay boxes onto it, so only the victim's qa fails.
         cfg = small_config()
-        straight = {c.id: c.stages for c in run(cfg).charts}
+        straight = {c.id: c for c in run(cfg).charts}
         run(cfg, out_dir=tmp_path, stop_after="render")
-        victim = sorted((tmp_path / "renders").glob("*__s*.ppm"))[0]
-        victim.write_bytes(victim.read_bytes()[:-5000])
+        victim = sorted((tmp_path / "renders").glob("*.ppm"))[0]
+        chart_id = victim.stem
+        assert straight[chart_id].all_passed() and straight[chart_id].records
+        message = damage(victim)
         manifest = run(cfg, out_dir=tmp_path)  # resumes at detect; must not raise
-        chart_id = victim.name.split("__")[0]
         for c in manifest.charts:
             if c.id == chart_id:
-                assert c.stages["detect"].startswith("fail:IntegrityError: PPM pixel data cut short: expected ")
-                assert "qa" not in c.stages
+                assert c.stages == {**straight[c.id].stages, "qa": f"fail:IntegrityError: {message}"}
+                assert c.detections == straight[c.id].detections
             else:
-                assert c.stages == straight[c.id]
+                assert (c.stages, c.detections, c.records) == (
+                    straight[c.id].stages, straight[c.id].detections, straight[c.id].records)
 
-    def test_missing_edited_ppm_fails_only_that_chart(self, tmp_path):
-        cfg = small_config()
-        straight = {c.id: c.stages for c in run(cfg).charts}
-        run(cfg, out_dir=tmp_path, stop_after="render")
-        victim = sorted((tmp_path / "renders").glob("*__s*.ppm"))[0]
-        victim.unlink()
-        manifest = run(cfg, out_dir=tmp_path)  # resumes at detect; must not raise
-        chart_id = victim.name.split("__")[0]
-        for c in manifest.charts:
-            if c.id == chart_id:
-                assert c.stages["detect"] == f"fail:IntegrityError: missing artifact renders/{victim.name}"
-                assert "qa" not in c.stages
-            else:
-                assert c.stages == straight[c.id]
+    def test_truncated_vanilla_ppm_fails_only_that_charts_qa(self, tmp_path):
+        def truncate(victim):
+            data = victim.read_bytes()
+            victim.write_bytes(data[:-5000])
+            w, h = map(int, data.split(b"\n")[1].split())
+            return (f"renders/{victim.name}: PPM pixel data cut short: "
+                    f"expected {w * h * 3} bytes for {w}x{h}, found {w * h * 3 - 5000}")
+
+        self._resume_with_damaged_vanilla(tmp_path, truncate)
+
+    def test_missing_vanilla_ppm_fails_only_that_charts_qa(self, tmp_path):
+        def remove(victim):
+            victim.unlink()
+            return f"missing artifact renders/{victim.name}"
+
+        self._resume_with_damaged_vanilla(tmp_path, remove)
 
     def test_run_directory_in_older_layout_resumes_to_straight_bytes(self, tmp_path):
         # Older runs also wrote each edit's document (edited/*.json), its SVG
-        # and, whatever the detection method, its PPM. Resume recomputes the
-        # edits and their SVGs and reads only the PPMs of raster-decided edits,
-        # so garbage in all the other files changes nothing.
+        # and its PPM. Resume recomputes the edits, their SVGs and their
+        # rasters, so garbage in all those files changes nothing.
         cfg = small_config()
         straight_dir = tmp_path / "straight"
         straight = run(cfg, out_dir=straight_dir)
@@ -244,16 +250,15 @@ class TestResume:
         resumed_dir = tmp_path / "resumed"
         run(cfg, out_dir=resumed_dir, stop_after="render")
         (resumed_dir / "edited").mkdir()
-        structural = 0
+        methods = set()
         for c in straight.charts:
             for key, det in (c.detections or {}).items():
                 stem = f"{c.id}__s{key}"
                 (resumed_dir / f"edited/{stem}.json").write_text("{not an edit", encoding="utf-8")
                 (resumed_dir / f"renders/{stem}.svg").write_text("<svg>not a chart", encoding="utf-8")
-                if det["method"] == "structural":
-                    (resumed_dir / f"renders/{stem}.ppm").write_bytes(b"not a raster")
-                    structural += 1
-        assert structural
+                (resumed_dir / f"renders/{stem}.ppm").write_bytes(b"not a raster")
+                methods.add(det["method"])
+        assert methods == {"raster", "structural"}
         resumed = run(cfg, out_dir=resumed_dir)
         emit_dataset(resumed)
         assert [(c.stages, c.detections) for c in resumed.charts] == [(c.stages, c.detections) for c in straight.charts]
@@ -264,10 +269,11 @@ class TestResume:
 
 class TestRunDirectory:
     def test_run_keeps_only_what_cannot_be_recomputed(self, tmp_path):
-        # specs/, cot/ and renders/ hold exactly: a spec and a CoT per chart
-        # that passed those stages, every image the dataset names, and the PPM
-        # of each raster-decided edit. Edits and SVGs are recomputed, so no
-        # edited/ and no SVG outside the gallery, which draws its own.
+        # specs/ and cot/ hold a spec and a CoT per chart that passed those
+        # stages; renders/ holds exactly the images the dataset names. Edits,
+        # their SVGs and their rasters, raster-decided ones included, are
+        # recomputed: no edited/, no edited PPM, and no SVG outside the
+        # gallery, which draws its own.
         manifest = run(small_config(n_charts=20), out_dir=tmp_path)
         emit_dataset(manifest)
         write_stats(manifest)
@@ -275,16 +281,17 @@ class TestRunDirectory:
         # Every chart that reaches render passes: no render artifact of a
         # discarded chart falls outside the expected set.
         assert all(c.all_passed() for c in manifest.charts if c.passed("render"))
-        expected = {rec["image"]["file"] for rec in read_jsonl(tmp_path / "dataset.jsonl")}
+        assert any(d["method"] == "raster" for c in manifest.charts for d in (c.detections or {}).values())
+        images = {rec["image"]["file"] for rec in read_jsonl(tmp_path / "dataset.jsonl")}
+        assert {p.relative_to(tmp_path).as_posix() for p in (tmp_path / "renders").iterdir()} == images
+        assert any("__ov" in name for name in images)
+        expected = set(images)
         for c in manifest.charts:
             expected |= {f"specs/{c.id}.json"} if c.passed("meta") else set()
             expected |= {f"cot/{c.id}.json"} if c.passed("cot") else set()
-            expected |= {f"renders/{c.id}__s{key}.ppm"
-                         for key, det in (c.detections or {}).items() if det["method"] == "raster"}
         found = {p.relative_to(tmp_path).as_posix()
                  for top in ("specs", "cot", "renders") for p in (tmp_path / top).rglob("*") if p.is_file()}
         assert found == expected
-        assert any("__s" in name for name in found) and any("__ov" in name for name in found)
         assert not (tmp_path / "edited").exists()
         assert [p for p in tmp_path.rglob("*.svg") if p.relative_to(tmp_path).parts[0] != "gallery"] == []
         assert any((tmp_path / "gallery").rglob("*.svg"))
@@ -329,35 +336,29 @@ class TestEditedRasters:
         eager = run(cfg)
         assert lean.digest() == eager.digest()
 
-    def test_persisted_ppm_iff_raster_detection(self, tmp_path):
-        manifest = run(small_config(n_charts=20), out_dir=tmp_path)
-        methods = set()
-        for c in manifest.charts:
-            for key, det in (c.detections or {}).items():
-                methods.add(det["method"])
-                ppm = tmp_path / f"renders/{c.id}__s{key}.ppm"
-                assert ppm.exists() == (det["method"] == "raster"), (c.id, key, det["method"])
-        assert methods == {"raster", "structural"}
-
-
 class TestOverlayImages:
     """Overlay images are the vanilla raster of the chart with boxes stroked on top."""
 
     A, B, C = PixelBBox(10, 20, 110, 90), PixelBBox(200.5, 40.25, 320, 150), PixelBBox(0, 0, 800, 600)
 
-    def _write_sequence(self, monkeypatch, tmp_path, sequence) -> int:
+    def _write_sequence(self, monkeypatch, tmp_path, sequence) -> tuple[int, int]:
         """Write the vanilla image, then one overlay image per box tuple, through
         one chart task; check each against a full render and return how many
-        times the task rasterised."""
+        times the task rasterised and how many PPMs it decoded."""
         spec = generate_corpus(seed=3, n=1, type_mix={"bar": 1.0})[0]
-        calls = []
-        real_raster = pipeline.rasterize
+        calls, decodes = [], []
+        real_raster, real_from_ppm = pipeline.rasterize, Bitmap.from_ppm.__func__
 
         def counting_raster(spec, **kw):
             calls.append(kw)
             return real_raster(spec, **kw)
 
+        def counting_from_ppm(cls, data):
+            decodes.append(data)
+            return real_from_ppm(cls, data)
+
         monkeypatch.setattr(pipeline, "rasterize", counting_raster)
+        monkeypatch.setattr(Bitmap, "from_ppm", classmethod(counting_from_ppm))
         task = pipeline._ChartTask(spec, ChartOutcome(id=spec.id, chart_type=spec.chart_type),
                                    small_config(), None, tmp_path)
         images = [ImageRef(spec.id, VARIANT_VANILLA)]
@@ -366,59 +367,66 @@ class TestOverlayImages:
             task._write_image(image)
             boxes = list(image.overlay_boxes)
             assert (tmp_path / "renders" / image.file_name()).read_bytes() == rasterize(spec, overlays=boxes)[0].to_ppm()
-        return len(calls)
+        return len(calls), len(decodes)
 
     def test_nested_boxes_rasterise_once(self, monkeypatch, tmp_path):
         A, B, C = self.A, self.B, self.C
-        assert self._write_sequence(monkeypatch, tmp_path, [(A,), (A, B), (A, B, C)]) == 1
+        assert self._write_sequence(monkeypatch, tmp_path, [(A,), (A, B), (A, B, C)]) == (1, 0)
 
     def test_repeated_box_rasterises_once(self, monkeypatch, tmp_path):
         A, B = self.A, self.B
-        assert self._write_sequence(monkeypatch, tmp_path, [(A,), (A, A), (A, A, B)]) == 1
+        assert self._write_sequence(monkeypatch, tmp_path, [(A,), (A, A), (A, A, B)]) == (1, 0)
 
-    def test_boxes_that_do_not_nest_rasterise_again(self, monkeypatch, tmp_path):
+    def test_boxes_that_do_not_nest_read_the_vanilla_back(self, monkeypatch, tmp_path):
         A, B, C = self.A, self.B, self.C
         # (A, C) drops B, whose strokes cannot be taken off the canvas.
-        assert self._write_sequence(monkeypatch, tmp_path, [(A, B), (A, C), (A, C)]) == 2
+        assert self._write_sequence(monkeypatch, tmp_path, [(A, B), (A, C), (A, C)]) == (1, 1)
 
     @staticmethod
-    def _count_rasters(monkeypatch, tmp_path) -> Path:
+    def _count_renders(monkeypatch, tmp_path) -> Path:
         """Make every pipeline rasterize leave a file named after the chart and
-        the kind of render: the renders run in forked workers."""
+        the kind of render, and every PPM decode a file named "decode": the
+        renders run in forked workers."""
         calls = tmp_path / "calls"
         calls.mkdir()
-        real_raster = pipeline.rasterize
+        real_raster, real_from_ppm = pipeline.rasterize, Bitmap.from_ppm.__func__
 
         def counting_raster(spec, **kw):
             kind = "edit" if "markers" in kw else "vanilla"
             (calls / f"{spec.id}.{kind}.{uuid.uuid4().hex}").touch()
             return real_raster(spec, **kw)
 
+        def counting_from_ppm(cls, data):
+            (calls / f"decode.{uuid.uuid4().hex}").touch()
+            return real_from_ppm(cls, data)
+
         monkeypatch.setattr(pipeline, "rasterize", counting_raster)
+        monkeypatch.setattr(Bitmap, "from_ppm", classmethod(counting_from_ppm))
         return calls
 
     def test_persisted_run_rasterises_vanilla_once_per_chart(self, monkeypatch, tmp_path):
         out = tmp_path / "run"
-        calls = self._count_rasters(monkeypatch, tmp_path)
+        calls = self._count_renders(monkeypatch, tmp_path)
         manifest = run(small_config(n_charts=20), out_dir=out)
         names = [p.name for p in calls.iterdir()]
         overlays = sorted((out / "renders").glob("*__ov*.ppm"))
         assert len(overlays) > len({p.name.split("__")[0] for p in overlays})  # some chart has two
+        assert not any(n.startswith("decode.") for n in names)
         for c in manifest.charts:
-            undecided = len(list((out / "renders").glob(f"{c.id}__s*.ppm")))
+            raster = sum(det["method"] == "raster" for det in (c.detections or {}).values())
             assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == int(c.passed("render")), c.id
-            assert sum(n.startswith(f"{c.id}.edit.") for n in names) == undecided, c.id
+            assert sum(n.startswith(f"{c.id}.edit.") for n in names) == raster, c.id
 
-    def test_resumed_qa_rasterises_vanilla_once_per_chart_with_overlays(self, monkeypatch, tmp_path):
+    def test_resumed_qa_decodes_vanilla_once_per_chart_with_overlays(self, monkeypatch, tmp_path):
         out = tmp_path / "run"
         run(small_config(n_charts=20), out_dir=out, stop_after="detect")
-        calls = self._count_rasters(monkeypatch, tmp_path)
-        manifest = run(small_config(n_charts=20), out_dir=out)
+        calls = self._count_renders(monkeypatch, tmp_path)
+        run(small_config(n_charts=20), out_dir=out)
         names = [p.name for p in calls.iterdir()]
-        assert all(".vanilla." in n for n in names)
-        for c in manifest.charts:
-            has_overlay = any((out / "renders").glob(f"{c.id}__ov*.ppm"))
-            assert sum(n.startswith(f"{c.id}.") for n in names) == int(has_overlay), c.id
+        with_overlays = {p.name.split("__")[0] for p in (out / "renders").glob("*__ov*.ppm")}
+        assert with_overlays
+        assert all(n.startswith("decode.") for n in names)
+        assert len(names) == len(with_overlays)
 
 
 class TestStats:

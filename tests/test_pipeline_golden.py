@@ -10,7 +10,9 @@ only for a deliberate output change that is named as such; the pie wedge rule
 change re-recorded ``build.files_digest`` alone (its pie PPMs changed, no
 record or manifest entry did), and dropping the edit documents and SVGs from
 the run directory re-recorded both ``build`` digests (fewer files, and fewer
-entries in each chart's ``files``; no remaining file changed).
+entries in each chart's ``files``; no remaining file changed), and so did
+dropping the edited PPMs, which left renders/ holding only the images the
+dataset names.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ NON_DEFAULT = PipelineConfig(
 GOLDEN = {
     "config_hash.default": "274944fd233a8a91",
     "config_hash.non_default": "5e4398c40f8bf0aa",
-    "build.manifest_digest": "f277162c6e6def336f25b28d6b5841a5c19b0b0d68a2233fdace6f3904cf9b19",
-    "build.files_digest": "dbc73f8f4809d7e73f79980d7070fe719dc16083595cc23616097d4d8cb29886",
+    "build.manifest_digest": "bccd9e86c8a350243ad603131f37443f7246d29d5762d42846c2c6decccb2f6a",
+    "build.files_digest": "5714c14eb7a6a43b92a7db5e284920c2a147fedb486b989c0a0bb416b45c1f1b",
     "faults.manifest_digest": "2c8f5236f490cd5a0d4fd1593d2e5cf8137f26ae360bca5ceb1cafb2532ff68a",
 }
 

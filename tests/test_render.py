@@ -198,11 +198,10 @@ class TestRaster:
         data = bytes(bmp.to_ppm())
         viewed = bytearray(data)
         assert np.shares_memory(Bitmap.from_ppm(viewed).array, np.frombuffer(viewed, dtype=np.uint8))
-        pixels = data[15:]
-        for other in (data, data + b"\n", b"P6\n# made by hand\n800 600\n255\n" + pixels,
-                      bytearray(b"P6 800\t600\r\n255\n" + pixels)):
+        for other in (data, memoryview(viewed).toreadonly()):
             again = Bitmap.from_ppm(other)
             assert again.array.flags.writeable and np.array_equal(again.array, bmp.array)
+            assert not np.shares_memory(again.array, np.frombuffer(other, dtype=np.uint8))
             assert again.to_ppm() == data
 
     @pytest.mark.parametrize("data,message", [
@@ -211,6 +210,13 @@ class TestRaster:
         (b"P6\n2 x\n255\n" + bytes(6), "PPM header fields are not integers"),
         (b"P6\n2 1\n65535\n" + bytes(12), "unsupported PPM: 2x1, maxval 65535"),
         (b"P6\n2 1\n255\n" + bytes(5), "PPM pixel data cut short: expected 6 bytes for 2x1, found 5"),
+        # Only the header and pixel count to_ppm writes are accepted.
+        (b"P6\n2 1\n255\n" + bytes(6) + b"\n", "PPM pixel data too long: expected 6 bytes for 2x1, found 7"),
+        (b"P6\n# made by hand\n2 1\n255\n" + bytes(6), "PPM header fields are not integers laid out as "),
+        (b"P6 2\t1\r\n255\n" + bytes(6), "PPM header fields are not integers laid out as "),
+        (b"P6\n02 1\n255\n" + bytes(6), "PPM header fields are not integers laid out as "),
+        (b"P6\n0 1\n255\n", "PPM header fields are not integers laid out as "),
+        (b"P6\n2 1\n0255\n" + bytes(6), "unsupported PPM: 2x1, maxval 0255"),
     ])
     @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
     def test_malformed_ppm_is_integrity_error(self, data, message, kind):

@@ -6,8 +6,8 @@ perfbench/layers.py lists, per layer span, the ``module:attr`` or
 breaks the traced benchmark run; this test catches it in the unit suite.
 The layer metrics also assume how the pipeline uses some sites: one
 ``Bitmap.to_ppm`` call per PPM written, one ``Bitmap.from_ppm`` call per
-PPM decoded on resume, and written sizes taken from the data handed to the
-atomic writers. Those are checked on small runs. The plan file is loaded by
+vanilla image read back on resume, and written sizes taken from the data
+handed to the atomic writers. Those are checked on small runs. The plan file is loaded by
 path and only read.
 """
 
@@ -74,14 +74,16 @@ def test_every_ppm_is_encoded_once_and_every_write_counts_its_file_size(tmp_path
         monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
     run(PipelineConfig(seed=5, n_charts=6, workers=1), out_dir=tmp_path)
     ppms = sorted(tmp_path.glob("renders/*.ppm"))
-    assert any("__ov" in p.name for p in ppms) and any("__s" in p.name for p in ppms)
+    assert any("__ov" in p.name for p in ppms) and not any("__s" in p.name for p in ppms)
     assert len(encodes) == len(ppms)
     assert sorted(path for path, _, _ in writes if path.suffix == ".ppm") == ppms
     for path, counted, size in writes:
         assert counted == size, path
 
 
-def test_resume_decodes_one_ppm_per_raster_detection(tmp_path, monkeypatch):
+def test_resume_decodes_one_ppm_per_chart_with_overlays(tmp_path, monkeypatch):
+    # Resumed past render, each chart's qa reads its vanilla image back once
+    # and strokes its overlay boxes onto it; edited rasters are drawn afresh.
     config = PipelineConfig(seed=5, n_charts=6, workers=1)
     run(config, out_dir=tmp_path, stop_after="render")
     decodes = []
@@ -93,9 +95,10 @@ def test_resume_decodes_one_ppm_per_raster_detection(tmp_path, monkeypatch):
 
     monkeypatch.setattr(render.Bitmap, "from_ppm", classmethod(counting_from_ppm))
     manifest = run(config, out_dir=tmp_path)
-    raster = sum(d["method"] == "raster" for c in manifest.charts for d in (c.detections or {}).values())
-    assert raster > 0
-    assert len(decodes) == raster
+    assert any(d["method"] == "raster" for c in manifest.charts for d in (c.detections or {}).values())
+    with_overlays = {p.name.split("__")[0] for p in tmp_path.glob("renders/*__ov*.ppm")}
+    assert with_overlays
+    assert len(decodes) == len(with_overlays)
 
 
 def test_eval_calls_each_scoring_site_once_per_unit_of_work(tmp_path, monkeypatch):
