@@ -160,6 +160,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         margins = tuple(float(m) for m in args.margins.split(",") if m)
     except ValueError:
         raise ConfigError(f"--margins must be comma-separated numbers, not {args.margins!r}") from None
+    if not margins:
+        raise ConfigError(f"--margins must name at least one margin, not {args.margins!r}")
     for m in margins:
         check_margin(m)
     gold = _read_records(args.gold, GoldEntry.from_json)

@@ -63,11 +63,13 @@ class ClientConfig:
 
 
 class LlmClient:
-    """Shareable across workers; a semaphore bounds in-flight requests.
+    """Shareable across workers; a gate bounds in-flight requests.
 
-    The default gate bounds the threads of one process. Workers forked from
-    one client share its gate only if it is a process-shared semaphore
-    (``multiprocessing`` ``BoundedSemaphore``), which the caller passes in.
+    The gate is any context manager that holds a request slot while entered.
+    The default, a semaphore, bounds the threads of one process. Workers
+    forked from one client share its gate only if the gate lives outside
+    their memory: the forked runner passes a pipe holding one token byte per
+    slot, which entering reads and leaving writes back.
     """
 
     def __init__(self, config: ClientConfig, gate=None):

@@ -177,17 +177,22 @@ def evaluate(
 
     "Avg." is the unweighted mean over group accuracies; "ALL" pools every
     sample. With group_by="none" all samples land in one group. Every margin
-    is checked (``check_margin``) before any prediction is read.
+    is checked (``check_margin``) before any prediction is read; there must be
+    one at least, and no sample id twice among the gold or the predictions.
 
     One pass: each prediction is extracted once and matched once per margin,
     and its verdicts go into its group's tally, so the cost does not grow
     with the group count.
     """
     margins = tuple(margins)
+    if not margins:
+        raise ValidationError("no margin to score at")
     for m in margins:
         check_margin(m)
     gold_by_id = {}
     for entry in gold:
+        if entry.sample_id in gold_by_id:
+            raise ValidationError(f"duplicate gold entry for sample {entry.sample_id!r}")
         gold_by_id[entry.sample_id] = entry
     seen: set[str] = set()
     tallies: dict[str, list[int]] = {}  # group -> [total, correct at margins[0], ...]

@@ -16,6 +16,9 @@ import datetime as dt
 import hashlib
 import json
 import math
+import os
+import pickle
+import selectors
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,6 +37,7 @@ from .errors import (
     FormatError,
     IntegrityError,
     NotFoundError,
+    WorkerError,
 )
 from .geometry import PixelBBox
 from .instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef, InstructionSample, build_instructions
@@ -480,45 +484,124 @@ def run(
     return manifest
 
 
-# Set in each forked worker by its pool initializer: the run's per-chart work.
-_forked_work = None
+class _TokenPipe:
+    """A gate that forked processes share: a pipe holding one byte per token,
+    which entering takes (waiting while none is left) and leaving puts back."""
 
+    def __init__(self, tokens: int):
+        self.r, self.w = os.pipe()
+        os.write(self.w, b"." * tokens)
 
-def _init_forked_worker(work) -> None:
-    global _forked_work
-    _forked_work = work
+    def __enter__(self) -> None:
+        os.read(self.r, 1)
 
-
-def _run_forked_chart(index: int) -> ChartOutcome:
-    return _forked_work(index)
+    def __exit__(self, *exc) -> None:
+        os.write(self.w, b".")
 
 
 def _run_forked(work, n: int, config: PipelineConfig) -> list[ChartOutcome]:
-    """Run chart indices 0..n-1 in ``config.workers`` forked processes.
-
-    The workers inherit the run's state (specs, prior outcomes, client) through
-    fork, so only chart indices go out and only outcomes come back. The client
-    gate is a process-shared semaphore, so ``max_concurrency`` bounds the
-    requests in flight across all workers, not per worker.
+    """Run chart indices 0..n-1 in ``config.workers`` forked processes, which
+    inherit the run's state, take indices one at a time from a counter in
+    shared memory and send each outcome back on a pipe of their own. The
+    parent waits on all pipes at once, so a worker's exception is raised here
+    with its own type and a worker that dies raises WorkerError at once; both
+    kill the other workers. The client gate is a token pipe that all share.
     """
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    import mmap
+    import signal
 
-    ctx = multiprocessing.get_context("fork")
-    client = LlmClient(config.client, gate=ctx.BoundedSemaphore(config.client.max_concurrency))
     workers = min(config.workers, n)
-    # The run ends when the last worker finishes its last chunk, so a chunk is
-    # at most 1/32 of a worker's share (one chart up to 64 charts per worker):
-    # a worker slowed by the host leaves little for the others to wait on. A
-    # chart costs 5-15 ms, the round trip of a one-chart chunk ~0.2 ms.
-    chunksize = max(1, min(32, n // (32 * workers)))
-    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_init_forked_worker,
-                             initargs=(partial(work, client=client),)) as pool:
-        try:
-            return list(pool.map(_run_forked_chart, range(n), chunksize=chunksize))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    # A worker has at most one request in flight, so more tokens would go unused
+    # (and a pipe holds only so many bytes).
+    lock, gate = _TokenPipe(1), _TokenPipe(min(config.client.max_concurrency, workers))
+    counter = mmap.mmap(-1, 8)  # anonymous and shared: the next chart index
+    work = partial(work, client=LlmClient(config.client, gate=gate))
+    fds, pids = [], {}  # read ends of the result pipes; read end -> pid until reaped
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                if (pid := os.fork()) == 0:
+                    _forked_worker(work, n, counter, lock, w, fds)
+            finally:
+                os.close(w)
+            pids[r] = pid
+        outcomes, left = [None] * n, n
+        with selectors.DefaultSelector() as sel:
+            for fd in fds:
+                sel.register(fd, selectors.EVENT_READ, bytearray())
+            while left:
+                for key, _ in sel.select():
+                    buf, chunk = key.data, os.read(key.fd, 1 << 16)
+                    if not chunk:  # the worker ended without its done mark
+                        pid = pids.pop(key.fd)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                        raise WorkerError(f"worker {pid} {how} before its charts were done")
+                    buf += chunk
+                    while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+                        msg = buf[8:8 + size]
+                        del buf[:8 + size]
+                        if not msg:  # the done mark
+                            sel.unregister(key.fd)
+                            continue
+                        index, outcome = pickle.loads(msg)
+                        if index is None:
+                            raise outcome
+                        outcomes[index] = outcome
+                        left -= 1
+        return outcomes
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        for fd in (*fds, lock.r, lock.w, gate.r, gate.w):
+            os.close(fd)
+        counter.close()
+
+
+def _forked_worker(work, n: int, counter, lock: _TokenPipe, out: int, fds: list) -> None:
+    """Send ``(index, outcome)`` on ``out`` for each index taken from ``counter``
+    until it reaches ``n``, then an empty done mark; never return. A chart that
+    raises, or an outcome that cannot be pickled, sends ``(None, exception)``
+    and sets the counter to ``n``, so that no worker takes another chart."""
+    status = 1
+    try:
+        for fd in fds:  # the parent alone reads the result pipes
+            os.close(fd)
+        out = os.fdopen(out, "wb")
+        while True:
+            with lock:
+                index = int.from_bytes(counter[:8], "little")
+                counter[:8] = min(index + 1, n).to_bytes(8, "little")
+            if index == n:
+                break
+            try:
+                item = (index, work(index))
+            except BaseException as exc:
+                item = (None, exc)
+            try:
+                data = pickle.dumps(item)
+                if item[0] is None:
+                    pickle.loads(data)  # an exception must also rebuild in the parent
+            except Exception as exc:
+                what = f"the outcome of chart {index}" if item[0] is not None else repr(item[1])
+                item = (None, WorkerError(f"worker {os.getpid()} cannot send {what}: {type(exc).__name__}: {exc}"))
+                data = pickle.dumps(item)
+            if item[0] is None:
+                with lock:
+                    counter[:8] = n.to_bytes(8, "little")
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+        out.write(bytes(8))
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def emit_dataset(manifest: DatasetManifest) -> Path:

@@ -1,9 +1,12 @@
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from chartcot import pipeline
 from chartcot.cli import main
 from chartcot.pipeline import DatasetManifest, PipelineConfig
 from chartcot.util import read_jsonl
@@ -26,6 +29,27 @@ class TestBuild:
         assert (out / "stats.json").exists()
         stdout = capsys.readouterr().out
         assert "qa: 50/50" in stdout.replace("  ", " ")
+
+    def test_dead_worker_is_error_not_traceback(self, tmp_path):
+        # A worker SIGKILLed mid-run ends the build with "error: ..." and exit
+        # status 1. The build is in a child interpreter so that a hang fails on
+        # the timeout.
+        code = (
+            "import os, signal, sys\n"
+            "from chartcot import cli, pipeline\n"
+            "real = pipeline.build_instructions\n"
+            "def build(spec, *args, **kw):\n"
+            "    if spec.id == 'c00005':\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return real(spec, *args, **kw)\n"
+            "pipeline.build_instructions = build\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = Path(pipeline.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code, "build", "--out", str(tmp_path / "run"), "--n", "12",
+                              "--seed", "23", "--workers", "2"], cwd=src, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert re.fullmatch(r"error: worker \d+ killed by signal 9 before its charts were done\n", out.stderr)
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, n_charts=4)
@@ -168,6 +192,24 @@ class TestEvalCommand:
                      "--margins", margins, "--out", str(tmp_path)])
         assert code == 1
         assert re.fullmatch(r"error: margin must be a finite number >= 0, not \S+\n", capsys.readouterr().err)
+        assert not (tmp_path / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("margins", ["", ","])
+    def test_eval_empty_margin_list_exits_1_before_reading_files(self, tmp_path, capsys, margins):
+        code = main(["eval", "--gold", str(tmp_path / "gold.jsonl"), "--pred", str(tmp_path / "pred.jsonl"),
+                     "--margins", margins, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --margins must name at least one margin, not {margins!r}\n"
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_eval_duplicate_gold_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        gold.write_text("".join(json.dumps({"sample_id": "a", "answer": a}) + "\n" for a in (10.0, 99.0)),
+                        encoding="utf-8")
+        pred.write_text(json.dumps({"sample_id": "a", "raw_text": "\\box{10}"}) + "\n", encoding="utf-8")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: duplicate gold entry for sample 'a'\n"
         assert not (tmp_path / "eval_report.json").exists()
 
     def test_eval_missing_gold_is_domain_error(self, tmp_path, capsys):

@@ -259,6 +259,16 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="duplicate"):
             evaluate(preds, gold, margins=(0.05,))
 
+    def test_duplicate_gold(self):
+        # The second entry would silently replace the first and score \box{10} wrong.
+        gold = [GoldEntry("a", Answer(10.0)), GoldEntry("a", Answer(99.0))]
+        with pytest.raises(ValidationError, match=r"^duplicate gold entry for sample 'a'$"):
+            evaluate([Prediction("a", "\\box{10}")], gold, margins=(0.05,))
+
+    def test_no_margins(self):
+        with pytest.raises(ValidationError, match=r"^no margin to score at$"):
+            evaluate([Prediction("s", "\\box{100}")], [GoldEntry("s", Answer(100.0))], margins=())
+
     def test_group_by_none_pools(self):
         preds, gold = _fixture_io()
         report = evaluate(preds, gold, margins=(0.05,), group_by="none")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import uuid
@@ -517,15 +518,21 @@ class TestEmitEdgeCases:
 
 class TestForkedWorkers:
     def test_import_does_not_load_process_machinery(self):
-        # Only a run with more than one worker imports the process pool.
+        # Neither importing chartcot nor a run with forked workers loads a
+        # process pool.
         code = (
             "import sys, chartcot, chartcot.cli\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+            "from chartcot import pipeline\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+            "loaded()\n"
+            "pipeline.run(pipeline.PipelineConfig(seed=23, n_charts=4, workers=2))\n"
+            "loaded()\n"
         )
         src = Path(pipeline.__file__).resolve().parents[1]
         out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                              timeout=120, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split("\n") == ["[]", "[]", ""]
 
     def test_unexpected_worker_error_keeps_its_type(self):
         # A bug in one worker (not a ChartCotError, so no stage catches it)
@@ -548,3 +555,69 @@ class TestForkedWorkers:
         out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                              timeout=120, check=True)
         assert out.stdout.strip() == "LookupError bug in a worker"
+
+    # Runs a 12-chart workers=2 run in a child interpreter, in which chart
+    # c00005 fails in its qa stage as the case says; prints what the run
+    # raised, whether a child process is left and whether the open file
+    # descriptors changed. Every chart start, and the failure, is noted in the
+    # log file, one line each.
+    _HYGIENE = (
+        "import json, os, signal, sys\n"
+        "from chartcot import pipeline\n"
+        "case, log = sys.argv[1], sys.argv[2]\n"
+        "def note(line):\n"
+        "    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
+        "    os.write(fd, line.encode() + b'\\n')\n"
+        "    os.close(fd)\n"
+        "real_stages, real_build = pipeline._ChartTask.run_stages, pipeline.build_instructions\n"
+        "def run_stages(task, wanted):\n"
+        "    note('start ' + task.spec.id)\n"
+        "    return real_stages(task, wanted)\n"
+        "def build(spec, *args, **kw):\n"
+        "    if spec.id == 'c00005' and case != 'clean':\n"
+        "        note('fail ' + spec.id)\n"
+        "        if case == 'kill':\n"
+        "            os.kill(os.getpid(), signal.SIGKILL)\n"
+        "        raise LookupError('bug in a worker' if case == 'lookup' else lambda: 0)\n"
+        "    return real_build(spec, *args, **kw)\n"
+        "pipeline._ChartTask.run_stages, pipeline.build_instructions = run_stages, build\n"
+        "fds = sorted(os.listdir('/proc/self/fd'))\n"
+        "error = None\n"
+        "try:\n"
+        "    pipeline.run(pipeline.PipelineConfig(seed=23, n_charts=12, workers=2))\n"
+        "except Exception as exc:\n"
+        "    error = f'{type(exc).__name__}: {exc}'\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    children = True\n"
+        "except ChildProcessError:\n"
+        "    children = False\n"
+        "print(json.dumps({'error': error, 'children': children,\n"
+        "                  'fds_same': fds == sorted(os.listdir('/proc/self/fd'))}))\n"
+    )
+
+    @pytest.mark.parametrize("case, error", [
+        ("clean", None),
+        ("kill", r"WorkerError: worker \d+ killed by signal 9 before its charts were done"),
+        ("unpicklable", r"WorkerError: worker \d+ cannot send LookupError\(<function .*<lambda>.*\): .+"),
+        ("lookup", r"LookupError: bug in a worker"),
+    ])
+    def test_run_leaves_no_child_and_no_open_file(self, tmp_path, case, error):
+        # The run is in a child interpreter so that a hang fails on the timeout.
+        log = tmp_path / "log"
+        src = Path(pipeline.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", self._HYGIENE, case, str(log)], cwd=src,
+                             capture_output=True, text=True, timeout=120, check=True)
+        result = json.loads(out.stdout)
+        assert (result["error"] is None) if error is None else re.fullmatch(error, result["error"])
+        assert result["children"] is False
+        assert result["fds_same"] is True
+        lines = log.read_text(encoding="utf-8").splitlines()
+        if case == "clean":
+            assert sorted(lines) == [f"start c{i:05d}" for i in range(12)]
+        else:
+            # Once a worker fails, each other worker may have one chart in
+            # hand, and none takes another.
+            after = lines[lines.index("fail c00005") + 1:]
+            assert all(line.startswith("start ") for line in after)
+            assert len(after) <= 2 - 1
