@@ -24,8 +24,8 @@ _STAGE_COMMANDS = {
     "gen": ("meta", "generate the chart spec corpus"),
     "cot": ("cot", "generate and review chain-of-thought samples"),
     "edit": ("code", "insert and verify a marker for every grounding step (kept in memory only)"),
-    "render": ("render", "write vanilla PPMs (edited renders are drawn in memory, never written)"),
-    "detect": ("detect", "detect marker boxes in the edited renders"),
+    "render": ("render", "write each chart's vanilla image"),
+    "detect": ("detect", "draw each edited chart in memory and detect its marker"),
 }
 
 

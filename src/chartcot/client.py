@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import re
 import threading
@@ -18,8 +19,9 @@ import urllib.request
 from dataclasses import dataclass
 
 from . import prompts
-from .cot import CotSample, answers_match, generate_cot_rule_based, recompute_true_answer
+from .cot import CotSample, generate_cot_rule_based, recompute_true_answer
 from .errors import ClientError, ConfigError
+from .evaluate import relaxed_match
 from .spec import ChartSpec, parse_spec, serialize_spec
 from .util import check_field_types, known_fields, rng_for
 
@@ -56,6 +58,12 @@ class ClientConfig:
             raise ConfigError("max_retries must be >= 0")
         if self.max_concurrency < 1:
             raise ConfigError("max_concurrency must be >= 1")
+        if not 0.0 <= self.backoff < math.inf:
+            raise ConfigError(f"backoff must be a finite number >= 0, not {self.backoff!r}")
+        if not 0.0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be a finite number > 0, not {self.timeout!r}")
+        if not 0.0 <= self.stub_fault_rate <= 1.0:
+            raise ConfigError(f"stub_fault_rate must be a number in [0, 1], not {self.stub_fault_rate!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClientConfig":
@@ -166,5 +174,5 @@ def _review_locally(sample: CotSample, spec: ChartSpec) -> bool:
     true_answer = recompute_true_answer(spec, sample)
     if true_answer is None:
         return False
-    return answers_match(sample.answer, true_answer, REVIEW_REL_TOL)
+    return relaxed_match(sample.answer, true_answer, REVIEW_REL_TOL)
 

@@ -281,14 +281,3 @@ def recompute_true_answer(spec: ChartSpec, sample: CotSample) -> Optional[Answer
             return Answer(value=float(value))
     return None
 
-
-def answers_match(a: Answer, b: Answer, rel_tol: float) -> bool:
-    """Numeric closeness within rel_tol; text equality otherwise."""
-    if a.is_numeric and b.is_numeric:
-        av, bv = float(a.value), float(b.value)
-        if bv == 0:
-            return av == 0
-        return abs(av - bv) / abs(bv) <= rel_tol
-    if not a.is_numeric and not b.is_numeric:
-        return str(a.value).strip().lower() == str(b.value).strip().lower()
-    return False

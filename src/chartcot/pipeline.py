@@ -217,8 +217,9 @@ class DatasetManifest:
 class _ChartTask:
     """Runs one chart through a window of stages. A persisted run keeps only
     what cannot be recomputed: specs, CoTs and the images the dataset names.
-    A later stage recomputes the edits and their renders from the spec and
-    CoT, and reads the vanilla image back to stroke overlays onto it."""
+    Render writes only the vanilla image and detect draws each edit in
+    memory; on resume the edits are recomputed from the spec and CoT, and qa
+    reads the vanilla image back to stroke overlays onto it."""
 
     def __init__(self, spec: ChartSpec, outcome: ChartOutcome, config: PipelineConfig,
                  client: LlmClient, out_dir: Optional[Path]):
@@ -229,7 +230,6 @@ class _ChartTask:
         self.out = out_dir
         self.sample: Optional[CotSample] = None
         self.edits: Optional[list[EditedSpec]] = None
-        self.renders: Optional[dict] = None   # step index -> (svg, Bitmap or None)
         self._layout: Optional[ChartLayout] = None
         # Persisted runs: the vanilla raster with the overlay boxes of the
         # images written so far stroked onto it.
@@ -303,22 +303,6 @@ class _ChartTask:
             self.edits = marker_edits(self.spec, self._load_sample(), self.layout)
         return self.edits
 
-    def _renders(self) -> dict:
-        """Each edit's SVG, and its raster when the structural pass cannot
-        decide it; both are drawn in memory and never written."""
-        if self.renders is None:
-            renders = {}
-            for edit in self._edits():
-                # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
-                elay = self.layout if edit.spec == self.spec else chart_layout(edit.spec)
-                svg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
-                bmp = None
-                if not structural_decides(structural_hits(svg)):
-                    bmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
-                renders[edit.step_index] = (svg, bmp)
-            self.renders = renders
-        return self.renders
-
     # -- stages ---------------------------------------------------------------
 
     def _stage_meta(self) -> None:
@@ -346,19 +330,26 @@ class _ChartTask:
 
     def _stage_render(self) -> None:
         self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
-        self._renders()
 
     def _stage_detect(self) -> None:
+        """Draw each edit in memory, its SVG always and its raster only when
+        the structural pass cannot decide it, and detect its marker."""
         w, _ = self.spec.canvas
         min_px = marker_min_size(w, self.config.min_marker_px)
         detections = {}
-        for step_index, (svg, bmp) in sorted(self._renders().items()):
+        for edit in self._edits():
+            # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
+            elay = self.layout if edit.spec == self.spec else chart_layout(edit.spec)
+            svg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
+            bmp = None
+            if not structural_decides(structural_hits(svg)):
+                bmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:
-                raise _StageFail(f"detect step {step_index}: {exc}") from exc
+                raise _StageFail(f"detect step {edit.step_index}: {exc}") from exc
             final = finalize_bbox(result.bbox, self.spec.canvas, min_px, min_px)
-            detections[str(step_index)] = {"bbox": list(final.as_tuple()), "method": result.method}
+            detections[str(edit.step_index)] = {"bbox": list(final.as_tuple()), "method": result.method}
         self.outcome.detections = detections
 
     def _stage_qa(self) -> None:

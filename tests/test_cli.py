@@ -125,6 +125,12 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: config key 'n_charts' must be an integer, not '5'\n"
         assert not (tmp_path / "x").exists()
 
+    def test_negative_client_backoff_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, client={"mode": "http", "endpoint": "http://127.0.0.1:9/v1", "backoff": -1})
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: backoff must be a finite number >= 0, not -1\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["build", "stats", "gallery"])
     def test_truncated_manifest_exits_1(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, n_charts=3)

@@ -136,6 +136,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ClientConfig.from_json({"mode": "stub", "api_key": "nope"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("backoff", -1.0), ("backoff", float("nan")), ("backoff", float("inf")),
+        ("timeout", -1.0), ("timeout", 0.0), ("timeout", float("nan")), ("timeout", float("inf")),
+        ("stub_fault_rate", -0.5), ("stub_fault_rate", 1.5), ("stub_fault_rate", float("nan")),
+    ])
+    def test_bad_timing_or_fault_rate(self, key, value):
+        # Before the check, a bad backoff or timeout raised a builtin
+        # ValueError from time.sleep or the socket on the first retry.
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ClientConfig(mode="http", endpoint="http://127.0.0.1:9/v1", max_retries=1, **{key: value})
+
+    def test_edge_timing_and_fault_rate_pass(self):
+        ClientConfig(backoff=0, timeout=0.001, stub_fault_rate=0)
+        ClientConfig(stub_fault_rate=1)
+
 
 class TestStub:
     def test_deterministic_reply(self, bar_spec):

@@ -9,6 +9,7 @@ import pytest
 
 from chartcot import pipeline
 from chartcot.client import ClientConfig
+from chartcot.cot import KIND_GROUNDING, Answer, CotSample, Step
 from chartcot.errors import ConfigError, EmptyError, IntegrityError
 from chartcot.gallery import build_gallery
 from chartcot.pipeline import (
@@ -21,12 +22,14 @@ from chartcot.pipeline import (
     run,
     write_stats,
 )
-from chartcot.geometry import PixelBBox
+from chartcot.geometry import ElementRef, PixelBBox
 from chartcot.instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef
 from chartcot.marker import structural_hits
 from chartcot.render import Bitmap, rasterize
-from chartcot.spec import generate_corpus
+from chartcot.spec import Series, generate_corpus
 from chartcot.util import read_jsonl
+
+from conftest import make_spec
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -337,6 +340,26 @@ class TestEditedRasters:
         eager = run(cfg)
         assert lean.digest() == eager.digest()
 
+
+class TestUndrawableEdit:
+    def test_edit_that_cannot_be_laid_out_fails_detect_not_render(self, tmp_path):
+        # "Feb@" widens its tick label until the four labels overlap on a
+        # 200 px canvas: the vanilla chart lays out, the edited one does not.
+        spec = make_spec(canvas=(200, 300), series=(Series("Alpha", (10.0, 20.0, 15.0, 12.0)),),
+                         x_labels=("Jan", "Feb", "Mar", "Apr"))
+        step = Step(index=0, kind=KIND_GROUNDING, text="locate Feb", target=ElementRef("x_tick", category="Feb"))
+        outcome = ChartOutcome(id=spec.id, chart_type=spec.chart_type, stages={"meta": "pass", "cot": "pass"})
+        task = pipeline._ChartTask(spec, outcome, small_config(), None, tmp_path)
+        task.sample = CotSample(chart_id=spec.id, question="What is the value at Feb?",
+                                answer=Answer(value=20.0), steps=(step,))
+        task.run_stages(list(STAGES))
+        assert outcome.stages == {
+            "meta": "pass", "cot": "pass", "code": "pass", "render": "pass",
+            "detect": "fail:LayoutError: x tick labels overlap; canvas too small",
+        }
+        assert (tmp_path / "renders" / ImageRef(spec.id, VARIANT_VANILLA).file_name()).exists()
+
+
 class TestOverlayImages:
     """Overlay images are the vanilla raster of the chart with boxes stroked on top."""
 
@@ -386,11 +409,16 @@ class TestOverlayImages:
     @staticmethod
     def _count_renders(monkeypatch, tmp_path) -> Path:
         """Make every pipeline rasterize leave a file named after the chart and
-        the kind of render, and every PPM decode a file named "decode": the
+        the kind of render, every pipeline render_svg a file named after the
+        chart and "svg", and every PPM decode a file named "decode": the
         renders run in forked workers."""
         calls = tmp_path / "calls"
         calls.mkdir()
-        real_raster, real_from_ppm = pipeline.rasterize, Bitmap.from_ppm.__func__
+        real_svg, real_raster, real_from_ppm = pipeline.render_svg, pipeline.rasterize, Bitmap.from_ppm.__func__
+
+        def counting_svg(spec, **kw):
+            (calls / f"{spec.id}.svg.{uuid.uuid4().hex}").touch()
+            return real_svg(spec, **kw)
 
         def counting_raster(spec, **kw):
             kind = "edit" if "markers" in kw else "vanilla"
@@ -401,6 +429,7 @@ class TestOverlayImages:
             (calls / f"decode.{uuid.uuid4().hex}").touch()
             return real_from_ppm(cls, data)
 
+        monkeypatch.setattr(pipeline, "render_svg", counting_svg)
         monkeypatch.setattr(pipeline, "rasterize", counting_raster)
         monkeypatch.setattr(Bitmap, "from_ppm", classmethod(counting_from_ppm))
         return calls
@@ -428,6 +457,32 @@ class TestOverlayImages:
         assert with_overlays
         assert all(n.startswith("decode.") for n in names)
         assert len(names) == len(with_overlays)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_stopped_after_render_draws_no_edit(self, monkeypatch, tmp_path, workers):
+        # Render writes only the vanilla image; the resumed detect draws each
+        # edit once, and rasterises it only when detection reads its pixels.
+        out, cfg = tmp_path / "run", small_config(n_charts=20, workers=workers)
+        calls = self._count_renders(monkeypatch, tmp_path)
+        stopped = run(cfg, out_dir=out, stop_after="render")
+        names = [p.name for p in calls.iterdir()]
+        assert any(c.passed("render") for c in stopped.charts)
+        for c in stopped.charts:
+            assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == int(c.passed("render")), c.id
+        assert not [n for n in names if ".edit." in n or ".svg." in n]
+        for p in calls.iterdir():
+            p.unlink()
+        resumed = run(cfg, out_dir=out)
+        names = [p.name for p in calls.iterdir()]
+        assert any(det["method"] == "raster" for c in resumed.charts for det in (c.detections or {}).values())
+        assert not [n for n in names if ".vanilla." in n]
+        for c in resumed.charts:
+            if not c.passed("render"):
+                continue
+            assert c.passed("detect"), c.id
+            raster = sum(det["method"] == "raster" for det in c.detections.values())
+            assert sum(n.startswith(f"{c.id}.svg.") for n in names) == c.steps["grounding"], c.id
+            assert sum(n.startswith(f"{c.id}.edit.") for n in names) == raster, c.id
 
 
 class TestStats:
