@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("direct", "match"), default="match")
     p.add_argument("--group-by", choices=("group", "none"), default="group")
     p.add_argument("--out", help="directory for eval_report.json (default: cwd)")
-    p.add_argument("--config", help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("gallery", help="write the static HTML review gallery")

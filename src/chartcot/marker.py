@@ -2,9 +2,9 @@
 
 A grounding step is materialized by editing the chart spec: text elements get
 the marker character appended; datapoints get an anchor that renders as a
-cross in the reserved color. Detection runs two passes in order: a structural
-scan of the vector document (exact, text markers only), then a connected
-component scan of marker-colored pixels in the raster.
+cross in the reserved color. Detection scans the vector document once, and
+that exact structural pass decides a text marker; a datapoint cross is found
+by a connected component scan of marker-colored pixels in the raster.
 """
 
 from __future__ import annotations
@@ -147,13 +147,6 @@ def structural_hits(vector_doc: str) -> list[PixelBBox]:
     return hits
 
 
-def structural_decides(hits: list[PixelBBox]) -> bool:
-    """The one rule for when detection reads pixels: the exact structural
-    pass decides alone iff it found exactly one marker glyph. Otherwise the
-    raster pass needs the edited chart's bitmap."""
-    return len(hits) == 1
-
-
 def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
     """Bounding boxes of 8-connected components of marker-colored pixels,
     ordered by (y0, x0)."""
@@ -191,19 +184,15 @@ def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
 
 
 def detect_markers(vector_doc: str, bitmap: Optional[Bitmap]) -> DetectionResult:
-    """Sequential detection: exact structural pass, then the raster pass.
-
-    ``bitmap`` may be None when ``structural_decides`` holds for the document,
-    because the raster pass then never runs. NotFoundError when neither pass
-    sees a marker; AmbiguousError when the deciding pass sees more than one.
-    Either way the sample is discarded.
-    """
+    """Sequential detection: the exact structural pass decides alone when it
+    finds one marker glyph, else the raster pass over ``bitmap`` (None: no
+    pixels to scan). NotFoundError when neither pass sees a marker;
+    AmbiguousError when the deciding pass sees more than one. Either way the
+    sample is discarded."""
     structural = structural_hits(vector_doc)
-    if structural_decides(structural):
+    if len(structural) == 1:
         return DetectionResult(bbox=structural[0], method="structural")
-    if bitmap is None:
-        raise ValueError("the raster pass needs the edited chart's bitmap")
-    raster = raster_components(bitmap)
+    raster = raster_components(bitmap) if bitmap is not None else []
     if len(raster) == 1:
         return DetectionResult(bbox=raster[0], method="raster")
     if not structural and not raster:

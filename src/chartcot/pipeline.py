@@ -48,11 +48,9 @@ from .marker import (
     detect_markers,
     finalize_bbox,
     marker_min_size,
-    structural_decides,
-    structural_hits,
     verify_marker,
 )
-from .render import Bitmap, paint_overlays, rasterize, render_svg
+from .render import Bitmap, paint_markers, paint_overlays, rasterize, render_svg
 from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
 from .util import (
     atomic_write_bytes,
@@ -217,9 +215,7 @@ class DatasetManifest:
 class _ChartTask:
     """Runs one chart through a window of stages. A persisted run keeps only
     what cannot be recomputed: specs, CoTs and the images the dataset names.
-    Render writes only the vanilla image and detect draws each edit in
-    memory; on resume the edits are recomputed from the spec and CoT, and qa
-    reads the vanilla image back to stroke overlays onto it."""
+    Detect draws the edits in memory, and recomputes them on resume."""
 
     def __init__(self, spec: ChartSpec, outcome: ChartOutcome, config: PipelineConfig,
                  client: LlmClient, out_dir: Optional[Path]):
@@ -332,8 +328,9 @@ class _ChartTask:
         self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
 
     def _stage_detect(self) -> None:
-        """Draw each edit in memory, its SVG always and its raster only when
-        the structural pass cannot decide it, and detect its marker."""
+        """Draw each edit's SVG and detect its marker: a text edit from its SVG
+        alone, a datapoint edit (same spec) from its cross painted onto a copy
+        of the render stage's canvas, or onto a vanilla raster drawn anew."""
         w, _ = self.spec.canvas
         min_px = marker_min_size(w, self.config.min_marker_px)
         detections = {}
@@ -342,8 +339,9 @@ class _ChartTask:
             elay = self.layout if edit.spec == self.spec else chart_layout(edit.spec)
             svg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
             bmp = None
-            if not structural_decides(structural_hits(svg)):
-                bmp, _ = rasterize(edit.spec, markers=list(edit.markers), layout=elay)
+            if edit.markers:
+                bmp = self._canvas.copy() if self._canvas is not None else rasterize(self.spec, layout=self.layout)[0]
+                paint_markers(bmp, edit.markers)
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:
@@ -397,8 +395,7 @@ def marker_edits(spec: ChartSpec, sample: CotSample, layout: ChartLayout) -> lis
     edits = []
     for step in sample.grounding_steps():
         edit = apply_marker(spec, step, full_layout=layout)
-        if not verify_marker(edit):
-            raise _StageFail(f"marker verification failed at step {step.index}")
+        assert verify_marker(edit), f"apply_marker returned an unverified edit at step {step.index}"
         edits.append(edit)
     return edits
 

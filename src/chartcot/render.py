@@ -65,6 +65,9 @@ class Bitmap:
         ppm[:len(header)] = np.frombuffer(header, dtype=np.uint8)
         return cls(ppm, width, height)
 
+    def copy(self) -> "Bitmap":
+        return Bitmap(self._ppm.copy(), self.width, self.height)
+
     @property
     def width(self) -> int:
         return self.array.shape[1]
@@ -129,15 +132,14 @@ def _ppm_header(width: int, height: int) -> bytes:
 #                                            so the last wedge closes on the first one's ray
 #   ("rule", x1, y1, x2, y2, rect)           an axis or tick line; rect is its 1 px raster stand-in
 #   ("text", TextItem)                       a label; marker glyphs take the marker colour
-#   ("cross", x, y)                          a marker anchor's 9x9 cross
 #
-# Overlay boxes are not scene items: they are one layer, stroked in one opaque
-# colour above everything, that overlay_svg and paint_overlays add to a
-# finished image. So an overlay image is its vanilla image plus that layer.
+# Marker crosses and overlay boxes are not scene items: each is one layer in
+# one opaque colour over a finished image (marker_svg and paint_markers, then
+# overlay_svg and paint_overlays). So an edit's or overlay's image is its
+# vanilla image plus a layer.
 
 
-def _scene(spec: ChartSpec, markers: list[MarkerAnchor],
-           layout: ChartLayout | None) -> tuple[ChartLayout, list[tuple[str, list[tuple]]]]:
+def _scene(spec: ChartSpec, layout: ChartLayout | None) -> tuple[ChartLayout, list[tuple[str, list[tuple]]]]:
     """(layout, [(group, items)]) for one chart; ``layout`` defaults to ``chart_layout(spec)``."""
     lay = layout if layout is not None else chart_layout(spec)
     colors = [series_color(spec.style_seed, i) for i in range(max(len(spec.series), len(spec.x_labels)))]
@@ -175,10 +177,7 @@ def _scene(spec: ChartSpec, markers: list[MarkerAnchor],
         for box, color in zip(swatches.values(), colors):
             axes.append(("rect", box.x0, box.y0, box.x1, box.y1, color))
 
-    groups = [("chart", chart), ("axes", axes), ("labels", [("text", t) for t in lay.texts])]
-    if markers:
-        groups.append(("marker", [("cross", x, y) for x, y in markers]))
-    return lay, groups
+    return lay, [("chart", chart), ("axes", axes), ("labels", [("text", t) for t in lay.texts])]
 
 
 def _check_overlays(canvas: tuple[int, int], boxes) -> None:
@@ -223,11 +222,11 @@ def render_svg(
     """Render to an SVG 1.1 subset (rect, line, path, text, g).
 
     Returns (svg_text, layout geometry). Byte-deterministic for fixed inputs;
-    overlay boxes are stroked above all chart content (``overlay_svg``).
-    ``layout`` is ``chart_layout(spec)`` when the caller already has it.
+    marker crosses (``marker_svg``), then overlay boxes (``overlay_svg``), go
+    above all chart content. ``layout``: ``chart_layout(spec)``, if known.
     """
     _check_overlays(spec.canvas, overlays or ())
-    lay, groups = _scene(spec, markers or [], layout)
+    lay, groups = _scene(spec, layout)
     w, h = spec.canvas
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -262,35 +261,45 @@ def render_svg(
                 _, pts, color = item
                 d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
                 out.append(f'<path d="{d}" fill="none" stroke="{_hex(color)}" stroke-width="2"/>')
-            elif kind == "pie":
+            else:  # pie
                 _, cx, cy, r, wedges, colors = item
                 for (a0, a1), color in zip(wedges, colors):
                     out.append(f'<path d="{_svg_wedge_path(cx, cy, r, a0, a1)}" fill="{_hex(color)}"/>')
-            else:  # cross
-                _, x, y = item
-                mk = _hex(MARKER_COLOR)
-                out.append(f'<rect x="{_fmt(x - 1.5)}" y="{_fmt(y - 4.5)}" width="3" height="9" fill="{mk}"/>')
-                out.append(f'<rect x="{_fmt(x - 4.5)}" y="{_fmt(y - 1.5)}" width="9" height="3" fill="{mk}"/>')
         out.append("</g>")
     out.append("</svg>")
-    return overlay_svg("\n".join(out) + "\n", overlays or ()), lay.geometry
+    return overlay_svg(marker_svg("\n".join(out) + "\n", markers or ()), overlays or ()), lay.geometry
 
 
-def overlay_svg(svg: str, boxes) -> str:
-    """``svg`` with the overlay boxes stroked above all its content, as a last
-    ``<g class="overlay">`` before ``</svg>``; unchanged when there are none."""
-    if not boxes:
+def _svg_layer(svg: str, group: str, body: str) -> str:
+    """``svg`` with ``body`` as a last ``<g class="<group>">`` before
+    ``</svg>``; unchanged when ``body`` is empty."""
+    if not body:
         return svg
     head, end, tail = svg.rpartition("</svg>")
     if not end:
         raise ValidationError("not an SVG document: no closing </svg>")
+    return f'{head}<g class="{group}">\n{body}</g>\n{end}{tail}'
+
+
+def marker_svg(svg: str, anchors) -> str:
+    """``svg`` with a 9x9 cross in the marker colour at each anchor, above all
+    its content, as a last ``<g class="marker">``."""
+    mk = _hex(MARKER_COLOR)
+    return _svg_layer(svg, "marker", "".join(
+        f'<rect x="{_fmt(x - dx)}" y="{_fmt(y - dy)}" width="{w}" height="{h}" fill="{mk}"/>\n'
+        for x, y in anchors for dx, dy, w, h in ((1.5, 4.5, 3, 9), (4.5, 1.5, 9, 3))
+    ))
+
+
+def overlay_svg(svg: str, boxes) -> str:
+    """``svg`` with the overlay boxes stroked above all its content, as a last
+    ``<g class="overlay">``."""
     stroke = f'fill="none" stroke="{_hex(OVERLAY_COLOR)}" stroke-width="{OVERLAY_STROKE}"'
-    rects = "".join(
+    return _svg_layer(svg, "overlay", "".join(
         f'<rect class="overlay-box" x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" '
         f'width="{_fmt(box.width)}" height="{_fmt(box.height)}" {stroke}/>\n'
         for box in boxes
-    )
-    return f'{head}<g class="overlay">\n{rects}</g>\n{end}{tail}'
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +413,11 @@ def rasterize(
 ):
     """Rasterize to canvas-sized RGB. Returns (Bitmap, layout geometry).
 
-    Each marker anchor becomes a 9x9 cross in the reserved marker color,
-    clipped at canvas edges; overlay boxes are stroked last
-    (``paint_overlays``). ``layout`` is ``chart_layout(spec)`` when the
-    caller already has it.
+    Marker crosses (``paint_markers``) and then overlay boxes
+    (``paint_overlays``) are painted over the finished chart. ``layout`` is
+    ``chart_layout(spec)`` when the caller already has it.
     """
-    lay, groups = _scene(spec, markers or [], layout)
+    lay, groups = _scene(spec, layout)
     w, h = spec.canvas
     bmp = Bitmap.blank(w, h)
     arr = bmp.array
@@ -434,14 +442,21 @@ def rasterize(
                 _fill_rect(arr, ink, *item[5], AXIS_COLOR)
             elif kind == "polyline":
                 _draw_polyline(arr, ink, *item[1:])
-            elif kind == "pie":
+            else:  # pie
                 _fill_pie(arr, *item[1:])
-            else:  # cross
-                cx, cy = int(round(item[1])), int(round(item[2]))
-                _fill_rect(arr, ink, cx - 1, cy - 4, cx + 2, cy + 5, MARKER_COLOR)
-                _fill_rect(arr, ink, cx - 4, cy - 1, cx + 5, cy + 2, MARKER_COLOR)
+    paint_markers(bmp, markers or ())
     paint_overlays(bmp, overlays or ())
     return bmp, lay.geometry
+
+
+def paint_markers(bitmap: Bitmap, anchors) -> None:
+    """Paint a 9x9 cross in the reserved marker colour, centred on the rounded
+    anchor and clipped at the canvas edges, onto a finished raster."""
+    arr, ink = bitmap.array, _Ink(9)
+    for x, y in anchors:
+        cx, cy = int(round(x)), int(round(y))
+        _fill_rect(arr, ink, cx - 1, cy - 4, cx + 2, cy + 5, MARKER_COLOR)
+        _fill_rect(arr, ink, cx - 4, cy - 1, cx + 5, cy + 2, MARKER_COLOR)
 
 
 def paint_overlays(bitmap: Bitmap, boxes) -> None:

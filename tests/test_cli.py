@@ -218,6 +218,14 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "error: duplicate gold entry for sample 'a'\n"
         assert not (tmp_path / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--config", "cfg.json"]])
+    def test_eval_takes_no_run_options(self, tmp_path, capsys, option):
+        # Scoring reads no config and draws nothing at random.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gold", str(tmp_path / "gold.jsonl"), "--pred", str(tmp_path / "pred.jsonl"), *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     def test_eval_missing_gold_is_domain_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"

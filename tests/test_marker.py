@@ -3,10 +3,13 @@ import re
 from xml.sax.saxutils import unescape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartcot.cot import Step, generate_cot_rule_based
 from chartcot.errors import (
     AmbiguousError,
+    ChartCotError,
     CollisionError,
     NotFoundError,
     TargetError,
@@ -20,7 +23,6 @@ from chartcot.marker import (
     finalize_bbox,
     marker_min_size,
     raster_components,
-    structural_decides,
     structural_hits,
     verify_marker,
 )
@@ -106,6 +108,20 @@ class TestApplyMarker:
 class TestVerify:
     def test_applied_edit_passes(self, bar_spec):
         edit = apply_marker(bar_spec, grounding(0, ElementRef("x_tick", category="Q1")))
+        assert verify_marker(edit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), chart_type=st.sampled_from(["bar", "line", "pie"]), data=st.data())
+    def test_every_returned_edit_verifies(self, seed, chart_type, data):
+        # Spec validation keeps series names and x labels unique, and
+        # apply_marker refuses a spec already holding the marker, so an edit
+        # it returns carries exactly one marker.
+        spec = generate_corpus(seed=seed, n=1, type_mix={chart_type: 1.0})[0]
+        target = data.draw(st.sampled_from(_markable_targets(spec)))
+        try:
+            edit = apply_marker(spec, grounding(0, target))
+        except ChartCotError:
+            return
         assert verify_marker(edit)
 
     def test_unedited_fails(self, bar_spec):
@@ -208,18 +224,46 @@ class TestStructuralScan:
             assert structural_hits(doc) == _structural_hits_reference(doc)
         assert len(structural_hits(docs[0])) == 3
 
-    def test_one_hit_decides(self):
-        box = PixelBBox(0.0, 0.0, 4.0, 4.0)
-        assert structural_decides([box])
-        assert not structural_decides([])
-        assert not structural_decides([box, box])
-
     def test_detect_without_bitmap(self, multi_line_spec, two_bar_spec):
         edit = apply_marker(multi_line_spec, grounding(0, ElementRef("x_tick", category="Feb")))
         assert detect_markers(render_svg(edit.spec)[0], None).method == "structural"
         point = apply_marker(two_bar_spec, grounding(0, ElementRef("datapoint", series="Alpha", category="Q2")))
-        with pytest.raises(ValueError, match="needs the edited chart's bitmap"):
+        with pytest.raises(NotFoundError):
             detect_markers(render_svg(point.spec, markers=list(point.markers))[0], None)
+
+    def test_edit_kind_chooses_the_pass_over_corpus_targets(self):
+        # A text edit's raster paints the @ glyphs its SVG holds, so it cannot
+        # change the structural verdict; a cross has no text, so its SVG gives
+        # no structural hit. The pipeline therefore rasterises point edits only.
+        text_edits = point_edits = 0
+        for spec in generate_corpus(seed=3, n=40, type_mix={"bar": 0.5, "line": 0.3, "pie": 0.2}):
+            for target in _markable_targets(spec):
+                try:
+                    edit = apply_marker(spec, grounding(0, target))
+                    svg, _ = render_svg(edit.spec, markers=list(edit.markers))
+                except ChartCotError:
+                    continue
+                if edit.markers:
+                    point_edits += 1
+                    assert structural_hits(svg) == [], (spec.id, target)
+                else:
+                    text_edits += 1
+                    assert _verdict(svg, rasterize(edit.spec)[0]) == _verdict(svg, None), (spec.id, target)
+        assert text_edits > 100 and point_edits > 100
+
+
+def _markable_targets(spec) -> list[ElementRef]:
+    """Every layout element but the plot area and the derived y ticks, plus the title."""
+    refs = [ref for ref in layout(spec) if ref.role not in ("plot_area", "y_tick", "title")]
+    return [ElementRef("title"), *refs]
+
+
+def _verdict(svg, bitmap):
+    """detect_markers' result, or the type of the error it raises."""
+    try:
+        return detect_markers(svg, bitmap)
+    except (NotFoundError, AmbiguousError) as exc:
+        return type(exc)
 
 
 class TestFinalize:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chartcot import pipeline
+from chartcot import marker, pipeline
 from chartcot.client import ClientConfig
 from chartcot.cot import KIND_GROUNDING, Answer, CotSample, Step
 from chartcot.errors import ConfigError, EmptyError, IntegrityError
@@ -333,12 +333,23 @@ class TestEditedRasters:
         assert 0 < undecided < edits
         assert len(rasters) == undecided
 
-    def test_outcomes_equal_rasterising_every_edit(self, monkeypatch):
-        cfg = PipelineConfig(seed=31, n_charts=40, workers=2)
-        lean = run(cfg)
-        monkeypatch.setattr(pipeline, "structural_decides", lambda hits: False)
-        eager = run(cfg)
-        assert lean.digest() == eager.digest()
+    def test_each_edit_is_scanned_once(self, monkeypatch):
+        # detect_markers runs the one structural scan of an edit's SVG; the
+        # pipeline scans nothing itself.
+        scans = []
+        real = marker.structural_hits
+
+        def counting(doc):
+            scans.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(marker, "structural_hits", counting)
+        monkeypatch.setattr(pipeline, "structural_hits", counting, raising=False)
+        manifest = run(PipelineConfig(seed=31, n_charts=20, workers=1))
+        assert all(c.passed("detect") for c in manifest.charts if c.passed("render"))
+        edits = sum(len(c.detections) for c in manifest.charts if c.passed("detect"))
+        assert edits > 0
+        assert len(scans) == edits
 
 
 class TestUndrawableEdit:
@@ -408,10 +419,10 @@ class TestOverlayImages:
 
     @staticmethod
     def _count_renders(monkeypatch, tmp_path) -> Path:
-        """Make every pipeline rasterize leave a file named after the chart and
-        the kind of render, every pipeline render_svg a file named after the
-        chart and "svg", and every PPM decode a file named "decode": the
-        renders run in forked workers."""
+        """Make every pipeline rasterize, which must draw the vanilla chart,
+        leave a file named after the chart and "vanilla", every pipeline
+        render_svg a file named after the chart and "svg", and every PPM
+        decode a file named "decode": the renders run in forked workers."""
         calls = tmp_path / "calls"
         calls.mkdir()
         real_svg, real_raster, real_from_ppm = pipeline.render_svg, pipeline.rasterize, Bitmap.from_ppm.__func__
@@ -421,8 +432,8 @@ class TestOverlayImages:
             return real_svg(spec, **kw)
 
         def counting_raster(spec, **kw):
-            kind = "edit" if "markers" in kw else "vanilla"
-            (calls / f"{spec.id}.{kind}.{uuid.uuid4().hex}").touch()
+            assert "markers" not in kw, "crosses are painted onto the vanilla raster"
+            (calls / f"{spec.id}.vanilla.{uuid.uuid4().hex}").touch()
             return real_raster(spec, **kw)
 
         def counting_from_ppm(cls, data):
@@ -440,12 +451,17 @@ class TestOverlayImages:
         manifest = run(small_config(n_charts=20), out_dir=out)
         names = [p.name for p in calls.iterdir()]
         overlays = sorted((out / "renders").glob("*__ov*.ppm"))
-        assert len(overlays) > len({p.name.split("__")[0] for p in overlays})  # some chart has two
-        assert not any(n.startswith("decode.") for n in names)
+        with_overlays = {p.name.split("__")[0] for p in overlays}
+        assert len(overlays) > len(with_overlays)  # some chart has two
         for c in manifest.charts:
-            raster = sum(det["method"] == "raster" for det in (c.detections or {}).values())
             assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == int(c.passed("render")), c.id
-            assert sum(n.startswith(f"{c.id}.edit.") for n in names) == raster, c.id
+        # Detect paints a datapoint cross onto a copy of the render stage's
+        # canvas, so that chart's overlay images still stroke onto the canvas
+        # and a straight run reads no image back.
+        point_edited = {c.id for c in manifest.charts
+                        if any(det["method"] == "raster" for det in (c.detections or {}).values())}
+        assert point_edited & with_overlays
+        assert not any(n.startswith("decode.") for n in names)
 
     def test_resumed_qa_decodes_vanilla_once_per_chart_with_overlays(self, monkeypatch, tmp_path):
         out = tmp_path / "run"
@@ -461,7 +477,7 @@ class TestOverlayImages:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_stopped_after_render_draws_no_edit(self, monkeypatch, tmp_path, workers):
         # Render writes only the vanilla image; the resumed detect draws each
-        # edit once, and rasterises it only when detection reads its pixels.
+        # edit's SVG once, and rasterises the vanilla chart for a point edit.
         out, cfg = tmp_path / "run", small_config(n_charts=20, workers=workers)
         calls = self._count_renders(monkeypatch, tmp_path)
         stopped = run(cfg, out_dir=out, stop_after="render")
@@ -469,20 +485,19 @@ class TestOverlayImages:
         assert any(c.passed("render") for c in stopped.charts)
         for c in stopped.charts:
             assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == int(c.passed("render")), c.id
-        assert not [n for n in names if ".edit." in n or ".svg." in n]
+        assert not [n for n in names if ".svg." in n]
         for p in calls.iterdir():
             p.unlink()
         resumed = run(cfg, out_dir=out)
         names = [p.name for p in calls.iterdir()]
         assert any(det["method"] == "raster" for c in resumed.charts for det in (c.detections or {}).values())
-        assert not [n for n in names if ".vanilla." in n]
         for c in resumed.charts:
             if not c.passed("render"):
                 continue
             assert c.passed("detect"), c.id
             raster = sum(det["method"] == "raster" for det in c.detections.values())
             assert sum(n.startswith(f"{c.id}.svg.") for n in names) == c.steps["grounding"], c.id
-            assert sum(n.startswith(f"{c.id}.edit.") for n in names) == raster, c.id
+            assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == raster, c.id
 
 
 class TestStats:

@@ -14,6 +14,7 @@ from chartcot.render import (
     PALETTE,
     Bitmap,
     _fill_pie,
+    paint_markers,
     rasterize,
     render_svg,
 )
@@ -192,6 +193,15 @@ class TestRaster:
         assert bytes(data[:15]) == b"P6\n800 600\n255\n"
         again = Bitmap.from_ppm(data)
         assert np.array_equal(again.array, bmp.array)
+
+    def test_copy_is_painted_apart(self, bar_spec):
+        bmp, _ = rasterize(bar_spec)
+        data = bytes(bmp.to_ppm())
+        twin = bmp.copy()
+        assert twin.to_ppm() == data
+        paint_markers(twin, [(100.0, 100.0)])
+        assert bmp.to_ppm() == data
+        assert twin.to_ppm() == rasterize(bar_spec, markers=[(100.0, 100.0)])[0].to_ppm()
 
     def test_ppm_decode_views_a_writable_buffer_and_copies_anything_else(self, bar_spec):
         bmp, _ = rasterize(bar_spec)

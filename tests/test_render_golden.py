@@ -25,7 +25,7 @@ from chartcot.cot import KIND_GROUNDING, Step
 from chartcot.geometry import ElementRef, PixelBBox
 from chartcot.layout import layout
 from chartcot.marker import apply_marker, raster_components
-from chartcot.render import overlay_svg, paint_overlays, rasterize, render_svg
+from chartcot.render import marker_svg, overlay_svg, paint_markers, paint_overlays, rasterize, render_svg
 from chartcot.spec import CANVAS_CHOICES, ChartSpec, Series, generate_corpus, validate_spec
 
 CHART_TYPES = ("bar", "line", "pie")
@@ -611,6 +611,30 @@ def test_overlay_layer_over_vanilla_output(name, spec, k, variant):
     want_ppm, want_svg, _ = GOLDEN[name]
     assert hashlib.sha256(layered_svg.encode("utf-8")).hexdigest() == want_svg
     assert hashlib.sha256(bmp.to_ppm()).hexdigest() == want_ppm
+
+
+def _marker_anchors(spec, variant: str) -> list[tuple[float, float]]:
+    """The anchors ``_render_case`` draws for the ``cross`` and ``corner`` variants."""
+    w, h = spec.canvas
+    if variant == "corner":
+        return [(0.4, 1.0), (w - 0.5, h - 2.0)]
+    target = ElementRef("datapoint", series=spec.series[-1].name, category=spec.x_labels[-1])
+    return list(apply_marker(spec, _grounding(target)).markers)
+
+
+@pytest.mark.parametrize("name,spec,k,variant",
+                         [p for p in _params() if p.values[3] in ("cross", "corner")])
+def test_marker_layer_over_vanilla_output(name, spec, k, variant):
+    # Crosses are one layer over a finished image, as detect paints them:
+    # painting them onto the vanilla output gives the pinned cross render.
+    anchors = _marker_anchors(spec, variant)
+    bmp, _ = rasterize(spec)
+    paint_markers(bmp, anchors)
+    layered_svg = marker_svg(render_svg(spec)[0], anchors)
+    want_ppm, want_svg, want_boxes = GOLDEN[name]
+    assert hashlib.sha256(layered_svg.encode("utf-8")).hexdigest() == want_svg
+    assert hashlib.sha256(bmp.to_ppm()).hexdigest() == want_ppm
+    assert [b.as_tuple() for b in raster_components(bmp)] == [tuple(b) for b in want_boxes]
 
 
 if __name__ == "__main__":  # re-record: a deliberate, named pixel change only

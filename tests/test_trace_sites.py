@@ -7,14 +7,16 @@ breaks the traced benchmark run; this test catches it in the unit suite.
 The layer metrics also assume how the pipeline uses some sites: one
 ``Bitmap.to_ppm`` call per PPM written, one ``Bitmap.from_ppm`` call per
 vanilla image read back on resume, and written sizes taken from the data
-handed to the atomic writers. Those are checked on small runs. The plan file is loaded by
-path and only read.
+handed to the atomic writers. Those are checked on small runs, and so is
+what the traced run requires: every layer named in ``REQUIRED`` records a
+call on its workload. The plan file is loaded by path and only read.
 """
 
 import importlib
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,75 @@ def test_plan_site_resolves(name, site):
     assert callable(raw) or isinstance(raw, classmethod), f"{name}: {site} is not callable"
 
 
+@pytest.fixture
+def layer_calls(monkeypatch) -> Counter:
+    """Calls per layer, counted by a wrapper on every plan site. A call made
+    directly inside the layer that ``RENAMES`` pairs it with counts under
+    the renamed layer, as in the traced run."""
+    layers = _layers()
+    calls, active = Counter(), []
+    for name, sites, _ in layers.PLAN:
+        renamed = {outer: alt for (inner, outer), alt in layers.RENAMES.items() if inner == name}
+        for site in sites:
+            modname, _, path = site.partition(":")
+            importlib.import_module(modname)
+            owner = sys.modules[modname]
+            *outer, attr = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part)
+            raw = vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+            is_classmethod = isinstance(raw, classmethod)
+
+            def counting(*args, _real=raw.__func__ if is_classmethod else raw, _name=name, _renamed=renamed,
+                         **kwargs):
+                span = _renamed.get(active[-1], _name) if active else _name
+                calls[span] += 1
+                active.append(span)
+                try:
+                    return _real(*args, **kwargs)
+                finally:
+                    active.pop()
+
+            monkeypatch.setattr(owner, attr, classmethod(counting) if is_classmethod else counting)
+    return calls
+
+
+def test_every_required_layer_records_calls(tmp_path, layer_calls):
+    # The traced benchmark run fails when a workload stops calling a layer
+    # it requires. Small workers=1 versions of the four workloads show it
+    # here. Calls go through the module, whose names the wrappers replace.
+    config = PipelineConfig(seed=5, n_charts=6, workers=1)
+    seen = {}
+
+    def persisted(out):
+        manifest = pipeline.run(config, out_dir=out)
+        pipeline.emit_dataset(manifest)
+        pipeline.write_stats(manifest)
+
+    def take() -> dict:
+        counts = dict(layer_calls)
+        layer_calls.clear()
+        return counts
+
+    pipeline.run(config)
+    seen["accounting"] = take()
+    persisted(tmp_path / "build")
+    seen["build"] = take()
+    pipeline.run(config, out_dir=tmp_path / "resume", stop_after="render")
+    take()
+    persisted(tmp_path / "resume")
+    seen["resume"] = take()
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"sample_id": "s0", "answer": 10, "group": "bar"}) + "\n", encoding="utf-8")
+    pred.write_text(json.dumps({"sample_id": "s0", "raw_text": "\\box{10}"}) + "\n", encoding="utf-8")
+    assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 0
+    seen["eval"] = take()
+    required = _layers().REQUIRED
+    assert set(seen) == set(required)
+    for workload, names in required.items():
+        assert [name for name in names if not seen[workload].get(name)] == [], workload
+
+
 def test_every_ppm_is_encoded_once_and_every_write_counts_its_file_size(tmp_path, monkeypatch):
     # render.ppm_encode counts Bitmap.to_ppm calls; util.write_bytes counts
     # the data handed to the pipeline's atomic writers, as layers.py reads it.
@@ -83,7 +154,8 @@ def test_every_ppm_is_encoded_once_and_every_write_counts_its_file_size(tmp_path
 
 def test_resume_decodes_one_ppm_per_chart_with_overlays(tmp_path, monkeypatch):
     # Resumed past render, each chart's qa reads its vanilla image back once
-    # and strokes its overlay boxes onto it; edited rasters are drawn afresh.
+    # and strokes its overlay boxes onto it; detect rasterises the vanilla
+    # chart afresh for a point edit's cross.
     config = PipelineConfig(seed=5, n_charts=6, workers=1)
     run(config, out_dir=tmp_path, stop_after="render")
     decodes = []
