@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ChartCotError, ConfigError, InputError
-from .evaluate import DEFAULT_MARGINS, GoldEntry, Prediction, check_margin, evaluate
+from .evaluate import DEFAULT_MARGINS, GROUP_BY, MODES, GoldEntry, Prediction, check_margin, evaluate
 from .gallery import build_gallery
 from .pipeline import DatasetManifest, PipelineConfig, compute_stats, emit_dataset, run, write_stats
 from .util import atomic_write_text, dumps_pretty, jsonl_lines, read_jsonl
@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="gold JSONL: {sample_id, answer, group}")
     p.add_argument("--pred", required=True, help="predictions JSONL: {sample_id, raw_text}")
     p.add_argument("--margins", default=",".join(str(m) for m in DEFAULT_MARGINS))
-    p.add_argument("--mode", choices=("direct", "match"), default="match")
-    p.add_argument("--group-by", choices=("group", "none"), default="group")
+    p.add_argument("--mode", choices=MODES, default="match")
+    p.add_argument("--group-by", choices=GROUP_BY, default="group")
     p.add_argument("--out", help="directory for eval_report.json (default: cwd)")
     p.add_argument("--verbose", action="store_true")
 
@@ -129,10 +129,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prediction(r: dict) -> Prediction:
-    return Prediction(sample_id=str(r["sample_id"]), raw_text=str(r["raw_text"]), group=r.get("group"))
-
-
 def _read_records(path: str, parse) -> list:
     """``parse`` applied to every record of a JSONL file. A record it cannot
     read raises InputError naming ``path:line``; the line is searched for only
@@ -163,7 +159,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for m in margins:
         check_margin(m)
     gold = _read_records(args.gold, GoldEntry.from_json)
-    preds = _read_records(args.pred, _prediction)
+    preds = _read_records(args.pred, Prediction.from_json)
     report = evaluate(preds, gold, margins=margins, mode=args.mode, group_by=args.group_by)
     out_dir = Path(args.out) if args.out else Path(".")
     report_path = out_dir / "eval_report.json"

@@ -9,6 +9,7 @@ training signal, not arithmetic depth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -22,7 +23,16 @@ KIND_REASONING = "Reasoning"
 STEP_KINDS = (KIND_GROUNDING, KIND_REASONING)
 
 
-@dataclass(frozen=True)
+def parse_number(text: str) -> Optional[float]:
+    """``text`` read as a number, thousands commas dropped and blanks trimmed;
+    None when it is not one."""
+    try:
+        return float(text.replace(",", "").strip())
+    except ValueError:
+        return None
+
+
+@dataclass(frozen=True, slots=True)
 class Answer:
     """Unit-free answer value; percent answers carry a flag instead of a sign."""
 
@@ -47,6 +57,12 @@ class Answer:
 
     @classmethod
     def from_json(cls, obj) -> "Answer":
+        """FormatError unless ``obj`` is a number, text, or {value, percent?}
+        holding one. A number must be finite, and so must text that reads as
+        one ("NaN", "1e400"): Python's json reads NaN and Infinity, and a NaN
+        or infinite gold answer would score every prediction wrong."""
+        if type(obj) is float and math.isfinite(obj):
+            return cls(obj)  # the common case: a bare finite number
         if isinstance(obj, dict):
             if "value" not in obj or set(obj) - {"value", "percent"}:
                 raise FormatError("answer object needs {value, percent?}")
@@ -57,8 +73,18 @@ class Answer:
         if isinstance(raw, bool) or raw is None:
             raise FormatError("answer must be a number or short text")
         if isinstance(raw, (int, float)):
-            return cls(value=float(raw), percent=percent)
-        return cls(value=str(raw), percent=percent)
+            try:
+                value = float(raw)
+            except OverflowError:
+                raise FormatError("answer is too large for a float") from None
+            if not math.isfinite(value):
+                raise FormatError(f"answer must be a finite number, not {raw!r}")
+            return cls(value, percent)
+        text = str(raw)
+        number = parse_number(text)
+        if number is not None and not math.isfinite(number):
+            raise FormatError(f"answer must be a finite number, not {raw!r}")
+        return cls(text, percent)
 
 
 @dataclass(frozen=True)

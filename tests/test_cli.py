@@ -280,6 +280,29 @@ class TestEvalCommand:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {gold}:1: answer must be a number or short text\n"
 
+    @pytest.mark.parametrize("answer, reason", [
+        ("NaN", "answer must be a finite number, not nan"),
+        ("-Infinity", "answer must be a finite number, not -inf"),
+        ("1e400", "answer must be a finite number, not inf"),
+        ('{"value": Infinity, "percent": true}', "answer must be a finite number, not inf"),
+        ("1" + "0" * 400, "answer is too large for a float"),
+        ('"NaN"', "answer must be a finite number, not 'NaN'"),
+        ('"1e400"', "answer must be a finite number, not '1e400'"),
+    ])
+    def test_non_finite_gold_answer_names_file_and_line(self, tmp_path, capsys, answer, reason):
+        # Python's json reads NaN and Infinity, and float() reads "NaN" and
+        # "1e400"; such a gold answer would score every prediction wrong, so
+        # the first one stops the command.
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        lines = [json.dumps({"sample_id": "s1", "answer": 1.0})]
+        lines += [f'{{"sample_id": "s{i}", "answer": {answer}}}' for i in (2, 3, 4)]
+        gold.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pred.write_bytes(self.GOOD + b"\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:2: {reason}\n"
+        assert not (tmp_path / "eval_report.json").exists()
+
 
 def _links(html_text: str) -> list[str]:
     return re.findall(r'(?:href|src)="([^"]+)"', html_text)

@@ -13,12 +13,15 @@ that is named as such.
 
 A property test also holds ``evaluate()`` to a plain reference scorer kept
 here: it rescans the scored predictions once per (margin, group) pair, the
-way the report's numbers are defined.
+way the report's numbers are defined. Last, a small corpus from the
+benchmark's own eval generator must pass the benchmark's own report check;
+both files are loaded by path and only read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 import tempfile
@@ -214,6 +217,29 @@ def test_evaluate_equals_per_cell_rescan(rows, margins, mode, group_by):
     want = _reference(preds, gold, margins, mode, group_by)
     assert got == want
     assert got.to_json() == want.to_json() and got.to_table() == want.to_table()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_eval_corpus_passes_its_check(tmp_path):
+    # What the eval workload times, on a smaller corpus: chartcot eval over
+    # the generator's inputs must reproduce the generator's own tally.
+    evalgen, checks = _perfbench_module("evalgen"), _perfbench_module("checks")
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    expected = evalgen.write_inputs(7, 2000, gold, pred)
+    with redirect_stdout(StringIO()):
+        code = main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path),
+                     "--margins", ",".join(str(m) for m in evalgen.MARGINS)])
+    assert code == 0
+    assert checks.check_eval(tmp_path / "eval_report.json", expected) == []
 
 
 if __name__ == "__main__":  # re-record: a deliberate, named output change only

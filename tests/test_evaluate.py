@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chartcot.cot import Answer
-from chartcot.errors import ExtractionError, MissingGoldError, ValidationError
+from chartcot.errors import ExtractionError, FormatError, MissingGoldError, ValidationError
 from chartcot.evaluate import (
     GoldEntry,
     Prediction,
@@ -96,6 +97,73 @@ class TestRelaxedMatch:
             relaxed_match(Answer(100.0), Answer(100.0), margin)
         with pytest.raises(ValidationError, match=r"^margin must be a finite number >= 0, not "):
             evaluate([Prediction("s", "\\box{100}")], [GoldEntry("s", Answer(100.0))], margins=(0.05, margin))
+
+
+# ---------------------------------------------------------------------------
+# Reference matcher: every answer parsed afresh on every call, with no float
+# fast path and no cache.
+
+def _reference_as_float(answer):
+    if answer.is_numeric:
+        return float(answer.value)
+    try:
+        return float(str(answer.value).replace(",", "").strip())
+    except ValueError:
+        return None
+
+
+def _reference_norm_text(value):
+    out = value.strip().lower().rstrip(".")
+    return re.sub(r"^(the|a|an)\s+", "", out, flags=re.IGNORECASE).strip()
+
+
+def _reference_match(pred, gt, margin):
+    p, g = _reference_as_float(pred), _reference_as_float(gt)
+    if p is not None and g is not None:
+        if g == 0:
+            return p == 0
+        return abs(p - g) / abs(g) <= margin
+    if p is None and g is None:
+        return _reference_norm_text(str(pred.value)) == _reference_norm_text(str(gt.value))
+    return False
+
+
+_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_ints = st.integers(min_value=-10**6, max_value=10**6)
+_values = st.one_of(
+    _floats,
+    st.sampled_from((0.0, -0.0, 1.0, 100.0, 1000.0, 42.0)),
+    _ints,
+    _ints.map(lambda v: f"{v:,}"),                       # "1,000"
+    _floats.map(lambda v: f" {v:g} "),                   # " 42 "
+    _floats.map(lambda v: f"{v:,.2f}"),
+    st.sampled_from(("North", "north.", "the North", "An apple", "apple", "42", "1,000", " 42 ", "nan", "inf")),
+    st.text(alphabet="0123456789,.-e% Northa", max_size=8),
+)
+_answers = st.builds(Answer, _values, st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(pred=_answers, gold=_answers, margin=st.one_of(st.just(0.0), st.sampled_from(MARGINS),
+                                                      st.floats(min_value=0.0, max_value=1.0)))
+def test_relaxed_match_equals_reference(pred, gold, margin):
+    assert relaxed_match(pred, gold, margin) == _reference_match(pred, gold, margin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+    _floats,
+    st.sampled_from((repr, " {!r} ".format, "{:,}".format)),  # each prints a float that reads back exactly
+    st.booleans(),
+    st.one_of(_floats.map(lambda v: f"\\box{{{v:g}}}"), st.just("\\box{North}")),
+), max_size=20))
+def test_numeric_string_gold_scores_as_its_float(rows):
+    # A gold answer written as a numeric string scores as the float it reads
+    # as: the report must equal the one for the same gold written as a float.
+    as_float = [GoldEntry(f"s{i}", Answer(v, pct)) for i, (v, _, pct, _) in enumerate(rows)]
+    as_text = [GoldEntry(f"s{i}", Answer(show(v), pct)) for i, (v, show, pct, _) in enumerate(rows)]
+    preds = [Prediction(f"s{i}", reply) for i, (*_, reply) in enumerate(rows)]
+    assert evaluate(preds, as_text, margins=MARGINS) == evaluate(preds, as_float, margins=MARGINS)
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +333,20 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match=r"^duplicate gold entry for sample 'a'$"):
             evaluate([Prediction("a", "\\box{10}")], gold, margins=(0.05,))
 
+    @pytest.mark.parametrize("options, message", [
+        ({"mode": "fancy"}, r"^unknown extraction mode 'fancy'$"),
+        ({"group_by": "chart"}, r"^unknown group_by 'chart'; expected one of group, none$"),
+    ])
+    def test_unknown_mode_or_group_by_rejected_before_any_prediction(self, options, message):
+        # No prediction at all still fails, and none is read first.
+        def unread():
+            raise AssertionError("a prediction was read")
+            yield
+        with pytest.raises(ValidationError, match=message):
+            evaluate([], [], margins=MARGINS, **options)
+        with pytest.raises(ValidationError, match=message):
+            evaluate(unread(), [GoldEntry("s", Answer(1.0))], margins=MARGINS, **options)
+
     def test_no_margins(self):
         with pytest.raises(ValidationError, match=r"^no margin to score at$"):
             evaluate([Prediction("s", "\\box{100}")], [GoldEntry("s", Answer(100.0))], margins=())
@@ -282,3 +364,26 @@ class TestEvaluate:
         assert "0.05" in blob
         table = report.to_table()
         assert "human" in table and "Avg." in table and "ALL" in table
+
+
+class TestGoldAnswer:
+    @pytest.mark.parametrize("obj", [float("nan"), float("inf"), -float("inf"), {"value": float("nan")},
+                                     {"value": float("inf"), "percent": True}, 10**400,
+                                     "NaN", "inf", " -Infinity ", "1e400", {"value": "1,000e400"}])
+    def test_non_finite_number_rejected(self, obj):
+        with pytest.raises(FormatError, match=r"^answer "):
+            Answer.from_json(obj)
+
+    @pytest.mark.parametrize("obj, want", [
+        (12.5, Answer(12.5)), (3, Answer(3.0)), ("North", Answer("North")), ("Nancy", Answer("Nancy")),
+        ("1,000", Answer("1,000")),
+        ({"value": 37.5, "percent": True}, Answer(37.5, percent=True)),
+    ])
+    def test_finite_numbers_and_text_read(self, obj, want):
+        got = Answer.from_json(obj)
+        assert got == want and type(got.value) is type(want.value)
+
+    def test_records_from_json(self):
+        gold = GoldEntry.from_json({"sample_id": 7, "answer": 1.5, "group": "bar"})
+        assert gold == GoldEntry("7", Answer(1.5), "bar")
+        assert Prediction.from_json({"sample_id": "s", "raw_text": 42}) == Prediction("s", "42")
