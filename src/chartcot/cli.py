@@ -8,17 +8,18 @@ a run directory; build runs everything and emits the dataset.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ChartCotError, ConfigError, InputError
+from .errors import ChartCotError, ConfigError
 from .evaluate import DEFAULT_MARGINS, GROUP_BY, MODES, GoldEntry, Prediction, check_margin, evaluate
 from .gallery import build_gallery
 from .pipeline import DatasetManifest, PipelineConfig, compute_stats, emit_dataset, run, write_stats
-from .util import atomic_write_text, dumps_pretty, jsonl_lines, read_jsonl
+from .util import atomic_write_text, dumps_pretty, read_jsonl
 
 _STAGE_COMMANDS = {
     "gen": ("meta", "generate the chart spec corpus"),
@@ -129,26 +130,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_records(path: str, parse) -> list:
-    """``parse`` applied to every record of a JSONL file. A record it cannot
-    read raises InputError naming ``path:line``; the line is searched for only
-    after a failure."""
-    records = read_jsonl(path)
-    try:
-        return [parse(r) for r in records]
-    except (KeyError, TypeError, AttributeError, ChartCotError):
-        for (lineno, _), rec in zip(jsonl_lines(path), records):
-            try:
-                parse(rec)
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: record has no {exc} field") from None
-            except (TypeError, AttributeError):
-                raise InputError(f"{path}:{lineno}: record is not a JSON object") from None
-            except ChartCotError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-        raise
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         margins = tuple(float(m) for m in args.margins.split(",") if m)
@@ -158,9 +139,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--margins must name at least one margin, not {args.margins!r}")
     for m in margins:
         check_margin(m)
-    gold = _read_records(args.gold, GoldEntry.from_json)
-    preds = _read_records(args.pred, Prediction.from_json)
-    report = evaluate(preds, gold, margins=margins, mode=args.mode, group_by=args.group_by)
+    # The records hold no reference cycles, so the collector is paused while
+    # they are read and scored: a collection would only walk them. Passed by
+    # keyword, the gold file is read first, and the records are freed when
+    # evaluate returns, before the collector is back on.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        report = evaluate(gold=read_jsonl(args.gold, GoldEntry.from_json),
+                          predictions=read_jsonl(args.pred, Prediction.from_json),
+                          margins=margins, mode=args.mode, group_by=args.group_by)
+    finally:
+        if collecting:
+            gc.enable()
     out_dir = Path(args.out) if args.out else Path(".")
     report_path = out_dir / "eval_report.json"
     atomic_write_text(report_path, dumps_pretty(report.to_json()))

@@ -7,15 +7,12 @@ data. Nothing outside the CoT/review stages ever touches a client.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from . import prompts
@@ -95,6 +92,12 @@ class LlmClient:
             return self._http_chat(messages)
 
     def _http_chat(self, messages: list[dict]) -> str:
+        # Imported here, not at the top: only the http mode uses the HTTP
+        # stack, and loading it would slow every start of the package.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps({
             "model": self.config.model,
             "messages": messages,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .cot import Answer, parse_number
-from .errors import ExtractionError, MissingGoldError, ValidationError
+from .errors import ExtractionError, FormatError, MissingGoldError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -112,6 +112,30 @@ def relaxed_match(pred: Answer, gt: Answer, margin: float) -> bool:
 # any tuple, one compares equal to a plain tuple of the same fields; nothing
 # here compares records.
 
+# One copy of each group name, shared by every record that names it: a file
+# names a handful of groups across tens of thousands of lines. Names past the
+# cap are kept as read, so a file of distinct names cannot grow the table.
+_GROUPS: dict[str, str] = {}
+_MAX_GROUPS = 1024
+
+
+def _group(obj: dict) -> Optional[str]:
+    """The record's group: None when missing or null, else one shared copy
+    of its name. FormatError for a group that is not a string, which could
+    neither be tallied nor sorted among the others."""
+    group = obj.get("group")
+    if group is None:
+        return None
+    if type(group) is not str:
+        raise FormatError(f"group must be a string, not {group!r}")
+    shared = _GROUPS.get(group)
+    if shared is None:
+        if len(_GROUPS) >= _MAX_GROUPS:
+            return group
+        shared = _GROUPS[group] = group
+    return shared
+
+
 class Prediction(NamedTuple):
     sample_id: str
     raw_text: str
@@ -119,7 +143,7 @@ class Prediction(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Prediction":
-        return cls(str(obj["sample_id"]), str(obj["raw_text"]), obj.get("group"))
+        return cls(str(obj["sample_id"]), str(obj["raw_text"]), _group(obj))
 
 
 class GoldEntry(NamedTuple):
@@ -129,7 +153,7 @@ class GoldEntry(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "GoldEntry":
-        return cls(str(obj["sample_id"]), Answer.from_json(obj["answer"]), obj.get("group"))
+        return cls(str(obj["sample_id"]), Answer.from_json(obj["answer"]), _group(obj))
 
 
 @dataclass

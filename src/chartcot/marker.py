@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from typing import Optional
-from xml.sax.saxutils import unescape
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .geometry import PixelBBox, glyph_bbox
 from .layout import ChartLayout, chart_layout
-from .render import MARKER_COLOR, Bitmap, MarkerAnchor
+from .render import MARKER_COLOR, Bitmap, MarkerAnchor, unescape_text
 from .spec import MARKER_CHAR, ChartSpec, Series, validate_spec
 
 TEXT_ROLES = frozenset({"title", "legend_entry", "x_tick", "y_tick"})
@@ -139,7 +138,7 @@ def structural_hits(vector_doc: str) -> list[PixelBBox]:
             pos = vector_doc.find(MARKER_CHAR, pos + 1)
             continue
         x, baseline, font_px = float(node.group(1)), float(node.group(2)), int(node.group(3))
-        content = unescape(node.group(4))
+        content = unescape_text(node.group(4))
         for idx, ch in enumerate(content):
             if ch == MARKER_CHAR:
                 hits.append(glyph_bbox(x, baseline, idx, font_px))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -195,6 +194,16 @@ def _fmt(v: float) -> str:
     return s if s else "0"
 
 
+def escape_text(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def unescape_text(data: str) -> str:
+    """The inverse of ``escape_text``; ``&amp;`` goes last, so ``&amp;lt;`` reads ``&lt;``."""
+    return data.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
+
+
 def _hex(color: tuple[int, int, int]) -> str:
     return "#%02x%02x%02x" % color
 
@@ -243,7 +252,7 @@ def render_svg(
                 t = item[1]
                 out.append(
                     f'<text x="{_fmt(t.x_left)}" y="{_fmt(t.baseline)}" font-size="{t.font_px}" '
-                    f'font-family="monospace" fill="{_hex(TEXT_COLOR)}">{escape(t.text)}</text>'
+                    f'font-family="monospace" fill="{_hex(TEXT_COLOR)}">{escape_text(t.text)}</text>'
                 )
             elif kind == "rect":
                 _, x0, y0, x1, y1, color = item

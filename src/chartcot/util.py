@@ -11,9 +11,9 @@ import os
 import random
 import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .errors import ConfigError, InputError
+from .errors import ChartCotError, ConfigError, InputError
 
 
 def rng_for(*parts: Any) -> random.Random:
@@ -125,14 +125,19 @@ def read_buffer(path: str | Path) -> bytearray:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Records of a JSONL file; blank lines are skipped.
+def read_jsonl(path: str | Path, parse: Callable[[Any], Any] | None = None) -> list:
+    """Records of a JSONL file, each passed through ``parse`` as its line is
+    read when one is given; blank lines are skipped. Only what ``parse``
+    returns is kept, so the decoded dicts do not pile up.
 
     A line that is not UTF-8 JSON (one value and nothing after it) raises
-    InputError naming ``path:line``. The file is searched for that line only
-    after a failure, so reading a good file does no extra work per line.
+    InputError naming ``path:line``, and so does a record that ``parse``
+    rejects (``_raise_bad_line`` gives the reasons). The file is searched for
+    that line only after a failure, so reading a good file does no extra work
+    per line.
     """
     records = []
+    append = records.append
     try:
         with Path(path).open("r", encoding="utf-8") as f:
             for line in f:
@@ -141,18 +146,40 @@ def read_jsonl(path: str | Path) -> list[dict]:
                     record, end = _raw_decode(line)
                     if end != len(line):
                         raise ValueError("extra data after the record")
-                    records.append(record)
-    except ValueError:  # json.JSONDecodeError, UnicodeDecodeError or extra data
-        for lineno, line in jsonl_lines(path):
-            try:
-                line.encode("utf-8")  # lone surrogates stand for bytes that are not UTF-8
-                json.loads(line)
-            except UnicodeEncodeError:
-                raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+                    append(record if parse is None else parse(record))
+    except (ValueError, KeyError, TypeError, AttributeError, ChartCotError):
+        # ValueError: json.JSONDecodeError, UnicodeDecodeError or extra data;
+        # the others can only come from parse.
+        _raise_bad_line(path, parse)
         raise
     return records
+
+
+def _raise_bad_line(path: str | Path, parse: Callable[[Any], Any] | None) -> None:
+    """InputError naming the first line of ``path`` that is not UTF-8 JSON,
+    or else the first record ``parse`` rejects: with KeyError (a missing
+    field), TypeError or AttributeError (not a JSON object) or a
+    ChartCotError (its message). Returns when no line fails."""
+    rejected = None
+    for lineno, line in jsonl_lines(path):
+        try:
+            line.encode("utf-8")  # lone surrogates stand for bytes that are not UTF-8
+            record = json.loads(line)
+        except UnicodeEncodeError:
+            raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        if rejected is None and parse is not None:
+            try:
+                parse(record)
+            except KeyError as exc:
+                rejected = f"{path}:{lineno}: record has no {exc} field"
+            except (TypeError, AttributeError):
+                rejected = f"{path}:{lineno}: record is not a JSON object"
+            except ChartCotError as exc:
+                rejected = f"{path}:{lineno}: {exc}"
+    if rejected is not None:
+        raise InputError(rejected) from None
 
 
 def jsonl_lines(path: str | Path):

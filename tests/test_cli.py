@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chartcot import pipeline
+from chartcot import cli, pipeline
 from chartcot.cli import main
 from chartcot.pipeline import DatasetManifest, PipelineConfig
 from chartcot.util import read_jsonl
@@ -302,6 +303,80 @@ class TestEvalCommand:
         assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {gold}:2: {reason}\n"
         assert not (tmp_path / "eval_report.json").exists()
+
+    def test_list_group_names_file_and_line(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        gold.write_text(json.dumps({"sample_id": "s1", "answer": 1.0, "group": ["x"]}) + "\n", encoding="utf-8")
+        pred.write_bytes(self.GOOD + b"\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:1: group must be a string, not ['x']\n"
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_number_and_string_groups_in_one_file_name_the_number(self, tmp_path, capsys):
+        # A number group could not be sorted among string ones; the first
+        # such line stops the command before anything is scored.
+        code, pred = self._eval_with_pred_lines(tmp_path, [
+            json.dumps({"sample_id": "s1", "raw_text": "\\box{1}", "group": "x"}).encode(),
+            b"",
+            json.dumps({"sample_id": "s2", "raw_text": "\\box{2}", "group": 3}).encode(),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {pred}:3: group must be a string, not 3\n"
+        assert not (tmp_path / "eval_report.json").exists()
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestEvalCollector:
+    """chartcot eval pauses the cyclic collector while it reads and scores,
+    and leaves it as it found it on every exit."""
+
+    def _files(self, tmp_path, gold_answers=(1.0,)):
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        gold.write_text("".join(json.dumps({"sample_id": "s1", "answer": a}) + "\n" for a in gold_answers),
+                        encoding="utf-8")
+        pred.write_text(json.dumps({"sample_id": "s1", "raw_text": "\\box{1}"}) + "\n", encoding="utf-8")
+        return ["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path)]
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def enabled(self, request):
+        """The collector's state when eval is called; the caller's is restored after."""
+        was = gc.isenabled()
+        _set_collector(request.param)
+        yield request.param
+        _set_collector(was)
+
+    def test_success_restores_the_collector(self, tmp_path, monkeypatch, enabled):
+        seen = []
+        real_evaluate = cli.evaluate
+
+        def watching(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", watching)
+        assert main(self._files(tmp_path)) == 0
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_input_error_restores_the_collector(self, tmp_path, capsys, enabled):
+        argv = self._files(tmp_path)
+        (tmp_path / "pred.jsonl").write_text('{"sample_id": \n', encoding="utf-8")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'pred.jsonl'}:1: not valid JSON: ")
+        assert gc.isenabled() is enabled
+
+    def test_duplicate_gold_restores_the_collector(self, tmp_path, capsys, enabled):
+        assert main(self._files(tmp_path, gold_answers=(1.0, 2.0))) == 1
+        assert capsys.readouterr().err == "error: duplicate gold entry for sample 's1'\n"
+        assert gc.isenabled() is enabled
 
 
 def _links(html_text: str) -> list[str]:

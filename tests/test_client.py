@@ -1,5 +1,8 @@
 import json
+import pathlib
 import re
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -313,14 +316,26 @@ class TestReview:
 
     def test_only_teacher_stages_import_the_client(self):
         # the client must stay confined to CoT generation and QA review
-        import pathlib
-
         import chartcot
 
         pkg = pathlib.Path(chartcot.__file__).parent
         for name in ("render", "layout", "marker", "bbox", "instruction", "evaluate"):
             source = (pkg / f"{name}.py").read_text(encoding="utf-8")
             assert "from .client" not in source and "import client" not in source, name
+
+    def test_import_chartcot_loads_no_http_stack_or_sax(self):
+        # The HTTP modules are imported when the http mode first sends a
+        # request, and SVG text is escaped without xml.sax, so a cold start
+        # pays for neither. Checked in a fresh interpreter: this one has them.
+        import chartcot
+
+        code = ("import sys, chartcot\n"
+                "print(sorted(m for m in ('http.client', 'urllib.request', 'urllib.error', 'xml.sax')"
+                " if m in sys.modules))\n")
+        src = pathlib.Path(chartcot.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
     def test_injected_perturbation_rate(self):
         # perturb 3.83% of samples by +10%: the review gate must pass the

@@ -387,3 +387,25 @@ class TestGoldAnswer:
         gold = GoldEntry.from_json({"sample_id": 7, "answer": 1.5, "group": "bar"})
         assert gold == GoldEntry("7", Answer(1.5), "bar")
         assert Prediction.from_json({"sample_id": "s", "raw_text": 42}) == Prediction("s", "42")
+
+    @pytest.mark.parametrize("group", [["x"], 3, 2.5, True, {"name": "x"}])
+    def test_group_that_is_not_a_string_rejected(self, group):
+        for record in ({"sample_id": "s", "answer": 1.0, "group": group},
+                       {"sample_id": "s", "raw_text": "1", "group": group}):
+            parse = GoldEntry.from_json if "answer" in record else Prediction.from_json
+            with pytest.raises(FormatError, match=rf"^group must be a string, not {re.escape(repr(group))}$"):
+                parse(record)
+
+    def test_group_names_are_shared_up_to_the_cap(self, monkeypatch):
+        module = sys.modules["chartcot.evaluate"]  # the package attribute is the function
+        monkeypatch.setattr(module, "_GROUPS", {})
+        monkeypatch.setattr(module, "_MAX_GROUPS", 2)
+        # Built strings, so that equal names are distinct objects as json gives them.
+        a, b, c = ("".join(["gro", "up", str(i)]) for i in (1, 2, 3))
+        first = [GoldEntry.from_json({"sample_id": "s", "answer": 1.0, "group": name}).group for name in (a, b, c)]
+        again = [Prediction.from_json({"sample_id": "s", "raw_text": "1", "group": "".join(name)}).group
+                 for name in (a, b, c)]
+        assert first == again == [a, b, c]
+        assert again[0] is a and again[1] is b
+        assert again[2] is not c  # past the cap a name is kept as read
+        assert Prediction.from_json({"sample_id": "s", "raw_text": "1", "group": None}).group is None

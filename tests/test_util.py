@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from chartcot.errors import InputError
+from chartcot.errors import ChartCotError, FormatError, InputError
 from chartcot.util import atomic_write_bytes, read_jsonl
 
 
@@ -19,6 +19,67 @@ class TestReadJsonl:
         path = tmp_path / "in.jsonl"
         path.write_bytes(b'{"a": 1}\r\n\r\n  \t{"b": [2, 3]} \r\n\n   \n{"c": "d e"}')
         assert read_jsonl(path) == [{"a": 1}, {"b": [2, 3]}, {"c": "d e"}]
+
+    def test_parse_none_returns_the_dicts(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n[2]\n"x"\n')
+        assert read_jsonl(path, None) == read_jsonl(path) == [{"a": 1}, [2], "x"]
+
+    def test_parse_result_is_kept_in_order(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"n": 1}\n\n{"n": 2}\n{"n": 3}')
+        assert read_jsonl(path, lambda r: r["n"] * 10) == [10, 20, 30]
+
+
+def _reject_on(bad: int, exc: Exception):
+    """A parse that raises ``exc`` for the record {"n": bad} and returns n for the others."""
+    def parse(record):
+        if record["n"] == bad:
+            raise exc
+        return record["n"]
+    return parse
+
+
+class TestReadJsonlParseFailures:
+    @pytest.mark.parametrize("exc, reason", [
+        (KeyError("sample_id"), "record has no 'sample_id' field"),
+        (TypeError("string indices must be integers"), "record is not a JSON object"),
+        (AttributeError("'list' object has no attribute 'get'"), "record is not a JSON object"),
+        (FormatError("answer must be a number or short text"), "answer must be a number or short text"),
+        (ChartCotError("group must be a string, not 3"), "group must be a string, not 3"),
+    ])
+    def test_rejected_record_names_file_and_line(self, tmp_path, exc, reason):
+        path = tmp_path / "in.jsonl"
+        # Line 5 is the third record: blank lines count for the line number.
+        path.write_bytes(b'{"n": 1}\n\n  \n{"n": 2}\n{"n": 3}\n{"n": 4}\n')
+        with pytest.raises(InputError) as info:
+            read_jsonl(path, _reject_on(3, exc))
+        assert str(info.value) == f"{path}:5: {reason}"
+        assert info.value.__suppress_context__
+
+    def test_first_rejected_record_is_named(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"n": 1}\n{"m": 2}\n{"m": 3}\n')
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:2: record has no 'n' field$"):
+            read_jsonl(path, lambda r: r["n"])
+
+    def test_line_that_is_not_json_is_named_before_a_rejected_record(self, tmp_path):
+        # As when every line was decoded before any record was built: a line
+        # that is not JSON is named even when a rejected record comes first.
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"n": 1}\n{"m": 2}\n{"n": \n')
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: not valid JSON: "):
+            read_jsonl(path, lambda r: r["n"])
+
+    def test_other_exceptions_from_parse_propagate(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'{"n": 1}\n')
+
+        def parse(record):
+            raise ZeroDivisionError("not a record problem")
+
+        with pytest.raises(ZeroDivisionError):
+            read_jsonl(path, parse)
 
 
 class TestAtomicWriteBytes:
