@@ -60,7 +60,9 @@ class Answer:
         """FormatError unless ``obj`` is a number, text, or {value, percent?}
         holding one. A number must be finite, and so must text that reads as
         one ("NaN", "1e400"): Python's json reads NaN and Infinity, and a NaN
-        or infinite gold answer would score every prediction wrong."""
+        or infinite gold answer would score every prediction wrong. Text
+        ending in ``%`` sets the percent flag, as in a reply: "42%" reads as
+        Answer("42", percent=True)."""
         if type(obj) is float and math.isfinite(obj):
             return cls(obj)  # the common case: a bare finite number
         if isinstance(obj, dict):
@@ -81,6 +83,8 @@ class Answer:
                 raise FormatError(f"answer must be a finite number, not {raw!r}")
             return cls(value, percent)
         text = str(raw)
+        if text.rstrip().endswith("%"):
+            text, percent = text.rstrip()[:-1].rstrip(), True
         number = parse_number(text)
         if number is not None and not math.isfinite(number):
             raise FormatError(f"answer must be a finite number, not {raw!r}")

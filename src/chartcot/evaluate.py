@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -112,28 +113,19 @@ def relaxed_match(pred: Answer, gt: Answer, margin: float) -> bool:
 # any tuple, one compares equal to a plain tuple of the same fields; nothing
 # here compares records.
 
-# One copy of each group name, shared by every record that names it: a file
-# names a handful of groups across tens of thousands of lines. Names past the
-# cap are kept as read, so a file of distinct names cannot grow the table.
-_GROUPS: dict[str, str] = {}
-_MAX_GROUPS = 1024
-
 
 def _group(obj: dict) -> Optional[str]:
-    """The record's group: None when missing or null, else one shared copy
-    of its name. FormatError for a group that is not a string, which could
-    neither be tallied nor sorted among the others."""
+    """The record's group: None when missing or null, else its name,
+    interned: a file names a handful of groups across tens of thousands of
+    lines, and an interned name is freed once no record holds it. FormatError
+    for a group that is not a string, which could neither be tallied nor
+    sorted among the others."""
     group = obj.get("group")
     if group is None:
         return None
     if type(group) is not str:
         raise FormatError(f"group must be a string, not {group!r}")
-    shared = _GROUPS.get(group)
-    if shared is None:
-        if len(_GROUPS) >= _MAX_GROUPS:
-            return group
-        shared = _GROUPS[group] = group
-    return shared
+    return sys.intern(group)
 
 
 class Prediction(NamedTuple):

@@ -93,19 +93,10 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
             raise TargetError("y tick labels are derived values; target a spec text element")
         return EditedSpec(spec=validate_spec(edited), markers=(), step_index=step.index)
 
-    if target.role != "datapoint":
-        raise TargetError(f"role {target.role!r} takes no marker")
     lay = full_layout if full_layout is not None else chart_layout(spec)
-    if target not in lay.geometry:
-        raise TargetError(f"datapoint target {target} does not resolve")
-    if spec.chart_type == "bar":
-        box = lay.geometry[target]
-        # One pixel below the top edge so the rounded cross center stays on the bar.
-        anchor = ((box.x0 + box.x1) / 2.0, box.y0 + 1.0)
-    elif spec.chart_type == "line":
-        anchor = lay.line_points[(target.series, target.category)]
-    else:
-        anchor = lay.wedge_centroids[target.category]
+    anchor = lay.anchors.get(target)
+    if anchor is None:
+        raise TargetError(f"{target} has no marker anchor")
     return EditedSpec(spec=spec, markers=(anchor,), step_index=step.index)
 
 

@@ -1,5 +1,13 @@
 """Chart rendering: byte-deterministic SVG and raster output.
 
+``render_svg`` and ``rasterize`` only translate the paint items of
+``chart_layout``, which describes each chart once, so the two outputs cannot
+drift apart and neither branches on the chart type. Marker crosses and
+overlay boxes are not paint items: each is one layer in one opaque colour
+over a finished image (``marker_svg`` and ``paint_markers``, then
+``overlay_svg`` and ``paint_overlays``), so an edit's or overlay's image is
+its vanilla image plus a layer.
+
 Raster text is drawn as solid glyph blocks on the fixed-advance metric table,
 so no font engine is involved and every text extent matches the layout oracle
 exactly. The marker character and marker anchors are the only ink ever drawn
@@ -15,7 +23,7 @@ import numpy as np
 
 from .errors import IntegrityError, ValidationError
 from .geometry import PixelBBox, glyph_advance, glyph_ascent
-from .layout import DOT_HALF, ChartLayout, chart_layout, sector_bounds
+from .layout import PALETTE, ChartLayout, chart_layout, sector_bounds
 from .spec import MARKER_CHAR, ChartSpec
 
 MARKER_COLOR = (255, 0, 255)  # reserved: never used by palette, text, or overlays
@@ -25,22 +33,7 @@ TEXT_COLOR = (40, 40, 40)
 AXIS_COLOR = (80, 80, 80)
 BACKGROUND = (255, 255, 255)
 
-PALETTE = (
-    (31, 119, 180),
-    (255, 127, 14),
-    (44, 160, 44),
-    (214, 39, 40),
-    (148, 103, 189),
-    (140, 86, 75),
-    (227, 119, 194),
-    (127, 127, 127),
-)
-
 MarkerAnchor = tuple[float, float]
-
-
-def series_color(style_seed: int, index: int) -> tuple[int, int, int]:
-    return PALETTE[(style_seed + index) % len(PALETTE)]
 
 
 class Bitmap:
@@ -118,67 +111,6 @@ def _ppm_header(width: int, height: int) -> bytes:
     return b"P6\n%d %d\n255\n" % (width, height)
 
 
-# ---------------------------------------------------------------------------
-# Scene
-#
-# _scene describes a chart once: its items in paint order, grouped as the SVG
-# groups them. render_svg and rasterize only translate items, so the two
-# outputs cannot drift apart. Each item is a tuple (kind, *args):
-#
-#   ("rect", x0, y0, x1, y1, color)          bar, line-chart dot, legend or key swatch
-#   ("polyline", points, color)              one line series
-#   ("pie", cx, cy, r, wedges, colors)       the wedges (a0, a1), which tile one turn; one item,
-#                                            so the last wedge closes on the first one's ray
-#   ("rule", x1, y1, x2, y2, rect)           an axis or tick line; rect is its 1 px raster stand-in
-#   ("text", TextItem)                       a label; marker glyphs take the marker colour
-#
-# Marker crosses and overlay boxes are not scene items: each is one layer in
-# one opaque colour over a finished image (marker_svg and paint_markers, then
-# overlay_svg and paint_overlays). So an edit's or overlay's image is its
-# vanilla image plus a layer.
-
-
-def _scene(spec: ChartSpec, layout: ChartLayout | None) -> tuple[ChartLayout, list[tuple[str, list[tuple]]]]:
-    """(layout, [(group, items)]) for one chart; ``layout`` defaults to ``chart_layout(spec)``."""
-    lay = layout if layout is not None else chart_layout(spec)
-    colors = [series_color(spec.style_seed, i) for i in range(max(len(spec.series), len(spec.x_labels)))]
-
-    chart: list[tuple] = []
-    axes: list[tuple] = []
-    if spec.chart_type == "bar":
-        for s, color in zip(spec.series, colors):
-            for cat in spec.x_labels:
-                b = lay.bar_rects[(s.name, cat)]
-                chart.append(("rect", b.x0, b.y0, b.x1, b.y1, color))
-    elif spec.chart_type == "line":
-        for s, color in zip(spec.series, colors):
-            pts = [lay.line_points[(s.name, cat)] for cat in spec.x_labels]
-            chart.append(("polyline", pts, color))
-            for x, y in pts:
-                chart.append(("rect", x - DOT_HALF, y - DOT_HALF, x + DOT_HALF, y + DOT_HALF, color))
-    else:
-        cx, cy = lay.pie_center
-        wedges = [lay.wedge_angles[cat] for cat in spec.x_labels]
-        chart.append(("pie", cx, cy, lay.pie_radius, wedges, colors[:len(wedges)]))
-
-    if spec.chart_type != "pie":
-        # The raster rule lies below a horizontal line, left of the y axis
-        # and right of an x tick.
-        p = lay.plot
-        axes.append(("rule", p.x0, p.y1, p.x1, p.y1, (p.x0, p.y1, p.x1, p.y1 + 1)))
-        axes.append(("rule", p.x0, p.y0, p.x0, p.y1, (p.x0 - 1, p.y0, p.x0, p.y1)))
-        for cx in lay.x_centers:
-            axes.append(("rule", cx, p.y1, cx, p.y1 + 4, (cx, p.y1, cx + 1, p.y1 + 4)))
-        for tv in lay.y_tick_values:
-            y = p.y1 - (tv / lay.y_top_value) * p.height
-            axes.append(("rule", p.x0 - 4, y, p.x0, y, (p.x0 - 4, y, p.x0, y + 1)))
-    for swatches in (lay.legend_swatches, lay.key_swatches):
-        for box, color in zip(swatches.values(), colors):
-            axes.append(("rect", box.x0, box.y0, box.x1, box.y1, color))
-
-    return lay, [("chart", chart), ("axes", axes), ("labels", [("text", t) for t in lay.texts])]
-
-
 def _check_overlays(canvas: tuple[int, int], boxes) -> None:
     w, h = canvas
     for box in boxes:
@@ -235,7 +167,7 @@ def render_svg(
     above all chart content. ``layout``: ``chart_layout(spec)``, if known.
     """
     _check_overlays(spec.canvas, overlays or ())
-    lay, groups = _scene(spec, layout)
+    lay = layout if layout is not None else chart_layout(spec)
     w, h = spec.canvas
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -244,7 +176,7 @@ def render_svg(
         f'viewBox="0 0 {w} {h}">'
     )
     out.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="{_hex(BACKGROUND)}"/>')
-    for group, items in groups:
+    for group, items in lay.groups.items():
         out.append(f'<g class="{group}">')
         for item in items:
             kind = item[0]
@@ -426,13 +358,13 @@ def rasterize(
     (``paint_overlays``) are painted over the finished chart. ``layout`` is
     ``chart_layout(spec)`` when the caller already has it.
     """
-    lay, groups = _scene(spec, layout)
+    lay = layout if layout is not None else chart_layout(spec)
     w, h = spec.canvas
     bmp = Bitmap.blank(w, h)
     arr = bmp.array
     arr.fill(BACKGROUND[0])  # white background; all channels equal
     ink = _Ink(w)
-    for _, items in groups:
+    for items in lay.groups.values():
         for item in items:
             kind = item[0]
             if kind == "text":

@@ -305,6 +305,16 @@ class TestReview:
         close = replace(sample, answer=Answer(float(sample.answer.value) * 1.019))
         assert LlmClient(ClientConfig()).review_qa(close, multi_line_spec)
 
+    def test_percent_text_answer_passes(self, pie_spec):
+        # A teacher may write a pie share as text with its sign: "45%".
+        sample = generate_cot_rule_based(pie_spec, seed=5)
+        doc = json.loads(sample.to_text())
+        doc["answer"] = f"{sample.answer.to_text()}%"
+        teacher = validate_cot(json.dumps(doc))
+        assert teacher.answer == Answer(sample.answer.to_text(), percent=True)
+        assert LlmClient(ClientConfig()).review_qa(teacher, pie_spec)
+        assert teacher.answer.to_text() == sample.answer.to_text()
+
     def test_http_review_parses_verdict(self, http_server, bar_spec):
         rec, url = http_server
         sample = generate_cot_rule_based(bar_spec, seed=1)

@@ -378,10 +378,16 @@ class TestGoldAnswer:
         (12.5, Answer(12.5)), (3, Answer(3.0)), ("North", Answer("North")), ("Nancy", Answer("Nancy")),
         ("1,000", Answer("1,000")),
         ({"value": 37.5, "percent": True}, Answer(37.5, percent=True)),
+        ("42%", Answer("42", percent=True)), ("12.5 %", Answer("12.5", percent=True)),
     ])
     def test_finite_numbers_and_text_read(self, obj, want):
         got = Answer.from_json(obj)
         assert got == want and type(got.value) is type(want.value)
+
+    @pytest.mark.parametrize("gold", ["42%", "12.5 %"])
+    def test_percent_text_gold_scores_its_boxed_reply(self, gold):
+        reply = extract_answer(f"\\box{{{gold.replace(' ', '')}}}")
+        assert relaxed_match(reply, Answer.from_json(gold), 0.0)
 
     def test_records_from_json(self):
         gold = GoldEntry.from_json({"sample_id": 7, "answer": 1.5, "group": "bar"})
@@ -396,16 +402,12 @@ class TestGoldAnswer:
             with pytest.raises(FormatError, match=rf"^group must be a string, not {re.escape(repr(group))}$"):
                 parse(record)
 
-    def test_group_names_are_shared_up_to_the_cap(self, monkeypatch):
-        module = sys.modules["chartcot.evaluate"]  # the package attribute is the function
-        monkeypatch.setattr(module, "_GROUPS", {})
-        monkeypatch.setattr(module, "_MAX_GROUPS", 2)
+    def test_equal_group_names_share_one_object(self):
         # Built strings, so that equal names are distinct objects as json gives them.
-        a, b, c = ("".join(["gro", "up", str(i)]) for i in (1, 2, 3))
-        first = [GoldEntry.from_json({"sample_id": "s", "answer": 1.0, "group": name}).group for name in (a, b, c)]
+        a, b = ("".join(["gro", "up", str(i)]) for i in (1, 2))
+        first = [GoldEntry.from_json({"sample_id": "s", "answer": 1.0, "group": name}).group for name in (a, b)]
         again = [Prediction.from_json({"sample_id": "s", "raw_text": "1", "group": "".join(name)}).group
-                 for name in (a, b, c)]
-        assert first == again == [a, b, c]
-        assert again[0] is a and again[1] is b
-        assert again[2] is not c  # past the cap a name is kept as read
+                 for name in (a, b)]
+        assert first == again == [a, b]
+        assert again[0] is first[0] and again[1] is first[1]
         assert Prediction.from_json({"sample_id": "s", "raw_text": "1", "group": None}).group is None

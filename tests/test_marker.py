@@ -63,23 +63,33 @@ class TestApplyMarker:
         assert edit.markers == (((box.x0 + box.x1) / 2.0, box.y0 + 1.0),)
 
     def test_line_anchor_is_vertex(self, multi_line_spec):
-        lay = chart_layout(multi_line_spec)
+        lines = [item[1] for item in chart_layout(multi_line_spec).groups["chart"] if item[0] == "polyline"]
         ref = ElementRef("datapoint", series="Delta", category="Mar")
         edit = apply_marker(multi_line_spec, grounding(0, ref))
-        assert edit.markers == (lay.line_points[("Delta", "Mar")],)
+        series = [s.name for s in multi_line_spec.series].index("Delta")
+        assert edit.markers == (lines[series][multi_line_spec.x_labels.index("Mar")],)
 
     def test_pie_anchor_is_wedge_centroid(self, pie_spec):
         lay = chart_layout(pie_spec)
+        ((_, pcx, pcy, r, wedges, _),) = lay.groups["chart"]
         ref = ElementRef("datapoint", series="Alpha", category="South")
         edit = apply_marker(pie_spec, grounding(0, ref))
-        a0, a1 = lay.wedge_angles["South"]
+        a0, a1 = wedges[pie_spec.x_labels.index("South")]
         span = a1 - a0
-        d = 4 * lay.pie_radius * math.sin(span / 2) / (3 * span)
+        d = 4 * r * math.sin(span / 2) / (3 * span)
         mid = (a0 + a1) / 2
-        cx = lay.pie_center[0] + d * math.cos(mid)
-        cy = lay.pie_center[1] + d * math.sin(mid)
+        cx = pcx + d * math.cos(mid)
+        cy = pcy + d * math.sin(mid)
         assert edit.markers[0] == pytest.approx((cx, cy))
         assert lay.geometry[ref].contains(*edit.markers[0])
+
+    def test_every_datapoint_has_an_anchor_inside_its_box(self):
+        for spec in generate_corpus(seed=19, n=200, type_mix={"bar": 0.4, "line": 0.3, "pie": 0.3}):
+            lay = chart_layout(spec)
+            points = {ref: box for ref, box in lay.geometry.items() if ref.role == "datapoint"}
+            assert points and set(lay.anchors) == set(points), spec.id
+            for ref, box in points.items():
+                assert box.contains(*lay.anchors[ref]), (spec.id, ref)
 
     def test_collision(self):
         spec = make_spec(title="Revenue @ Noon")

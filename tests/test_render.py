@@ -261,8 +261,8 @@ def test_svg_uses_subset_tags_only(multi_line_spec, pie_spec):
 
 
 def test_wedge_angles_cover_circle(pie_spec):
-    lay = chart_layout(pie_spec)
-    spans = [a1 - a0 for a0, a1 in lay.wedge_angles.values()]
+    (pie,) = chart_layout(pie_spec).groups["chart"]
+    spans = [a1 - a0 for a0, a1 in pie[4]]  # ("pie", cx, cy, r, wedges, colors)
     assert abs(sum(spans) - 2 * np.pi) < 1e-9
     # shares 45/30/15/10 map to proportional angles
     assert abs(spans[0] / (2 * np.pi) - 0.45) < 1e-9
