@@ -91,12 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_stage(args: argparse.Namespace, stage: str, command: str) -> int:
-    config = _load_config(args)
-    if command == "gen":
-        manifest = run(config, out_dir=args.out, stop_after="meta")
-    else:
-        manifest = run(config, out_dir=args.out, only_stage=stage)
+def _cmd_stage(args: argparse.Namespace, stage: str) -> int:
+    manifest = run(_load_config(args), out_dir=args.out, only_stage=stage)
     report = next(r for r in manifest.stage_reports() if r["stage"] == stage)
     print(
         f"{stage}: {report['passed']}/{report['attempted']} passed "
@@ -174,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO)
     try:
         if args.command in _STAGE_COMMANDS:
-            return _cmd_stage(args, _STAGE_COMMANDS[args.command][0], args.command)
+            return _cmd_stage(args, _STAGE_COMMANDS[args.command][0])
         if args.command == "build":
             return _cmd_build(args)
         if args.command == "stats":

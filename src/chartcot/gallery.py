@@ -18,7 +18,7 @@ from .errors import ChartCotError
 from .geometry import PixelBBox
 from .layout import ChartLayout, chart_layout
 from .pipeline import ChartOutcome, DatasetManifest, marker_edits
-from .render import render_svg
+from .render import marker_svg, overlay_svg, render_svg
 from .spec import ChartSpec, parse_spec
 from .util import atomic_write_text, read_jsonl
 
@@ -47,7 +47,7 @@ def _edited_renders(spec: ChartSpec, sample: CotSample, lay: ChartLayout, outcom
     for key, det in sorted(outcome.detections.items(), key=lambda kv: int(kv[0])):
         k = int(key)
         edit = edits[k]
-        svg, _ = render_svg(edit.spec, overlays=[PixelBBox(*det["bbox"])], markers=list(edit.markers))
+        svg = overlay_svg(marker_svg(render_svg(edit.spec), edit.markers), [PixelBBox(*det["bbox"])], spec.canvas)
         annotated = f"annotated/{outcome.id}__s{k}.svg"
         atomic_write_text(gallery_dir / annotated, svg)
         parts.append(
@@ -72,7 +72,7 @@ def _chart_page(manifest: DatasetManifest, outcome, records: list[dict], gallery
         if spec is not None:
             lay = chart_layout(spec)
             vanilla = f"vanilla/{cid}.svg"
-            atomic_write_text(gallery_dir / vanilla, render_svg(spec, layout=lay)[0])
+            atomic_write_text(gallery_dir / vanilla, render_svg(spec, layout=lay))
             parts.append("<h2>Vanilla render</h2>")
             parts.append(f'<img src="../{vanilla}" alt="vanilla chart">')
         rel = f"cot/{cid}.json"

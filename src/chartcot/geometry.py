@@ -138,12 +138,15 @@ class ElementRef:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ElementRef":
-        return cls(
-            role=obj.get("role", ""),
-            series=obj.get("series"),
-            category=obj.get("category"),
-        )
+    def from_json(cls, obj) -> "ElementRef":
+        """ValueError unless ``obj`` is an object whose role, series and
+        category are strings or missing, and name an element."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"target must be an object, not {obj!r}")
+        for key in ("role", "series", "category"):
+            if obj.get(key) is not None and not isinstance(obj[key], str):
+                raise ValueError(f"target {key} must be a string, not {obj[key]!r}")
+        return cls(obj.get("role", ""), obj.get("series"), obj.get("category"))
 
 
 def nice_ticks(vmax: float, max_intervals: int = 6) -> tuple[float, list[float]]:

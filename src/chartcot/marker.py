@@ -2,9 +2,9 @@
 
 A grounding step is materialized by editing the chart spec: text elements get
 the marker character appended; datapoints get an anchor that renders as a
-cross in the reserved color. Detection scans the vector document once, and
-that exact structural pass decides a text marker; a datapoint cross is found
-by a connected component scan of marker-colored pixels in the raster.
+cross in the reserved color. An exact structural pass over an edit's vector
+document finds a text marker; a connected component scan of marker-colored
+pixels in its raster finds a datapoint cross.
 """
 
 from __future__ import annotations
@@ -173,13 +173,12 @@ def raster_components(bitmap: Bitmap) -> list[PixelBBox]:
     return boxes
 
 
-def detect_markers(vector_doc: str, bitmap: Optional[Bitmap]) -> DetectionResult:
-    """Sequential detection: the exact structural pass decides alone when it
-    finds one marker glyph, else the raster pass over ``bitmap`` (None: no
-    pixels to scan). NotFoundError when neither pass sees a marker;
-    AmbiguousError when the deciding pass sees more than one. Either way the
-    sample is discarded."""
-    structural = structural_hits(vector_doc)
+def detect_markers(vector_doc: Optional[str], bitmap: Optional[Bitmap]) -> DetectionResult:
+    """Sequential detection over what is given (None: nothing to scan): the
+    exact structural pass over ``vector_doc`` decides alone when it finds one
+    marker glyph, else the raster pass over ``bitmap``. NotFoundError when
+    neither pass sees a marker, AmbiguousError when the deciding one sees more."""
+    structural = structural_hits(vector_doc) if vector_doc is not None else []
     if len(structural) == 1:
         return DetectionResult(bbox=structural[0], method="structural")
     raster = raster_components(bitmap) if bitmap is not None else []

@@ -92,6 +92,10 @@ class PipelineConfig:
             raise ConfigError(f"bbox_format must be one of {FORMATS}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for key in ("min_marker_px", "cap"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ConfigError(f"{key} must be a finite number >= 0, not {value!r}")
         for chart_type, weight in self.type_mix.items():
             if not (is_number(weight) and 0.0 <= weight < math.inf):
                 raise ConfigError(f"type_mix weight of {chart_type!r} must be a finite number >= 0, not {weight!r}")
@@ -266,7 +270,7 @@ class _ChartTask:
             return
         boxes = image.overlay_boxes
         if self._canvas is None or not self._painted <= set(boxes):
-            self._canvas = self._read_vanilla() if boxes else rasterize(self.spec, layout=self.layout)[0]
+            self._canvas = self._read_vanilla() if boxes else rasterize(self.spec, layout=self.layout)
             self._painted = set()
         paint_overlays(self._canvas, [box for box in boxes if box not in self._painted])
         self._painted.update(boxes)
@@ -328,20 +332,19 @@ class _ChartTask:
         self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
 
     def _stage_detect(self) -> None:
-        """Draw each edit's SVG and detect its marker: a text edit from its SVG
-        alone, a datapoint edit (same spec) from its cross painted onto a copy
-        of the render stage's canvas, or onto a vanilla raster drawn anew."""
+        """Draw each edit once, in the format that finds its marker, and detect
+        it: a text edit as its SVG, a datapoint edit (same spec) as its cross
+        painted onto a copy of the render stage's canvas or a fresh vanilla raster."""
         w, _ = self.spec.canvas
         min_px = marker_min_size(w, self.config.min_marker_px)
         detections = {}
         for edit in self._edits():
-            # A point-anchor edit leaves the spec as it was; a text edit is laid out once.
-            elay = self.layout if edit.spec == self.spec else chart_layout(edit.spec)
-            svg, _ = render_svg(edit.spec, markers=list(edit.markers), layout=elay)
-            bmp = None
+            svg = bmp = None
             if edit.markers:
-                bmp = self._canvas.copy() if self._canvas is not None else rasterize(self.spec, layout=self.layout)[0]
+                bmp = self._canvas.copy() if self._canvas is not None else rasterize(self.spec, layout=self.layout)
                 paint_markers(bmp, edit.markers)
+            else:
+                svg = render_svg(edit.spec)
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:

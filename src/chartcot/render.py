@@ -1,12 +1,12 @@
 """Chart rendering: byte-deterministic SVG and raster output.
 
-``render_svg`` and ``rasterize`` only translate the paint items of
-``chart_layout``, which describes each chart once, so the two outputs cannot
-drift apart and neither branches on the chart type. Marker crosses and
-overlay boxes are not paint items: each is one layer in one opaque colour
-over a finished image (``marker_svg`` and ``paint_markers``, then
-``overlay_svg`` and ``paint_overlays``), so an edit's or overlay's image is
-its vanilla image plus a layer.
+``render_svg`` and ``rasterize`` draw the chart alone, as a translation of
+the paint items of ``chart_layout``, which describes each chart once, so the
+two outputs cannot drift apart and neither branches on the chart type.
+Marker crosses and overlay boxes are each one layer in one opaque colour over
+a finished image, drawn only by ``marker_svg`` and ``paint_markers``, then
+``overlay_svg`` and ``paint_overlays``: an edit's or overlay's image is its
+vanilla image plus a layer.
 
 Raster text is drawn as solid glyph blocks on the fixed-advance metric table,
 so no font engine is involved and every text extent matches the layout oracle
@@ -22,7 +22,7 @@ import re
 import numpy as np
 
 from .errors import IntegrityError, ValidationError
-from .geometry import PixelBBox, glyph_advance, glyph_ascent
+from .geometry import glyph_advance, glyph_ascent
 from .layout import PALETTE, ChartLayout, chart_layout, sector_bounds
 from .spec import MARKER_CHAR, ChartSpec
 
@@ -154,19 +154,9 @@ def _svg_wedge_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str
     return f"M {_fmt(cx)} {_fmt(cy)} L {start} {arc} {large} 1 {end} Z"
 
 
-def render_svg(
-    spec: ChartSpec,
-    overlays: list[PixelBBox] | None = None,
-    markers: list[MarkerAnchor] | None = None,
-    layout: ChartLayout | None = None,
-):
-    """Render to an SVG 1.1 subset (rect, line, path, text, g).
-
-    Returns (svg_text, layout geometry). Byte-deterministic for fixed inputs;
-    marker crosses (``marker_svg``), then overlay boxes (``overlay_svg``), go
-    above all chart content. ``layout``: ``chart_layout(spec)``, if known.
-    """
-    _check_overlays(spec.canvas, overlays or ())
+def render_svg(spec: ChartSpec, layout: ChartLayout | None = None) -> str:
+    """The chart as a byte-deterministic SVG 1.1 subset (rect, line, path,
+    text, g). ``layout``: ``chart_layout(spec)``, if known."""
     lay = layout if layout is not None else chart_layout(spec)
     w, h = spec.canvas
     out: list[str] = []
@@ -208,7 +198,7 @@ def render_svg(
                     out.append(f'<path d="{_svg_wedge_path(cx, cy, r, a0, a1)}" fill="{_hex(color)}"/>')
         out.append("</g>")
     out.append("</svg>")
-    return overlay_svg(marker_svg("\n".join(out) + "\n", markers or ()), overlays or ()), lay.geometry
+    return "\n".join(out) + "\n"
 
 
 def _svg_layer(svg: str, group: str, body: str) -> str:
@@ -232,9 +222,10 @@ def marker_svg(svg: str, anchors) -> str:
     ))
 
 
-def overlay_svg(svg: str, boxes) -> str:
+def overlay_svg(svg: str, boxes, canvas: tuple[int, int]) -> str:
     """``svg`` with the overlay boxes stroked above all its content, as a last
-    ``<g class="overlay">``."""
+    ``<g class="overlay">``; ValidationError for a box outside ``canvas``."""
+    _check_overlays(canvas, boxes)
     stroke = f'fill="none" stroke="{_hex(OVERLAY_COLOR)}" stroke-width="{OVERLAY_STROKE}"'
     return _svg_layer(svg, "overlay", "".join(
         f'<rect class="overlay-box" x="{_fmt(box.x0)}" y="{_fmt(box.y0)}" '
@@ -346,18 +337,8 @@ def _fill_pie(arr: np.ndarray, cx: float, cy: float, r: float, wedges, colors) -
         out[y0:y1, x0:x1][inside] = np.array(color, dtype=np.uint8).view("V3")[0]
 
 
-def rasterize(
-    spec: ChartSpec,
-    markers: list[MarkerAnchor] | None = None,
-    overlays: list[PixelBBox] | None = None,
-    layout: ChartLayout | None = None,
-):
-    """Rasterize to canvas-sized RGB. Returns (Bitmap, layout geometry).
-
-    Marker crosses (``paint_markers``) and then overlay boxes
-    (``paint_overlays``) are painted over the finished chart. ``layout`` is
-    ``chart_layout(spec)`` when the caller already has it.
-    """
+def rasterize(spec: ChartSpec, layout: ChartLayout | None = None) -> Bitmap:
+    """The chart as a canvas-sized RGB raster. ``layout``: ``chart_layout(spec)``, if known."""
     lay = layout if layout is not None else chart_layout(spec)
     w, h = spec.canvas
     bmp = Bitmap.blank(w, h)
@@ -385,9 +366,7 @@ def rasterize(
                 _draw_polyline(arr, ink, *item[1:])
             else:  # pie
                 _fill_pie(arr, *item[1:])
-    paint_markers(bmp, markers or ())
-    paint_overlays(bmp, overlays or ())
-    return bmp, lay.geometry
+    return bmp
 
 
 def paint_markers(bitmap: Bitmap, anchors) -> None:

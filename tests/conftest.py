@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chartcot.render import marker_svg, paint_markers, rasterize, render_svg
 from chartcot.spec import ChartSpec, Series, parse_spec, validate_spec
 
 
@@ -19,6 +20,14 @@ def make_spec(**overrides) -> ChartSpec:
     )
     base.update(overrides)
     return validate_spec(ChartSpec(**base))
+
+
+def draw_edit(edit):
+    """A marker edit drawn in both formats: its SVG and its raster, each with
+    the edit's crosses as a layer over the chart."""
+    bmp = rasterize(edit.spec)
+    paint_markers(bmp, edit.markers)
+    return marker_svg(render_svg(edit.spec), edit.markers), bmp
 
 
 MINIMAL_BAR_DOC = json.dumps({

@@ -25,9 +25,9 @@ from chartcot.marker import (
     marker_min_size,
 )
 from chartcot.pipeline import STAGES, DatasetManifest, PipelineConfig, compute_stats, run
-from chartcot.render import rasterize, render_svg
 from chartcot.spec import generate_corpus
 
+from conftest import draw_edit
 from test_evaluate import EXPECTED_CORRECT, MARGINS, _fixture_io
 from test_instruction import boxes_for, sample_from_kinds, simulate
 
@@ -55,9 +55,7 @@ def test_criterion_1_grounding_soundness():
             text_cases += is_text
             try:
                 edit = apply_marker(spec, step)
-                svg, _ = render_svg(edit.spec, markers=list(edit.markers))
-                bmp, _ = rasterize(edit.spec, markers=list(edit.markers))
-                result = detect_markers(svg, bmp)
+                result = detect_markers(*draw_edit(edit))
             except (NotFoundError, AmbiguousError):
                 continue
             detected += 1

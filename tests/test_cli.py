@@ -132,6 +132,16 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: backoff must be a finite number >= 0, not -1\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("cap", float("nan")), ("cap", float("inf")), ("min_marker_px", float("nan")), ("min_marker_px", float("inf")),
+    ])
+    def test_cap_or_marker_size_not_finite_exits_1(self, tmp_path, capsys, key, value):
+        # json writes these as NaN and Infinity, which the config reader accepts.
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be a finite number >= 0, not {value!r}\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["build", "stats", "gallery"])
     def test_truncated_manifest_exits_1(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, n_charts=3)

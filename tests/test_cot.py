@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,23 @@ class TestValidate:
         obj = json.loads(VALID_DOC)
         obj["steps"][3]["target"] = {"role": "x_tick", "category": "Q2"}
         with pytest.raises(IntegrityError, match="must not carry a target"):
+            validate_cot(json.dumps(obj))
+
+    @pytest.mark.parametrize("target,message", [
+        ("x_tick", "target must be an object, not 'x_tick'"),
+        (5, "target must be an object, not 5"),
+        ([1], "target must be an object, not [1]"),
+        ({"role": ["x_tick"], "category": "Q2"}, "target role must be a string, not ['x_tick']"),
+        ({"role": "datapoint", "series": ["Alpha"], "category": "Q2"}, "target series must be a string, not ['Alpha']"),
+        ({"role": "x_tick", "category": {"Q2": 1}}, "target category must be a string, not {'Q2': 1}"),
+    ])
+    def test_target_must_be_an_object_of_strings(self, target, message):
+        # Before the check, a target that is not an object raised
+        # AttributeError, and a list series or category built an unhashable
+        # ElementRef that raised TypeError once its edit was made.
+        obj = json.loads(VALID_DOC)
+        obj["steps"][1]["target"] = target
+        with pytest.raises(IntegrityError, match=re.escape(f"bad step target: {message}")):
             validate_cot(json.dumps(obj))
 
     def test_empty_steps(self):

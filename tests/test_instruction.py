@@ -11,9 +11,9 @@ from chartcot.geometry import ElementRef
 from chartcot.instruction import ImageRef, build_instructions
 from chartcot.layout import layout
 from chartcot.marker import apply_marker, detect_markers, finalize_bbox, marker_min_size
-from chartcot.render import rasterize, render_svg
+from chartcot.render import overlay_svg, render_svg
 
-from conftest import make_spec
+from conftest import draw_edit, make_spec
 
 
 def sample_from_kinds(kinds: str, chart_id: str = "t0001") -> CotSample:
@@ -152,7 +152,7 @@ class TestCap:
 class TestOverlayImage:
     def test_single_box(self, bar_spec):
         box = denormalize(NormBBox("C", (100, 100, 300, 300)), bar_spec.canvas)
-        svg, _ = render_svg(bar_spec, overlays=[box])
+        svg = overlay_svg(render_svg(bar_spec), [box], bar_spec.canvas)
         assert svg.count('class="overlay-box"') == 1
         ref = ImageRef(chart_id=bar_spec.id, variant="overlay", overlay_boxes=(box,))
         assert ref.variant == "overlay"
@@ -164,7 +164,7 @@ class TestOverlayImage:
     def test_out_of_canvas_rejected(self, bar_spec):
         from chartcot.geometry import PixelBBox
         with pytest.raises(ValidationError):
-            render_svg(bar_spec, overlays=[PixelBBox(700.0, 60.0, 900.0, 120.0)])
+            overlay_svg(render_svg(bar_spec), [PixelBBox(700.0, 60.0, 900.0, 120.0)], bar_spec.canvas)
 
     def test_image_ref_invariants(self):
         with pytest.raises(ValidationError):
@@ -183,9 +183,7 @@ def test_ground_truth_boxes_intersect_targets(multi_line_spec):
     boxes = {}
     for step in sample.grounding_steps():
         edit = apply_marker(spec, step)
-        svg, _ = render_svg(edit.spec, markers=list(edit.markers))
-        bmp, _ = rasterize(edit.spec, markers=list(edit.markers))
-        raw = detect_markers(svg, bmp).bbox
+        raw = detect_markers(*draw_edit(edit)).bbox
         final = finalize_bbox(raw, spec.canvas, min_px, min_px)
         boxes[step.index] = normalize(final, spec.canvas, "C")
     records = build_instructions(spec, sample, boxes)

@@ -26,10 +26,10 @@ from chartcot.marker import (
     structural_hits,
     verify_marker,
 )
-from chartcot.render import MARKER_COLOR, rasterize, render_svg
+from chartcot.render import MARKER_COLOR, marker_svg, paint_markers, rasterize, render_svg
 from chartcot.spec import MARKER_CHAR, generate_corpus
 
-from conftest import make_spec
+from conftest import draw_edit, make_spec
 
 
 def grounding(index: int, ref: ElementRef) -> Step:
@@ -148,8 +148,7 @@ class TestDetect:
         geo = layout(multi_line_spec)
         ref = ElementRef("legend_entry", series="Alpha")
         edit = apply_marker(multi_line_spec, grounding(0, ref))
-        svg, _ = render_svg(edit.spec)
-        bmp, _ = rasterize(edit.spec)
+        svg, bmp = render_svg(edit.spec), rasterize(edit.spec)
         result = detect_markers(svg, bmp)
         assert result.method == "structural"
         assert result.bbox.intersects(geo[ref])
@@ -157,8 +156,7 @@ class TestDetect:
     def test_point_edit_raster_centroid(self, two_bar_spec):
         ref = ElementRef("datapoint", series="Alpha", category="Q2")
         edit = apply_marker(two_bar_spec, grounding(0, ref))
-        svg, _ = render_svg(edit.spec, markers=list(edit.markers))
-        bmp, _ = rasterize(edit.spec, markers=list(edit.markers))
+        svg, bmp = draw_edit(edit)
         result = detect_markers(svg, bmp)
         assert result.method == "raster"
         cx, cy = result.bbox.center
@@ -166,23 +164,20 @@ class TestDetect:
         assert abs(cx - ax) <= 2.0 and abs(cy - ay) <= 2.0
 
     def test_two_blobs_ambiguous(self, bar_spec):
-        svg, _ = render_svg(bar_spec)
-        bmp, _ = rasterize(bar_spec)
+        svg, bmp = render_svg(bar_spec), rasterize(bar_spec)
         bmp.array[10:15, 10:15] = MARKER_COLOR
         bmp.array[100:105, 300:305] = MARKER_COLOR
         with pytest.raises(AmbiguousError):
             detect_markers(svg, bmp)
 
     def test_unedited_not_found(self, bar_spec):
-        svg, _ = render_svg(bar_spec)
-        bmp, _ = rasterize(bar_spec)
+        svg, bmp = render_svg(bar_spec), rasterize(bar_spec)
         with pytest.raises(NotFoundError):
             detect_markers(svg, bmp)
 
     def test_structural_raster_agree_on_text_edits(self, multi_line_spec):
         edit = apply_marker(multi_line_spec, grounding(0, ElementRef("x_tick", category="Feb")))
-        svg, _ = render_svg(edit.spec)
-        bmp, _ = rasterize(edit.spec)
+        svg, bmp = render_svg(edit.spec), rasterize(edit.spec)
         s_hits = structural_hits(svg)
         r_comps = raster_components(bmp)
         assert len(s_hits) == 1 and len(r_comps) == 1
@@ -191,8 +186,7 @@ class TestDetect:
 
     def test_removal_property_corpus(self):
         for spec in generate_corpus(seed=13, n=10, type_mix={"bar": 0.5, "line": 0.3, "pie": 0.2}):
-            svg, _ = render_svg(spec)
-            bmp, _ = rasterize(spec)
+            svg, bmp = render_svg(spec), rasterize(spec)
             with pytest.raises(NotFoundError):
                 detect_markers(svg, bmp)
 
@@ -214,7 +208,7 @@ class TestStructuralScan:
         for spec in generate_corpus(seed=17, n=60, type_mix={"bar": 0.5, "line": 0.3, "pie": 0.2}):
             for step in generate_cot_rule_based(spec, seed=0).grounding_steps():
                 edit = apply_marker(spec, step)
-                docs.append(render_svg(edit.spec, markers=list(edit.markers))[0])
+                docs.append(marker_svg(render_svg(edit.spec), edit.markers))
         counts = {len(_structural_hits_reference(d)) for d in docs}
         assert {0, 1} <= counts
         for doc in docs:
@@ -236,10 +230,21 @@ class TestStructuralScan:
 
     def test_detect_without_bitmap(self, multi_line_spec, two_bar_spec):
         edit = apply_marker(multi_line_spec, grounding(0, ElementRef("x_tick", category="Feb")))
-        assert detect_markers(render_svg(edit.spec)[0], None).method == "structural"
+        assert detect_markers(render_svg(edit.spec), None).method == "structural"
         point = apply_marker(two_bar_spec, grounding(0, ElementRef("datapoint", series="Alpha", category="Q2")))
         with pytest.raises(NotFoundError):
-            detect_markers(render_svg(point.spec, markers=list(point.markers))[0], None)
+            detect_markers(marker_svg(render_svg(point.spec), point.markers), None)
+
+    def test_detect_without_vector_document(self, two_bar_spec):
+        # Detect draws a cross only as pixels: the raster pass decides alone.
+        point = apply_marker(two_bar_spec, grounding(0, ElementRef("datapoint", series="Alpha", category="Q2")))
+        bmp = rasterize(point.spec)
+        with pytest.raises(NotFoundError):
+            detect_markers(None, bmp)
+        paint_markers(bmp, point.markers)
+        assert detect_markers(None, bmp) == detect_markers(*draw_edit(point))
+        with pytest.raises(NotFoundError):
+            detect_markers(None, None)
 
     def test_edit_kind_chooses_the_pass_over_corpus_targets(self):
         # A text edit's raster paints the @ glyphs its SVG holds, so it cannot
@@ -250,7 +255,7 @@ class TestStructuralScan:
             for target in _markable_targets(spec):
                 try:
                     edit = apply_marker(spec, grounding(0, target))
-                    svg, _ = render_svg(edit.spec, markers=list(edit.markers))
+                    svg = marker_svg(render_svg(edit.spec), edit.markers)
                 except ChartCotError:
                     continue
                 if edit.markers:
@@ -258,7 +263,7 @@ class TestStructuralScan:
                     assert structural_hits(svg) == [], (spec.id, target)
                 else:
                     text_edits += 1
-                    assert _verdict(svg, rasterize(edit.spec)[0]) == _verdict(svg, None), (spec.id, target)
+                    assert _verdict(svg, rasterize(edit.spec)) == _verdict(svg, None), (spec.id, target)
         assert text_edits > 100 and point_edits > 100
 
 
@@ -318,9 +323,7 @@ def test_end_to_end_soundness_sample():
         half_min = marker_min_size(spec.canvas[0]) / 2
         for step in sample.grounding_steps():
             edit = apply_marker(spec, step)
-            svg, _ = render_svg(edit.spec, markers=list(edit.markers))
-            bmp, _ = rasterize(edit.spec, markers=list(edit.markers))
-            result = detect_markers(svg, bmp)
+            result = detect_markers(*draw_edit(edit))
             cx, cy = result.bbox.center
             box = geo[step.target].expand(half_min)
             assert box.contains(cx, cy), (spec.id, step.target)

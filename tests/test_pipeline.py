@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chartcot import marker, pipeline
-from chartcot.client import ClientConfig
+from chartcot.client import ClientConfig, LlmClient
 from chartcot.cot import KIND_GROUNDING, Answer, CotSample, Step
 from chartcot.errors import ConfigError, EmptyError, IntegrityError
 from chartcot.gallery import build_gallery
@@ -25,7 +25,7 @@ from chartcot.pipeline import (
 from chartcot.geometry import ElementRef, PixelBBox
 from chartcot.instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef
 from chartcot.marker import structural_hits
-from chartcot.render import Bitmap, rasterize
+from chartcot.render import Bitmap, paint_overlays, rasterize
 from chartcot.spec import Series, generate_corpus
 from chartcot.util import read_jsonl
 
@@ -81,6 +81,15 @@ class TestConfig:
     def test_value_of_wrong_type_names_its_key(self, obj, key):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig.from_json(obj)
+
+    @pytest.mark.parametrize("key", ["cap", "min_marker_px"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_cap_and_marker_size_must_be_finite_and_not_negative(self, key, value):
+        # Before the check, a NaN or infinite cap ended the qa stage in a
+        # traceback, a NaN min_marker_px turned the minimum box size off and an
+        # infinite one made every box the whole canvas.
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number >= 0, not {value!r}$"):
+            PipelineConfig.from_json({key: value})
 
     def test_ints_pass_for_numbers(self):
         cfg = PipelineConfig.from_json({"min_marker_px": 12, "cap": 3, "client": {"timeout": 30}})
@@ -302,7 +311,8 @@ class TestRunDirectory:
 
 
 class TestEditedRasters:
-    """An edited chart is rasterised only when detection will read its pixels."""
+    """Detect draws each edit once, in the format that finds its marker: a text
+    edit as an SVG, a datapoint edit as a raster under its cross."""
 
     def test_in_memory_run_rasterises_only_undecided_edits(self, monkeypatch, tmp_path):
         # The renders run in forked workers, so each call leaves one file
@@ -313,9 +323,9 @@ class TestEditedRasters:
         real_svg, real_raster = pipeline.render_svg, pipeline.rasterize
 
         def counting_svg(spec, **kw):
-            svg, geo = real_svg(spec, **kw)
+            svg = real_svg(spec, **kw)
             (svg_dir / uuid.uuid4().hex).write_text(svg, encoding="utf-8")
-            return svg, geo
+            return svg
 
         def counting_raster(spec, **kw):
             (raster_dir / uuid.uuid4().hex).write_text(spec.id, encoding="utf-8")
@@ -326,16 +336,20 @@ class TestEditedRasters:
         manifest = run(PipelineConfig(seed=31, n_charts=40, workers=2))
         svgs = [path.read_text(encoding="utf-8") for path in svg_dir.iterdir()]
         rasters = list(raster_dir.iterdir())
-        # In memory only edited charts are rendered, one SVG per edit.
-        edits = sum(c.steps["grounding"] for c in manifest.charts if c.passed("render"))
-        assert len(svgs) == edits
-        undecided = sum(len(structural_hits(svg)) != 1 for svg in svgs)
-        assert 0 < undecided < edits
-        assert len(rasters) == undecided
+        # In memory only edited charts are drawn: one SVG per text edit, each
+        # decided by its one marker glyph, and one vanilla raster per datapoint edit.
+        rendered = [c for c in manifest.charts if c.passed("render")]
+        assert all(c.passed("detect") for c in rendered)
+        edits = sum(c.steps["grounding"] for c in rendered)
+        points = sum(det["method"] == "raster" for c in rendered for det in c.detections.values())
+        assert 0 < points < edits
+        assert len(svgs) == edits - points
+        assert all(len(structural_hits(svg)) == 1 for svg in svgs)
+        assert len(rasters) == points
 
     def test_each_edit_is_scanned_once(self, monkeypatch):
-        # detect_markers runs the one structural scan of an edit's SVG; the
-        # pipeline scans nothing itself.
+        # detect_markers runs the one structural scan of a text edit's SVG; a
+        # datapoint edit has no SVG to scan, and the pipeline scans nothing itself.
         scans = []
         real = marker.structural_hits
 
@@ -347,9 +361,37 @@ class TestEditedRasters:
         monkeypatch.setattr(pipeline, "structural_hits", counting, raising=False)
         manifest = run(PipelineConfig(seed=31, n_charts=20, workers=1))
         assert all(c.passed("detect") for c in manifest.charts if c.passed("render"))
-        edits = sum(len(c.detections) for c in manifest.charts if c.passed("detect"))
-        assert edits > 0
-        assert len(scans) == edits
+        detections = [det for c in manifest.charts if c.passed("detect") for det in c.detections.values()]
+        text_edits = sum(det["method"] == "structural" for det in detections)
+        assert 0 < text_edits < len(detections)
+        assert len(scans) == text_edits
+
+
+class TestBadTeacherTarget:
+    @pytest.mark.parametrize("target", [
+        "x_tick", 5, [1], {"role": "x_tick", "category": ["Q1"]}, {"role": "legend_entry", "series": ["A"]},
+    ])
+    def test_bad_target_fails_its_chart_at_cot_and_the_run_goes_on(self, monkeypatch, target):
+        cfg = PipelineConfig(seed=8, n_charts=4, workers=1)
+        victim = generate_corpus(cfg.seed, cfg.n_charts, cfg.type_mix)[0].id
+        real = LlmClient.chat
+
+        def chat(self, messages):
+            reply = real(self, messages)
+            doc = json.loads(reply)
+            if doc["chart_id"] != victim:
+                return reply
+            next(step for step in doc["steps"] if "target" in step)["target"] = target
+            return json.dumps(doc)
+
+        monkeypatch.setattr(LlmClient, "chat", chat)
+        manifest = run(cfg)
+        for c in manifest.charts:
+            if c.id == victim:
+                assert c.stages["cot"].startswith("fail:cot-invalid: bad step target: target "), c.stages
+                assert list(c.stages) == ["meta", "cot"]
+            else:
+                assert c.all_passed(), (c.id, c.stages)
 
 
 class TestUndrawableEdit:
@@ -401,7 +443,9 @@ class TestOverlayImages:
         for image in images:
             task._write_image(image)
             boxes = list(image.overlay_boxes)
-            assert (tmp_path / "renders" / image.file_name()).read_bytes() == rasterize(spec, overlays=boxes)[0].to_ppm()
+            want = rasterize(spec)
+            paint_overlays(want, boxes)
+            assert (tmp_path / "renders" / image.file_name()).read_bytes() == want.to_ppm()
         return len(calls), len(decodes)
 
     def test_nested_boxes_rasterise_once(self, monkeypatch, tmp_path):
@@ -477,7 +521,7 @@ class TestOverlayImages:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_stopped_after_render_draws_no_edit(self, monkeypatch, tmp_path, workers):
         # Render writes only the vanilla image; the resumed detect draws each
-        # edit's SVG once, and rasterises the vanilla chart for a point edit.
+        # text edit's SVG once, and rasterises the vanilla chart for a point edit.
         out, cfg = tmp_path / "run", small_config(n_charts=20, workers=workers)
         calls = self._count_renders(monkeypatch, tmp_path)
         stopped = run(cfg, out_dir=out, stop_after="render")
@@ -496,7 +540,7 @@ class TestOverlayImages:
                 continue
             assert c.passed("detect"), c.id
             raster = sum(det["method"] == "raster" for det in c.detections.values())
-            assert sum(n.startswith(f"{c.id}.svg.") for n in names) == c.steps["grounding"], c.id
+            assert sum(n.startswith(f"{c.id}.svg.") for n in names) == c.steps["grounding"] - raster, c.id
             assert sum(n.startswith(f"{c.id}.vanilla.") for n in names) == raster, c.id
 
 

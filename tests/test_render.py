@@ -14,7 +14,10 @@ from chartcot.render import (
     PALETTE,
     Bitmap,
     _fill_pie,
+    marker_svg,
+    overlay_svg,
     paint_markers,
+    paint_overlays,
     rasterize,
     render_svg,
 )
@@ -107,14 +110,14 @@ class TestLayout:
 
     def test_ink_intersects_every_bbox(self, two_bar_spec, multi_line_spec, pie_spec):
         for spec in (two_bar_spec, multi_line_spec, pie_spec):
-            bmp, geo = rasterize(spec)
-            for ref, box in geo.items():
+            bmp = rasterize(spec)
+            for ref, box in layout(spec).items():
                 assert ink_in(bmp, box), f"{spec.chart_type}: no ink in {ref}"
 
 
 class TestSvg:
     def test_title_text_node_inside_bbox(self, bar_spec):
-        svg, geo = render_svg(bar_spec)
+        svg, geo = render_svg(bar_spec), layout(bar_spec)
         nodes = re.findall(r'<text x="([\d.]+)" y="([\d.]+)"[^>]*>([^<]*)</text>', svg)
         title_nodes = [n for n in nodes if n[2] == bar_spec.title]
         assert len(title_nodes) == 1
@@ -122,23 +125,23 @@ class TestSvg:
         assert geo[ElementRef("title")].contains(x, y)
 
     def test_single_overlay_rect(self, bar_spec):
-        svg, _ = render_svg(bar_spec, overlays=[PixelBBox(100, 100, 200, 160)])
+        svg = overlay_svg(render_svg(bar_spec), [PixelBBox(100, 100, 200, 160)], bar_spec.canvas)
         assert svg.count('class="overlay-box"') == 1
 
     def test_byte_deterministic(self, multi_line_spec):
-        s1, _ = render_svg(multi_line_spec, overlays=[PixelBBox(10, 10, 50, 50)])
-        s2, _ = render_svg(multi_line_spec, overlays=[PixelBBox(10, 10, 50, 50)])
+        s1 = overlay_svg(render_svg(multi_line_spec), [PixelBBox(10, 10, 50, 50)], multi_line_spec.canvas)
+        s2 = overlay_svg(render_svg(multi_line_spec), [PixelBBox(10, 10, 50, 50)], multi_line_spec.canvas)
         assert s1.encode() == s2.encode()
 
     def test_overlay_outside_canvas_rejected(self, bar_spec):
         with pytest.raises(ValidationError, match="canvas"):
-            render_svg(bar_spec, overlays=[PixelBBox(700, 500, 900, 700)])
+            overlay_svg(render_svg(bar_spec), [PixelBBox(700, 500, 900, 700)], bar_spec.canvas)
 
     def test_full_turn_wedge_draws_two_half_arcs(self):
         # A viewer skips an arc whose end point is its start point, so a
         # one-category pie must go round in two arcs that end apart.
         spec = make_spec(chart_type="pie", series=(Series("Share", (5.0,)),), x_labels=("All",))
-        svg, _ = render_svg(spec)
+        svg = render_svg(spec)
         (path,) = re.findall(r'<path d="([^"]*)"', svg)
         start = re.search(r" L ([\d.]+ [\d.]+)", path).group(1)
         ends = re.findall(r" A [\d.]+ [\d.]+ 0 [01] 1 ([\d.]+ [\d.]+)", path)
@@ -148,25 +151,27 @@ class TestSvg:
 
     def test_escapes_markup_text(self):
         spec = make_spec(title="A<B & C")
-        svg, _ = render_svg(spec)
+        svg = render_svg(spec)
         assert "A&lt;B &amp; C" in svg
 
 
 class TestRaster:
     def test_no_marker_color_without_markers(self, bar_spec, pie_spec):
         for spec in (bar_spec, pie_spec):
-            bmp, _ = rasterize(spec)
+            bmp = rasterize(spec)
             assert marker_pixels(bmp).size == 0
 
     def test_marker_centroid(self, bar_spec):
-        bmp, _ = rasterize(bar_spec, markers=[(100.0, 100.0)])
+        bmp = rasterize(bar_spec)
+        paint_markers(bmp, [(100.0, 100.0)])
         pts = marker_pixels(bmp)
         assert pts.size > 0
         cy, cx = pts.mean(axis=0) + 0.5
         assert abs(cx - 100.0) <= 1.0 and abs(cy - 100.0) <= 1.0
 
     def test_corner_marker_clipped_single_component(self, bar_spec):
-        bmp, _ = rasterize(bar_spec, markers=[(0.0, 0.0)])
+        bmp = rasterize(bar_spec)
+        paint_markers(bmp, [(0.0, 0.0)])
         pts = {(int(y), int(x)) for y, x in marker_pixels(bmp)}
         assert pts
         # independent flood fill over the scanned pixels
@@ -183,28 +188,31 @@ class TestRaster:
         assert seen == pts
 
     def test_byte_deterministic(self, pie_spec):
-        b1, _ = rasterize(pie_spec, markers=[(300.0, 200.0)])
-        b2, _ = rasterize(pie_spec, markers=[(300.0, 200.0)])
+        b1, b2 = rasterize(pie_spec), rasterize(pie_spec)
+        paint_markers(b1, [(300.0, 200.0)])
+        paint_markers(b2, [(300.0, 200.0)])
         assert b1.to_ppm() == b2.to_ppm()
 
     def test_ppm_roundtrip(self, bar_spec):
-        bmp, _ = rasterize(bar_spec)
+        bmp = rasterize(bar_spec)
         data = bmp.to_ppm()
         assert bytes(data[:15]) == b"P6\n800 600\n255\n"
         again = Bitmap.from_ppm(data)
         assert np.array_equal(again.array, bmp.array)
 
     def test_copy_is_painted_apart(self, bar_spec):
-        bmp, _ = rasterize(bar_spec)
+        bmp = rasterize(bar_spec)
         data = bytes(bmp.to_ppm())
         twin = bmp.copy()
         assert twin.to_ppm() == data
         paint_markers(twin, [(100.0, 100.0)])
         assert bmp.to_ppm() == data
-        assert twin.to_ppm() == rasterize(bar_spec, markers=[(100.0, 100.0)])[0].to_ppm()
+        fresh = rasterize(bar_spec)
+        paint_markers(fresh, [(100.0, 100.0)])
+        assert twin.to_ppm() == fresh.to_ppm()
 
     def test_ppm_decode_views_a_writable_buffer_and_copies_anything_else(self, bar_spec):
-        bmp, _ = rasterize(bar_spec)
+        bmp = rasterize(bar_spec)
         data = bytes(bmp.to_ppm())
         viewed = bytearray(data)
         assert np.shares_memory(Bitmap.from_ppm(viewed).array, np.frombuffer(viewed, dtype=np.uint8))
@@ -234,7 +242,8 @@ class TestRaster:
             Bitmap.from_ppm(kind(data))
 
     def test_overlay_stroke_drawn(self, bar_spec):
-        bmp, _ = rasterize(bar_spec, overlays=[PixelBBox(100, 100, 200, 160)])
+        bmp = rasterize(bar_spec)
+        paint_overlays(bmp, [PixelBBox(100, 100, 200, 160)])
         a = bmp.array
         red = (a[..., 0] == 255) & (a[..., 1] == 0) & (a[..., 2] == 0)
         assert red.sum() > 100
@@ -242,7 +251,7 @@ class TestRaster:
     def test_corpus_renders_cleanly(self):
         # every generated spec must lay out and rasterize without error
         for spec in generate_corpus(seed=5, n=40, type_mix={"bar": 0.5, "line": 0.3, "pie": 0.2}):
-            bmp, _ = rasterize(spec)
+            bmp = rasterize(spec)
             assert (bmp.width, bmp.height) == spec.canvas
 
 
@@ -254,8 +263,7 @@ def test_marker_color_reserved():
 
 def test_svg_uses_subset_tags_only(multi_line_spec, pie_spec):
     for spec in (multi_line_spec, pie_spec):
-        svg, _ = render_svg(spec, overlays=[PixelBBox(200, 100, 300, 200)],
-                            markers=[(250.0, 150.0)])
+        svg = overlay_svg(marker_svg(render_svg(spec), [(250.0, 150.0)]), [PixelBBox(200, 100, 300, 200)], spec.canvas)
         tags = set(re.findall(r"<([a-zA-Z?][\w?]*)", svg))
         assert tags <= {"?xml", "svg", "rect", "line", "path", "text", "g"}
 

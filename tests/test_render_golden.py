@@ -101,8 +101,10 @@ def _render_case(spec, k: int, variant: str):
             PixelBBox(0.0, 0.0, 60.5, 40.25),
             PixelBBox(w - 90.25, h - 33.5, float(w), float(h)),
         ]
-    svg, _ = render_svg(spec, overlays=overlays, markers=markers)
-    bmp, _ = rasterize(spec, markers=markers, overlays=overlays)
+    svg = overlay_svg(marker_svg(render_svg(spec), markers), overlays, spec.canvas)
+    bmp = rasterize(spec)
+    paint_markers(bmp, markers)
+    paint_overlays(bmp, overlays)
     ppm_digest = hashlib.sha256(bmp.to_ppm()).hexdigest()
     svg_digest = hashlib.sha256(svg.encode("utf-8")).hexdigest()
     boxes = [b.as_tuple() for b in raster_components(bmp)]
@@ -602,12 +604,9 @@ def test_overlay_layer_over_vanilla_output(name, spec, k, variant):
     # Overlays are one layer over a finished image: stroking them onto the
     # vanilla output gives the pinned overlay render, byte for byte.
     overlays = _overlay_boxes(spec, variant)
-    svg, _ = render_svg(spec)
-    bmp, _ = rasterize(spec)
+    bmp = rasterize(spec)
     paint_overlays(bmp, overlays)
-    layered_svg = overlay_svg(svg, overlays)
-    assert layered_svg == render_svg(spec, overlays=overlays)[0]
-    assert bmp.to_ppm() == rasterize(spec, overlays=overlays)[0].to_ppm()
+    layered_svg = overlay_svg(render_svg(spec), overlays, spec.canvas)
     want_ppm, want_svg, _ = GOLDEN[name]
     assert hashlib.sha256(layered_svg.encode("utf-8")).hexdigest() == want_svg
     assert hashlib.sha256(bmp.to_ppm()).hexdigest() == want_ppm
@@ -628,9 +627,9 @@ def test_marker_layer_over_vanilla_output(name, spec, k, variant):
     # Crosses are one layer over a finished image, as detect paints them:
     # painting them onto the vanilla output gives the pinned cross render.
     anchors = _marker_anchors(spec, variant)
-    bmp, _ = rasterize(spec)
+    bmp = rasterize(spec)
     paint_markers(bmp, anchors)
-    layered_svg = marker_svg(render_svg(spec)[0], anchors)
+    layered_svg = marker_svg(render_svg(spec), anchors)
     want_ppm, want_svg, want_boxes = GOLDEN[name]
     assert hashlib.sha256(layered_svg.encode("utf-8")).hexdigest() == want_svg
     assert hashlib.sha256(bmp.to_ppm()).hexdigest() == want_ppm
