@@ -43,7 +43,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         try:
             obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

@@ -166,7 +166,7 @@ class LlmClient:
 def _completion_content(raw: bytes) -> str:
     try:
         content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:  # ValueError: not UTF-8 or not JSON
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ClientError(f"malformed completion payload: {exc}") from exc
     if not isinstance(content, str):
         raise ClientError(f"malformed completion payload: content is {type(content).__name__}, not text")

@@ -153,18 +153,20 @@ def check_sample(sample: CotSample) -> CotSample:
 def validate_cot(document: str) -> CotSample:
     """Parse and validate a CoT document.
 
-    FormatError for invalid JSON or wrong shape; IntegrityError for missing
-    keys, bad step kinds, missing grounding targets, or index gaps.
+    FormatError for JSON that does not decode, or of the wrong shape; IntegrityError for
+    missing keys, non-string text, bad step kinds, missing grounding targets, or index gaps.
     """
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError("CoT document must be a JSON object")
     for key in ("chart_id", "question", "answer", "steps"):
         if key not in obj:
             raise IntegrityError(f"missing required key {key!r}")
+        if key in ("chart_id", "question") and not isinstance(obj[key], str):
+            raise IntegrityError(f"{key} must be a string, not {obj[key]!r:.40}")
     if not isinstance(obj["steps"], list):
         raise FormatError("steps must be a list")
     steps = []
@@ -175,16 +177,19 @@ def validate_cot(document: str) -> CotSample:
             raise IntegrityError("step needs index, kind, and text")
         if not isinstance(raw["index"], int) or isinstance(raw["index"], bool):
             raise IntegrityError("step index must be an integer")
+        for key in ("kind", "text"):
+            if not isinstance(raw[key], str):
+                raise IntegrityError(f"step {key} must be a string, not {raw[key]!r:.40}")
         target = None
         if raw.get("target") is not None:
             try:
                 target = ElementRef.from_json(raw["target"])
             except ValueError as exc:
                 raise IntegrityError(f"bad step target: {exc}") from exc
-        steps.append(Step(index=raw["index"], kind=str(raw["kind"]), text=str(raw["text"]), target=target))
+        steps.append(Step(index=raw["index"], kind=raw["kind"], text=raw["text"], target=target))
     sample = CotSample(
-        chart_id=str(obj["chart_id"]),
-        question=str(obj["question"]),
+        chart_id=obj["chart_id"],
+        question=obj["question"],
         answer=Answer.from_json(obj["answer"]),
         steps=tuple(steps),
     )

@@ -47,7 +47,7 @@ def _edited_renders(spec: ChartSpec, sample: CotSample, lay: ChartLayout, outcom
     for key, det in sorted(outcome.detections.items(), key=lambda kv: int(kv[0])):
         k = int(key)
         edit = edits[k]
-        svg = overlay_svg(marker_svg(render_svg(edit.spec), edit.markers), [PixelBBox(*det["bbox"])], spec.canvas)
+        svg = overlay_svg(marker_svg(render_svg(edit.spec, layout=edit.layout), edit.markers), [PixelBBox(*det["bbox"])], spec.canvas)
         annotated = f"annotated/{outcome.id}__s{k}.svg"
         atomic_write_text(gallery_dir / annotated, svg)
         parts.append(

@@ -6,15 +6,15 @@ datapoint, and its paint items, which the SVG and raster writers only
 translate. Only this module branches on the chart type.
 
 Margins are fixed fractions of nothing but the canvas and chart options, never
-of text content. Appending a marker glyph to a label therefore leaves every
-other element exactly where it was, which is what makes bboxes detected on an
-edited render valid ground truth for the vanilla chart.
+of text content. Appending a marker glyph to a label therefore leaves every other
+element where it was: boxes detected on an edited render are ground truth for the
+vanilla chart, and ``mark_text`` lays the edit out by placing that label again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import LayoutError
 from .geometry import (
@@ -28,7 +28,7 @@ from .geometry import (
     text_pad,
     text_width,
 )
-from .spec import ChartSpec
+from .spec import MARKER_CHAR, ChartSpec
 
 MARGIN_LEFT = 64         # room for y tick labels on axis charts
 MARGIN_TOP_TITLE = 40
@@ -90,6 +90,7 @@ class ChartLayout:
     anchors: dict[ElementRef, tuple[float, float]] = field(default_factory=dict)  # datapoint -> marker anchor
     groups: dict[str, list[tuple]] = field(
         default_factory=lambda: {"chart": [], "axes": [], "labels": []})  # paint items
+    texts: dict[ElementRef, tuple] = field(default_factory=dict)  # text -> (labels index, anchor x, align, swatch)
 
     @property
     def canvas(self) -> tuple[int, int]:
@@ -100,17 +101,22 @@ def _value_to_y(v: float, top_value: float, plot: PixelBBox) -> float:
     return plot.y1 - (v / top_value) * plot.height
 
 
-def _store_text(lay: ChartLayout, ref: ElementRef, item: TextItem, extra: PixelBBox | None = None) -> None:
-    """Record a text element: paint it and store its padded, clamped bbox."""
-    lay.groups["labels"].append(("text", item))
-    box = text_bbox(item.x_left, item.baseline, item.text, item.font_px)
-    if extra is not None:
+def _store_text(lay: ChartLayout, ref: ElementRef, text: str, anchor: float, align: float,
+                baseline: float, font_px: int, swatch: PixelBBox | None = None) -> None:
+    """Place a text with ``align`` (0, 0.5, 1) of its width left of x ``anchor``,
+    paint it (over its old item, if any) and store its bbox and placement."""
+    labels = lay.groups["labels"]
+    index = lay.texts[ref][0] if ref in lay.texts else len(labels)
+    lay.texts[ref] = (index, anchor, align, swatch)
+    item = TextItem(text, anchor - align * text_width(text, font_px), baseline, font_px)
+    labels[index:index + 1] = [("text", item)]
+    box = text_bbox(item.x_left, baseline, text, font_px)
+    if swatch is not None:
         box = PixelBBox(
-            min(box.x0, extra.x0), min(box.y0, extra.y0),
-            max(box.x1, extra.x1), max(box.y1, extra.y1),
+            min(box.x0, swatch.x0), min(box.y0, swatch.y0),
+            max(box.x1, swatch.x1), max(box.y1, swatch.y1),
         )
-    w, h = lay.canvas
-    lay.geometry[ref] = box.expand(text_pad(item.font_px)).clamp(w, h)
+    lay.geometry[ref] = box.expand(text_pad(font_px)).clamp(*lay.canvas)
 
 
 def _side_column(lay: ChartLayout, entries: list[tuple[ElementRef, str]], what: str) -> None:
@@ -123,7 +129,7 @@ def _side_column(lay: ChartLayout, entries: list[tuple[ElementRef, str]], what: 
             raise LayoutError(f"{what} does not fit the canvas height")
         swatch = PixelBBox(lx, ey, lx + SWATCH_PX, ey + SWATCH_PX)
         lay.groups["axes"].append(("rect", *swatch.as_tuple(), series_color(lay.spec.style_seed, i)))
-        _store_text(lay, ref, TextItem(text, lx + SWATCH_PX + 6, ey + 10, LABEL_FONT_PX), extra=swatch)
+        _store_text(lay, ref, text, lx + SWATCH_PX + 6, 0.0, ey + 10, LABEL_FONT_PX, swatch)
 
 
 def _check_tick_overlap(lay: ChartLayout) -> None:
@@ -154,17 +160,15 @@ def _layout_axes_chart(lay: ChartLayout) -> None:
         y = _value_to_y(tv, top, p)
         y_rules.append(("rule", p.x0 - 4, y, p.x0, y, (p.x0 - 4, y, p.x0, y + 1)))
         label = str(int(tv)) if float(tv).is_integer() else f"{tv:g}"
-        x_left = p.x0 - 8 - text_width(label, LABEL_FONT_PX)
-        item = TextItem(label, x_left, y + glyph_ascent(LABEL_FONT_PX) / 2 - 1, LABEL_FONT_PX)
-        _store_text(lay, ElementRef("y_tick", category=label), item)
+        _store_text(lay, ElementRef("y_tick", category=label), label, p.x0 - 8, 1.0,
+                    y + glyph_ascent(LABEL_FONT_PX) / 2 - 1, LABEL_FONT_PX)
 
     band_w = p.width / len(spec.x_labels)
     x_centers = [p.x0 + (i + 0.5) * band_w for i in range(len(spec.x_labels))]
     for cat, cx in zip(spec.x_labels, x_centers):
         axes.append(("rule", cx, p.y1, cx, p.y1 + 4, (cx, p.y1, cx + 1, p.y1 + 4)))
-        x_left = cx - text_width(cat, LABEL_FONT_PX) / 2
-        item = TextItem(cat, x_left, p.y1 + 6 + glyph_ascent(LABEL_FONT_PX), LABEL_FONT_PX)
-        _store_text(lay, ElementRef("x_tick", category=cat), item)
+        _store_text(lay, ElementRef("x_tick", category=cat), cat, cx, 0.5,
+                    p.y1 + 6 + glyph_ascent(LABEL_FONT_PX), LABEL_FONT_PX)
     axes += y_rules
 
     w, h = lay.canvas
@@ -252,9 +256,7 @@ def chart_layout(spec: ChartSpec) -> ChartLayout:
     lay.geometry[ElementRef("plot_area")] = plot
 
     if spec.title:
-        x_left = (w - text_width(spec.title, TITLE_FONT_PX)) / 2
-        item = TextItem(spec.title, x_left, 6 + glyph_ascent(TITLE_FONT_PX), TITLE_FONT_PX)
-        _store_text(lay, ElementRef("title"), item)
+        _store_text(lay, ElementRef("title"), spec.title, w / 2, 0.5, 6 + glyph_ascent(TITLE_FONT_PX), TITLE_FONT_PX)
 
     if is_pie:
         _layout_pie(lay)
@@ -262,6 +264,20 @@ def chart_layout(spec: ChartSpec) -> ChartLayout:
         _layout_axes_chart(lay)
         _check_tick_overlap(lay)
     return lay
+
+
+def mark_text(lay: ChartLayout, spec: ChartSpec, target: ElementRef) -> ChartLayout:
+    """The layout of ``spec``, ``lay.spec`` with the marker appended to the text of
+    ``target``: ``lay`` with that text placed again by the rule that placed it. Paint
+    items and LayoutError are ``chart_layout(spec)``'s; elements keep their vanilla names."""
+    index, anchor, align, swatch = lay.texts[target]
+    old = lay.groups["labels"][index][1]
+    out = replace(lay, spec=spec, geometry=dict(lay.geometry), texts=dict(lay.texts),
+                  groups={**lay.groups, "labels": list(lay.groups["labels"])})
+    _store_text(out, target, old.text + MARKER_CHAR, anchor, align, old.baseline, old.font_px, swatch)
+    if target.role == "x_tick" and spec.chart_type != "pie":
+        _check_tick_overlap(out)
+    return out
 
 
 def layout(spec: ChartSpec) -> dict[ElementRef, PixelBBox]:

@@ -2,15 +2,15 @@
 
 A grounding step is materialized by editing the chart spec: text elements get
 the marker character appended; datapoints get an anchor that renders as a
-cross in the reserved color. An exact structural pass over an edit's vector
-document finds a text marker; a connected component scan of marker-colored
-pixels in its raster finds a datapoint cross.
+cross in the reserved color; an edit is laid out from the vanilla layout. An
+exact structural pass over an edit's vector document finds a text marker; a
+connected component scan of marker-colored pixels in its raster finds a cross.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,8 +22,8 @@ from .errors import (
     NotFoundError,
     TargetError,
 )
-from .geometry import PixelBBox, glyph_bbox
-from .layout import ChartLayout, chart_layout
+from .geometry import ElementRef, PixelBBox, glyph_bbox
+from .layout import ChartLayout, chart_layout, mark_text
 from .render import MARKER_COLOR, Bitmap, MarkerAnchor, unescape_text
 from .spec import MARKER_CHAR, ChartSpec, Series, validate_spec
 
@@ -51,6 +51,13 @@ class EditedSpec:
     spec: ChartSpec
     markers: tuple[MarkerAnchor, ...]
     step_index: int
+    vanilla: ChartLayout = field(compare=False, repr=False)
+    marked: Optional[ElementRef] = None
+
+    @property
+    def layout(self) -> ChartLayout:
+        """The edit's layout, made from the vanilla layout when used (in detect)."""
+        return mark_text(self.vanilla, self.spec, self.marked) if self.marked else self.vanilla
 
 
 def _spec_text_fields(spec: ChartSpec) -> list[str]:
@@ -64,6 +71,7 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
     if any(MARKER_CHAR in text for text in _spec_text_fields(spec)):
         raise CollisionError(f"spec text already contains {MARKER_CHAR!r}")
     target = step.target
+    lay = full_layout if full_layout is not None else chart_layout(spec)
 
     if target.role in TEXT_ROLES:
         if target.role == "title":
@@ -91,13 +99,12 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
             )
         else:  # y_tick: tick text is derived from data, not an editable field
             raise TargetError("y tick labels are derived values; target a spec text element")
-        return EditedSpec(spec=validate_spec(edited), markers=(), step_index=step.index)
+        return EditedSpec(spec=validate_spec(edited), markers=(), step_index=step.index, vanilla=lay, marked=target)
 
-    lay = full_layout if full_layout is not None else chart_layout(spec)
     anchor = lay.anchors.get(target)
     if anchor is None:
         raise TargetError(f"{target} has no marker anchor")
-    return EditedSpec(spec=spec, markers=(anchor,), step_index=step.index)
+    return EditedSpec(spec=spec, markers=(anchor,), step_index=step.index, vanilla=lay)
 
 
 def verify_marker(edited: EditedSpec) -> bool:

@@ -21,7 +21,7 @@ import pickle
 import selectors
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional
 
@@ -50,7 +50,7 @@ from .marker import (
     marker_min_size,
     verify_marker,
 )
-from .render import Bitmap, paint_markers, paint_overlays, rasterize, render_svg
+from .render import Bitmap, lift_markers, paint_markers, paint_overlays, rasterize, render_svg
 from .spec import ChartSpec, generate_corpus, parse_spec, serialize_spec
 from .util import (
     atomic_write_bytes,
@@ -209,7 +209,7 @@ class DatasetManifest:
             return cls(config=PipelineConfig.from_json(obj["config"]),
                        charts=[ChartOutcome.from_json(c) for c in obj.get("charts", [])],
                        out_dir=path.parent, generated_at=obj.get("generated_at", ""))
-        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise IntegrityError(f"manifest {path} is cut short or malformed: {type(exc).__name__}: {exc}") from None
 
 
@@ -217,9 +217,9 @@ class DatasetManifest:
 # Per-chart execution
 
 class _ChartTask:
-    """Runs one chart through a window of stages. A persisted run keeps only
-    what cannot be recomputed: specs, CoTs and the images the dataset names.
-    Detect draws the edits in memory, and recomputes them on resume."""
+    """Runs one chart through a window of stages, laying it out once and
+    rasterising it at most once. A persisted run keeps only the specs, CoTs and
+    images the dataset names; detect draws the edits in memory, also on resume."""
 
     def __init__(self, spec: ChartSpec, outcome: ChartOutcome, config: PipelineConfig,
                  client: LlmClient, out_dir: Optional[Path]):
@@ -230,18 +230,15 @@ class _ChartTask:
         self.out = out_dir
         self.sample: Optional[CotSample] = None
         self.edits: Optional[list[EditedSpec]] = None
-        self._layout: Optional[ChartLayout] = None
         # Persisted runs: the vanilla raster with the overlay boxes of the
         # images written so far stroked onto it.
         self._canvas: Optional[Bitmap] = None
         self._painted: set[PixelBBox] = set()
 
-    @property
+    @cached_property
     def layout(self) -> ChartLayout:
         """The vanilla spec's layout, computed once and shared by every stage."""
-        if self._layout is None:
-            self._layout = chart_layout(self.spec)
-        return self._layout
+        return chart_layout(self.spec)
 
     # -- fault injection ----------------------------------------------------
 
@@ -332,23 +329,26 @@ class _ChartTask:
         self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
 
     def _stage_detect(self) -> None:
-        """Draw each edit once, in the format that finds its marker, and detect
-        it: a text edit as its SVG, a datapoint edit (same spec) as its cross
-        painted onto a copy of the render stage's canvas or a fresh vanilla raster."""
+        """Draw each edit once, in the format that finds its marker, and detect it: a text
+        edit as its SVG, a datapoint edit as its cross, lifted off after, on the render stage's
+        canvas or else on one raster made here (on resume, qa reads the vanilla image back)."""
         w, _ = self.spec.canvas
         min_px = marker_min_size(w, self.config.min_marker_px)
         detections = {}
+        canvas = self._canvas
         for edit in self._edits():
-            svg = bmp = None
+            svg, bmp, covered = None, None, ()
             if edit.markers:
-                bmp = self._canvas.copy() if self._canvas is not None else rasterize(self.spec, layout=self.layout)
-                paint_markers(bmp, edit.markers)
+                bmp = canvas = canvas if canvas is not None else rasterize(self.spec, layout=self.layout)
+                covered = paint_markers(bmp, edit.markers)
             else:
-                svg = render_svg(edit.spec)
+                svg = render_svg(edit.spec, layout=edit.layout)
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:
                 raise _StageFail(f"detect step {edit.step_index}: {exc}") from exc
+            finally:
+                lift_markers(bmp, covered)
             final = finalize_bbox(result.bbox, self.spec.canvas, min_px, min_px)
             detections[str(edit.step_index)] = {"bbox": list(final.as_tuple()), "method": result.method}
         self.outcome.detections = detections
@@ -600,14 +600,20 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
 
     Records are rebuilt deterministically from persisted artifacts, so a
     resumed run emits the same bytes as an uninterrupted one. A passed chart
-    whose spec or CoT is gone raises ``IntegrityError("missing artifact ...")``.
+    whose spec or CoT is gone raises ``IntegrityError("missing artifact ...")``;
+    a spec that does not parse raises its error prefixed ``specs/<id>.json: ``.
     """
     out = manifest.out_dir
     if out is None:
         raise ConfigError("emit_dataset requires a persisted run")
     records: list[tuple] = []
     for outcome in manifest.passed_charts():
-        spec = parse_spec(_read_artifact(out, f"specs/{outcome.id}.json").decode("utf-8"))
+        rel = f"specs/{outcome.id}.json"
+        data = _read_artifact(out, rel).decode("utf-8")
+        try:
+            spec = parse_spec(data)
+        except ChartCotError as exc:
+            raise type(exc)(f"{rel}: {exc}") from None
         sample = validate_cot(_read_artifact(out, f"cot/{outcome.id}.json").decode("utf-8"))
         for rec in _chart_records(spec, sample, outcome, manifest.config):
             records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name()}")))

@@ -6,7 +6,7 @@ two outputs cannot drift apart and neither branches on the chart type.
 Marker crosses and overlay boxes are each one layer in one opaque colour over
 a finished image, drawn only by ``marker_svg`` and ``paint_markers``, then
 ``overlay_svg`` and ``paint_overlays``: an edit's or overlay's image is its
-vanilla image plus a layer.
+vanilla image plus a layer, and ``lift_markers`` takes crosses off again.
 
 Raster text is drawn as solid glyph blocks on the fixed-advance metric table,
 so no font engine is involved and every text extent matches the layout oracle
@@ -56,9 +56,6 @@ class Bitmap:
         ppm = np.empty(len(header) + width * height * 3, dtype=np.uint8)
         ppm[:len(header)] = np.frombuffer(header, dtype=np.uint8)
         return cls(ppm, width, height)
-
-    def copy(self) -> "Bitmap":
-        return Bitmap(self._ppm.copy(), self.width, self.height)
 
     @property
     def width(self) -> int:
@@ -369,14 +366,24 @@ def rasterize(spec: ChartSpec, layout: ChartLayout | None = None) -> Bitmap:
     return bmp
 
 
-def paint_markers(bitmap: Bitmap, anchors) -> None:
-    """Paint a 9x9 cross in the reserved marker colour, centred on the rounded
-    anchor and clipped at the canvas edges, onto a finished raster."""
+def paint_markers(bitmap: Bitmap, anchors) -> list:
+    """Paint a 9x9 cross in the reserved marker colour, centred on the rounded anchor and
+    clipped at the canvas edges, onto a finished raster; return what it covered, for lifting."""
     arr, ink = bitmap.array, _Ink(9)
+    covered = []
     for x, y in anchors:
         cx, cy = int(round(x)), int(round(y))
+        block = (slice(max(0, cy - 4), max(0, cy + 5)), slice(max(0, cx - 4), max(0, cx + 5)))
+        covered.append((block, arr[block].copy()))
         _fill_rect(arr, ink, cx - 1, cy - 4, cx + 2, cy + 5, MARKER_COLOR)
         _fill_rect(arr, ink, cx - 4, cy - 1, cx + 5, cy + 2, MARKER_COLOR)
+    return covered
+
+
+def lift_markers(bitmap: Bitmap, covered) -> None:
+    """Put back, last cross first, the pixels ``paint_markers`` returned."""
+    for block, pixels in reversed(covered):
+        bitmap.array[block] = pixels
 
 
 def paint_overlays(bitmap: Bitmap, boxes) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -114,13 +115,15 @@ def spec_from_json(obj: object) -> ChartSpec:
         raise SpecSyntaxError("series must be a list")
     series = []
     for entry in raw_series:
-        if not isinstance(entry, dict) or set(entry) != _SERIES_KEYS:
-            raise SpecSyntaxError(f"each series needs exactly the keys {sorted(_SERIES_KEYS)}")
+        if not isinstance(entry, dict) or set(entry) != _SERIES_KEYS or not isinstance(entry["name"], str):
+            raise SpecSyntaxError(f"each series needs exactly the keys {sorted(_SERIES_KEYS)}, its name a string")
         if not isinstance(entry["values"], list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry["values"]
+            isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in entry["values"]
         ):
-            raise SpecSyntaxError("series values must be numbers")
-        series.append(Series(name=str(entry["name"]), values=tuple(float(v) for v in entry["values"])))
+            raise SpecSyntaxError("series values must be numbers a float can hold")
+        series.append(Series(name=entry["name"], values=tuple(float(v) for v in entry["values"])))
+    if not isinstance(obj["x_labels"], list) or not all(isinstance(x, str) for x in obj["x_labels"]):
+        raise SpecSyntaxError(f"x_labels must be a list of strings, not {obj['x_labels']!r:.40}")
     canvas = obj["canvas"]
     if (
         not isinstance(canvas, list)
@@ -133,12 +136,15 @@ def spec_from_json(obj: object) -> ChartSpec:
             raise SpecSyntaxError(f"{key} must be a boolean")
     if not isinstance(obj["style_seed"], int) or isinstance(obj["style_seed"], bool):
         raise SpecSyntaxError("style_seed must be an integer")
+    for key in ("id", "chart_type", "title"):
+        if not isinstance(obj[key], str):
+            raise SpecSyntaxError(f"{key} must be a string, not {obj[key]!r:.40}")
     spec = ChartSpec(
-        id=str(obj["id"]),
-        chart_type=str(obj["chart_type"]),
-        title=str(obj["title"]),
+        id=obj["id"],
+        chart_type=obj["chart_type"],
+        title=obj["title"],
         series=tuple(series),
-        x_labels=tuple(str(x) for x in obj["x_labels"]),
+        x_labels=tuple(obj["x_labels"]),
         canvas=(canvas[0], canvas[1]),
         style_seed=obj["style_seed"],
         legend=obj["legend"],
@@ -151,7 +157,7 @@ def parse_spec(text: str) -> ChartSpec:
     """Parse a spec document; SpecSyntaxError for bad shape, ValidationError for bad content."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecSyntaxError(f"not valid JSON: {exc}") from exc
     return spec_from_json(obj)
 

@@ -147,9 +147,9 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any] | None = None) -> l
                     if end != len(line):
                         raise ValueError("extra data after the record")
                     append(record if parse is None else parse(record))
-    except (ValueError, KeyError, TypeError, AttributeError, ChartCotError):
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ChartCotError):
         # ValueError: json.JSONDecodeError, UnicodeDecodeError or extra data;
-        # the others can only come from parse.
+        # RecursionError: nesting too deep to decode; the others can only come from parse.
         _raise_bad_line(path, parse)
         raise
     return records
@@ -167,7 +167,7 @@ def _raise_bad_line(path: str | Path, parse: Callable[[Any], Any] | None) -> Non
             record = json.loads(line)
         except UnicodeEncodeError:
             raise InputError(f"{path}:{lineno}: not UTF-8 text") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}:{lineno}: not valid JSON: {exc}") from None
         if rejected is None and parse is not None:
             try:

@@ -88,6 +88,25 @@ class TestUsageErrors:
         assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: missing artifact cot/c00000.json\n"
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc.update(x_labels=5), "x_labels must be a list of strings, not 5"),
+        (lambda doc: doc.update(id=None), "id must be a string, not None"),
+        (lambda doc: doc.update(title=["t"]), "title must be a string, not ['t']"),
+        (lambda doc: doc["series"][0]["values"].__setitem__(0, 10 ** 400),
+         "series values must be numbers a float can hold"),
+    ], ids=["x_labels", "id", "title", "value"])
+    def test_spec_value_of_wrong_type_exits_1(self, tmp_path, capsys, damage, message):
+        cfg = write_config(tmp_path, seed=4, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "specs/c00000.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        damage(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: specs/c00000.json: {message}\n"
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--unknown-flag", "--out", str(tmp_path / "x")])
@@ -119,6 +138,13 @@ class TestUsageErrors:
         assert main(["build", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_config_nested_too_deep_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["build", "--config", str(deep), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {deep} is not valid JSON: maximum recursion depth"), err
 
     def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_charts="5")
@@ -264,6 +290,12 @@ class TestEvalCommand:
         assert code == 1
         assert err.startswith(f"error: {pred}:3: not valid JSON: ")
         assert "Traceback" not in err
+
+    def test_line_nested_too_deep_names_file_and_line(self, tmp_path, capsys):
+        code, pred = self._eval_with_pred_lines(tmp_path, [self.GOOD, b"[" * 100_000 + b"]" * 100_000])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {pred}:2: not valid JSON: maximum recursion depth"), err
 
     def test_non_utf8_line_names_file_and_line(self, tmp_path, capsys):
         code, pred = self._eval_with_pred_lines(tmp_path, [self.GOOD, b'{"sample_id": "s2", "raw_text": "\xff"}'])

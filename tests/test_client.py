@@ -38,6 +38,7 @@ _FAULT_BODIES = {
     "garbage": b"<html>upstream error</html>",
     "binary": b"\xff\xfe{\x00",
     "no_text": b'{"choices": [{"message": {"content": null}}]}',
+    "too_deep": b"[" * 100_000 + b"]" * 100_000,  # past the decoder's recursion limit
 }
 
 

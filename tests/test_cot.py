@@ -63,6 +63,23 @@ class TestValidate:
         with pytest.raises(FormatError, match="not valid JSON"):
             validate_cot("{oops")
 
+    def test_nested_too_deep_to_decode(self):
+        with pytest.raises(FormatError, match="^not valid JSON: maximum recursion depth"):
+            validate_cot("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("chart_id", None, "chart_id must be a string, not None"),
+        ("question", ["q"], "question must be a string, not ['q']"),
+        ("kind", 1, "step kind must be a string, not 1"),
+        ("text", {}, "step text must be a string, not {}"),
+    ])
+    def test_text_that_is_not_a_string(self, key, value, message):
+        # These used to pass through str(): a null question read "None".
+        obj = json.loads(VALID_DOC)
+        (obj["steps"][0] if key in ("kind", "text") else obj)[key] = value
+        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+            validate_cot(json.dumps(obj))
+
     def test_wrong_shape(self):
         with pytest.raises(FormatError):
             validate_cot('["a", "b"]')

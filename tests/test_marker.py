@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from xml.sax.saxutils import unescape
@@ -11,6 +12,7 @@ from chartcot.errors import (
     AmbiguousError,
     ChartCotError,
     CollisionError,
+    LayoutError,
     NotFoundError,
     TargetError,
 )
@@ -27,7 +29,7 @@ from chartcot.marker import (
     verify_marker,
 )
 from chartcot.render import MARKER_COLOR, marker_svg, paint_markers, rasterize, render_svg
-from chartcot.spec import MARKER_CHAR, generate_corpus
+from chartcot.spec import CANVAS_CHOICES, MARKER_CHAR, Series, generate_corpus
 
 from conftest import draw_edit, make_spec
 
@@ -135,11 +137,13 @@ class TestVerify:
         assert verify_marker(edit)
 
     def test_unedited_fails(self, bar_spec):
-        bare = EditedSpec(spec=bar_spec, markers=(), step_index=0)
+        bare = EditedSpec(spec=bar_spec, markers=(), step_index=0, vanilla=chart_layout(bar_spec))
         assert not verify_marker(bare)
 
     def test_two_anchors_fail(self, bar_spec):
-        corrupted = EditedSpec(spec=bar_spec, markers=((10.0, 10.0), (50.0, 50.0)), step_index=0)
+        corrupted = EditedSpec(
+            spec=bar_spec, markers=((10.0, 10.0), (50.0, 50.0)), step_index=0, vanilla=chart_layout(bar_spec)
+        )
         assert not verify_marker(corrupted)
 
 
@@ -327,3 +331,62 @@ def test_end_to_end_soundness_sample():
             cx, cy = result.bbox.center
             box = geo[step.target].expand(half_min)
             assert box.contains(cx, cy), (spec.id, step.target)
+
+
+def _marked_name(ref: ElementRef, target: ElementRef) -> ElementRef:
+    """``ref`` as ``chart_layout`` names it once the text of ``target`` ends in the marker."""
+    key = {"legend_entry": "series", "x_tick": "category"}.get(target.role)
+    if key is None or ref.role == "y_tick" or getattr(ref, key) != getattr(target, key):
+        return ref
+    return dataclasses.replace(ref, **{key: getattr(ref, key) + MARKER_CHAR})
+
+
+class TestEditLayout:
+    """A text edit is laid out from the vanilla layout, with only its marked label placed again."""
+
+    def test_replaced_label_lays_out_as_the_edited_spec(self):
+        # Every text target of five corpora, each chart on every canvas: the
+        # edit's layout is chart_layout(edit.spec) with the elements under
+        # their vanilla names, and the vanilla layout is left as it was.
+        checked = 0
+        for seed in range(1, 6):
+            for spec in generate_corpus(seed=seed, n=12, type_mix={"bar": 0.4, "line": 0.3, "pie": 0.3}):
+                for canvas in CANVAS_CHOICES:
+                    vanilla = chart_layout(dataclasses.replace(spec, canvas=canvas))
+                    for target in [ref for ref in vanilla.texts if ref.role != "y_tick"]:
+                        edit = apply_marker(vanilla.spec, grounding(0, target), full_layout=vanilla)
+                        try:
+                            want = chart_layout(edit.spec)
+                        except LayoutError as exc:
+                            with pytest.raises(LayoutError, match=f"^{re.escape(str(exc))}$"):
+                                edit.layout
+                            continue
+                        got = edit.layout
+                        assert got.groups == want.groups, (spec.id, canvas, target)
+                        assert render_svg(edit.spec, layout=got) == render_svg(edit.spec)
+                        assert (got.spec, got.plot) == (want.spec, want.plot)
+                        for part in ("geometry", "anchors", "texts"):
+                            renamed = {_marked_name(ref, target): v for ref, v in getattr(got, part).items()}
+                            assert renamed == getattr(want, part), (spec.id, canvas, target, part)
+                        checked += 1
+                    assert vanilla == chart_layout(vanilla.spec)
+        assert checked > 2000
+
+    def test_marked_tick_that_overlaps_its_neighbour_fails_both_ways(self):
+        # "Feb@" widens its tick label until it overlaps "Mar" on a 200 px
+        # canvas, where the vanilla labels just fit.
+        spec = make_spec(canvas=(200, 300), series=(Series("Alpha", (10.0, 20.0, 15.0, 12.0)),),
+                         x_labels=("Jan", "Feb", "Mar", "Apr"))
+        vanilla = chart_layout(spec)
+        edit = apply_marker(spec, grounding(0, ElementRef("x_tick", category="Feb")), full_layout=vanilla)
+        with pytest.raises(LayoutError) as fresh:
+            chart_layout(edit.spec)
+        with pytest.raises(LayoutError) as replaced:
+            edit.layout
+        assert str(replaced.value) == str(fresh.value) == "x tick labels overlap; canvas too small"
+
+    def test_a_cross_keeps_the_vanilla_layout(self, two_bar_spec):
+        vanilla = chart_layout(two_bar_spec)
+        point = apply_marker(two_bar_spec, grounding(0, ElementRef("datapoint", series="Alpha", category="Q2")),
+                             full_layout=vanilla)
+        assert point.layout is vanilla

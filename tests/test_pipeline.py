@@ -3,14 +3,15 @@ import re
 import subprocess
 import sys
 import uuid
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from chartcot import marker, pipeline
+from chartcot import marker, pipeline, render
 from chartcot.client import ClientConfig, LlmClient
 from chartcot.cot import KIND_GROUNDING, Answer, CotSample, Step
-from chartcot.errors import ConfigError, EmptyError, IntegrityError
+from chartcot.errors import ConfigError, EmptyError, IntegrityError, NotFoundError
 from chartcot.gallery import build_gallery
 from chartcot.pipeline import (
     STAGES,
@@ -394,6 +395,115 @@ class TestBadTeacherTarget:
                 assert c.all_passed(), (c.id, c.stages)
 
 
+class TestBadTeacherReply:
+    """A reply that does not decode, or whose text fields are not strings,
+    fails its own chart at cot; the run goes on."""
+
+    def _run_with_victim_reply(self, monkeypatch, damage):
+        cfg = PipelineConfig(seed=8, n_charts=4, workers=1)
+        victim = generate_corpus(cfg.seed, cfg.n_charts, cfg.type_mix)[0].id
+        real = LlmClient._stub_reply
+
+        def stub_reply(self, messages):
+            reply = real(self, messages)
+            doc = json.loads(reply)
+            return damage(doc) if doc["chart_id"] == victim else reply
+
+        monkeypatch.setattr(LlmClient, "_stub_reply", stub_reply)
+        manifest = run(cfg)
+        for c in manifest.charts:
+            if c.id != victim:
+                assert c.all_passed(), (c.id, c.stages)
+        (failed,) = [c for c in manifest.charts if c.id == victim]
+        assert list(failed.stages) == ["meta", "cot"]
+        return failed.stages["cot"]
+
+    def test_reply_nested_too_deep_to_decode(self, monkeypatch):
+        reason = self._run_with_victim_reply(monkeypatch, lambda doc: "[" * 100_000 + "]" * 100_000)
+        assert reason.startswith("fail:cot-invalid: not valid JSON: maximum recursion depth exceeded"), reason
+
+    @pytest.mark.parametrize("path, value, reason", [
+        (("chart_id",), 7, "chart_id must be a string, not 7"),
+        (("question",), None, "question must be a string, not None"),
+        (("question",), ["q"], "question must be a string, not ['q']"),
+        (("steps", 0, "kind"), 5, "step kind must be a string, not 5"),
+        (("steps", 1, "text"), {}, "step text must be a string, not {}"),
+    ])
+    def test_text_field_that_is_not_a_string(self, monkeypatch, path, value, reason):
+        def damage(doc):
+            *outer, last = path
+            node = doc
+            for key in outer:
+                node = node[key]
+            node[last] = value
+            return json.dumps(doc)
+
+        assert self._run_with_victim_reply(monkeypatch, damage) == f"fail:cot-invalid: {reason}"
+
+
+class TestOneLayoutPerChart:
+    """A run lays each chart out once, its text edits included, and
+    rasterises it at most once; detect lifts its crosses off the canvas."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> tuple[Counter, Counter]:
+        layouts, rasters = Counter(), Counter()
+        layout = sys.modules["chartcot.layout"]  # the package attribute is the layout function
+        real_layout, real_raster = layout.chart_layout, pipeline.rasterize
+
+        def counting_layout(spec):
+            layouts[spec.id] += 1
+            return real_layout(spec)
+
+        def counting_raster(spec, **kw):
+            rasters[spec.id] += 1
+            return real_raster(spec, **kw)
+
+        for module in (layout, pipeline, marker, render):
+            monkeypatch.setattr(module, "chart_layout", counting_layout)
+        monkeypatch.setattr(pipeline, "rasterize", counting_raster)
+        return layouts, rasters
+
+    @pytest.mark.parametrize("how", ["memory", "build", "resume"])
+    def test_one_layout_and_at_most_one_raster_per_chart(self, tmp_path, calls, how):
+        layouts, rasters = calls
+        config = PipelineConfig(seed=5, n_charts=12, workers=1)
+        out = None if how == "memory" else tmp_path
+        runs = [dict(stop_after="render"), {}] if how == "resume" else [{}]
+        for window in runs:
+            layouts.clear()
+            rasters.clear()
+            manifest = run(config, out_dir=out, **window)
+            if out is not None and not window:
+                emit_dataset(manifest)
+            laid_out = {c.id for c in manifest.charts if c.passed("cot")}
+            assert len(laid_out) >= 10 and layouts == Counter(dict.fromkeys(laid_out, 1)), window
+            assert rasters and max(rasters.values()) == 1, window
+        methods = Counter(d["method"] for c in manifest.charts for d in c.detections.values())
+        assert methods["structural"] > 0 and methods["raster"] > 0
+
+    def test_detect_leaves_the_canvas_as_render_drew_it(self, monkeypatch, tmp_path):
+        spec = generate_corpus(seed=3, n=1, type_mix={"bar": 1.0})[0]
+        vanilla = bytes(rasterize(spec).to_ppm())
+        real_detect = pipeline.detect_markers
+        for fail in (False, True):
+            task = pipeline._ChartTask(spec, ChartOutcome(id=spec.id, chart_type=spec.chart_type),
+                                       small_config(), LlmClient(ClientConfig()), tmp_path / str(fail))
+            task.run_stages(list(STAGES[:4]))
+
+            def detect(svg, bmp, _fail=fail):
+                if bmp is not None:
+                    assert bytes(bmp.to_ppm()) != vanilla  # the cross is on the canvas
+                    if _fail:
+                        raise NotFoundError("no marker found by either pass")
+                return real_detect(svg, bmp)
+
+            monkeypatch.setattr(pipeline, "detect_markers", detect)
+            task.run_stages(["detect"])
+            assert task.outcome.stages["detect"].startswith("fail:detect step" if fail else "pass")
+            assert bytes(task._canvas.to_ppm()) == vanilla
+
+
 class TestUndrawableEdit:
     def test_edit_that_cannot_be_laid_out_fails_detect_not_render(self, tmp_path):
         # "Feb@" widens its tick label until the four labels overlap on a
@@ -606,7 +716,7 @@ class TestEmitEdgeCases:
         assert loaded.digest() == manifest.digest()
         assert Path(tmp_path / "stats.json").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "not json", "no config", "chart key", "chart list"])
+    @pytest.mark.parametrize("damage", ["truncated", "not json", "no config", "chart key", "chart list", "too deep"])
     def test_damaged_manifest_is_integrity_error(self, tmp_path, damage):
         run(PipelineConfig(seed=4, n_charts=3), out_dir=tmp_path, stop_after="meta")
         path = tmp_path / "manifest.json"
@@ -615,6 +725,8 @@ class TestEmitEdgeCases:
             text = path.read_text(encoding="utf-8")[:300]
         elif damage == "not json":
             text = "\x00\x01 not a manifest"
+        elif damage == "too deep":
+            text = "[" * 100_000 + "]" * 100_000
         elif damage == "no config":
             del obj["config"]
         elif damage == "chart key":

@@ -14,6 +14,7 @@ from chartcot.render import (
     PALETTE,
     Bitmap,
     _fill_pie,
+    lift_markers,
     marker_svg,
     overlay_svg,
     paint_markers,
@@ -203,13 +204,31 @@ class TestRaster:
     def test_copy_is_painted_apart(self, bar_spec):
         bmp = rasterize(bar_spec)
         data = bytes(bmp.to_ppm())
-        twin = bmp.copy()
+        twin = Bitmap(np.frombuffer(bmp.to_ppm(), dtype=np.uint8).copy(), bmp.width, bmp.height)
         assert twin.to_ppm() == data
         paint_markers(twin, [(100.0, 100.0)])
         assert bmp.to_ppm() == data
         fresh = rasterize(bar_spec)
         paint_markers(fresh, [(100.0, 100.0)])
         assert twin.to_ppm() == fresh.to_ppm()
+
+    def test_lifting_crosses_restores_the_canvas_byte_for_byte(self, bar_spec):
+        # Crosses clipped at every corner and edge, one wholly off the canvas,
+        # two apart, two overlapping, and all at once, painted onto one canvas.
+        bmp = rasterize(bar_spec)
+        vanilla = bytes(bmp.to_ppm())
+        w, h = bmp.width, bmp.height
+        edges = [(0.0, 0.0), (w - 1.0, 0.0), (0.0, h - 1.0), (w - 1.0, h - 1.0), (-3.4, -3.6),
+                 (w + 3.0, h + 3.0), (w / 2, -2.0), (-2.0, h / 2), (-40.0, -40.0)]
+        cases = [[xy] for xy in edges] + [[(100.0, 100.0), (300.0, 200.0)], [(100.0, 100.0), (103.0, 102.0)],
+                                          [(0.0, 0.0), (2.4, 1.6)], edges]
+        for anchors in cases:
+            fresh = rasterize(bar_spec)
+            paint_markers(fresh, anchors)
+            covered = paint_markers(bmp, anchors)
+            assert bmp.to_ppm() == fresh.to_ppm(), anchors
+            lift_markers(bmp, covered)
+            assert bmp.to_ppm() == vanilla, anchors
 
     def test_ppm_decode_views_a_writable_buffer_and_copies_anything_else(self, bar_spec):
         bmp = rasterize(bar_spec)

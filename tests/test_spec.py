@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,26 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(SpecSyntaxError, match="not valid JSON"):
             parse_spec("{not json")
+
+    def test_nested_too_deep_to_decode(self):
+        with pytest.raises(SpecSyntaxError, match="^not valid JSON: maximum recursion depth"):
+            parse_spec("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", None, "id must be a string, not None"),
+        ("chart_type", 3, "chart_type must be a string, not 3"),
+        ("title", ["t"], "title must be a string, not ['t']"),
+        ("x_labels", 5, "x_labels must be a list of strings, not 5"),
+        ("x_labels", [1, 2, 3], "x_labels must be a list of strings, not [1, 2, 3]"),
+        ("x_labels", "ABC", "x_labels must be a list of strings, not 'ABC'"),
+        ("series", [{"name": 7, "values": [1, 2, 3]}], "its name a string"),
+        ("series", [{"name": "Alpha", "values": [1, 10 ** 400, 3]}], "series values must be numbers a float can hold"),
+        ("series", [{"name": "Alpha", "values": [1, -(10 ** 400), 3]}], "series values must be numbers a float can hold"),
+    ])
+    def test_value_of_wrong_type_names_its_field(self, key, value, message):
+        # These used to be str()-ed ("None", "['t']") or raise TypeError or OverflowError.
+        with pytest.raises(SpecSyntaxError, match=re.escape(message)):
+            parse_spec(json.dumps({**json.loads(doc_with()), key: value}))
 
     def test_non_object_document(self):
         with pytest.raises(SpecSyntaxError):
