@@ -95,9 +95,16 @@ BOX_PATTERN = re.compile(r"\(\d+(?:\.\d+)?,\d+(?:\.\d+)?\),\(\d+(?:\.\d+)?,\d+(?
 
 
 def parse(text: str, fmt: str = DEFAULT_FORMAT) -> NormBBox:
+    """The box that ``serialize`` wrote as ``text`` in format ``fmt``; ParseError
+    for anything else, a coordinate with more decimals than ``fmt`` writes included."""
+    if not isinstance(text, str):
+        raise ParseError(f"a serialized bbox is a string, not {type(text).__name__}")
     m = _BOX_TEXT_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a serialized bbox: {text!r}")
+    places = _DECIMALS.get(fmt)
+    if places is not None and any(len(g.partition(".")[2]) > places for g in m.groups()):
+        raise ParseError(f"format {fmt} writes at most {places} decimals: {text!r}")
     try:
         coords = tuple(float(g) for g in m.groups())
         return NormBBox(format=fmt, coords=coords)  # type: ignore[arg-type]

@@ -98,6 +98,18 @@ class TestSerialize:
         with pytest.raises(ParseError):
             parse("450,374,470,399", fmt="C")
 
+    @pytest.mark.parametrize("text", [None, 5, b"(1,2),(3,4)", ["(1,2),(3,4)"]])
+    def test_parse_error_on_a_non_string(self, text):
+        with pytest.raises(ParseError, match="is a string, not"):
+            parse(text, fmt="C")
+
+    def test_parse_error_on_more_decimals_than_the_format_writes(self):
+        assert parse("(0.1234,0.5),(0.75,1.0)", fmt="A").coords == (0.1234, 0.5, 0.75, 1.0)
+        with pytest.raises(ParseError, match="at most 4 decimals"):
+            parse("(0.12345,0.5),(0.75,1.0)", fmt="A")
+        with pytest.raises(ParseError, match="at most 3 decimals"):
+            parse("(0.1234,0.5),(0.75,1.0)", fmt="B")
+
     def test_format_c_integers_no_leading_zeros(self):
         n = NormBBox("C", (0, 7, 42, 999))
         text = serialize(n)
@@ -122,6 +134,41 @@ def norm_boxes(draw):
 @given(norm_boxes())
 def test_serialize_parse_roundtrip(n):
     assert parse(serialize(n), fmt=n.format) == n
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 40), st.just("")),
+    st.tuples(st.just("insert"), st.integers(0, 40), st.sampled_from(list("0123456789.,()- \ne"))),
+    st.tuples(st.just("replace"), st.integers(0, 40), st.sampled_from(list("0123456789.,()- x"))),
+    st.tuples(st.just("repeat"), st.integers(0, 40), st.just("")),
+)
+
+
+def _mutate(text: str, edits) -> str:
+    for how, at, ch in edits:
+        at %= len(text) + 1
+        if how == "delete":
+            text = text[:at] + text[at + 1:]
+        elif how == "insert":
+            text = text[:at] + ch + text[at:]
+        elif how == "replace":
+            text = text[:at] + ch + text[at + 1:]
+        else:
+            text = text[:at] + text[at:] * 2
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=norm_boxes(), edits=st.lists(_MUTATION, max_size=4), fmt=st.sampled_from(["A", "B", "C"]))
+def test_mutated_serializations_parse_to_a_round_trip_or_parse_error(n, edits, fmt):
+    # A mutated string either parses to a box that serializes back to itself,
+    # or is a ParseError; nothing else escapes. The format may not be the writer's.
+    try:
+        parsed = parse(_mutate(serialize(n), edits), fmt=fmt)
+    except ParseError:
+        return
+    assert isinstance(parsed, NormBBox)
+    assert parse(serialize(parsed), fmt=fmt) == parsed
 
 
 @settings(max_examples=200, deadline=None)
