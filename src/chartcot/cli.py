@@ -3,6 +3,10 @@
 Subcommand granularity mirrors the pipeline gates so any stage can be run and
 inspected in isolation: gen, cot, edit, render, detect run one stage against
 a run directory; build runs everything and emits the dataset.
+
+The commands that read or write a run (the stages, build, stats, gallery)
+import pipeline and gallery, and with them numpy, when they start; eval and
+--version never load numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .config import PipelineConfig
 from .errors import ChartCotError, ConfigError
 from .evaluate import DEFAULT_MARGINS, GROUP_BY, MODES, GoldEntry, Prediction, check_margin, evaluate
-from .gallery import build_gallery
-from .pipeline import DatasetManifest, PipelineConfig, compute_stats, emit_dataset, run, write_stats
 from .util import atomic_write_text, dumps_pretty, read_jsonl
 
 _STAGE_COMMANDS = {
@@ -92,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stage(args: argparse.Namespace, stage: str) -> int:
+    from .pipeline import run
+
     manifest = run(_load_config(args), out_dir=args.out, only_stage=stage)
     report = next(r for r in manifest.stage_reports() if r["stage"] == stage)
     print(
@@ -102,6 +107,8 @@ def _cmd_stage(args: argparse.Namespace, stage: str) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .pipeline import emit_dataset, run, write_stats
+
     config = _load_config(args)
     manifest = run(config, out_dir=args.out)
     dataset = emit_dataset(manifest)
@@ -119,6 +126,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .pipeline import DatasetManifest, compute_stats, write_stats
+
     manifest = DatasetManifest.load(Path(args.out) / "manifest.json")
     stats = compute_stats(manifest)
     write_stats(manifest)
@@ -157,6 +166,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gallery(args: argparse.Namespace) -> int:
+    from .gallery import build_gallery
+    from .pipeline import DatasetManifest
+
     manifest = DatasetManifest.load(Path(args.out) / "manifest.json")
     index = build_gallery(manifest)
     print(f"gallery: {index}")

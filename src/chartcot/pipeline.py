@@ -15,7 +15,6 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
-import math
 import os
 import pickle
 import selectors
@@ -25,8 +24,11 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional
 
-from .bbox import FORMATS, normalize
-from .client import ClientConfig, LlmClient
+from .bbox import normalize
+from .client import LlmClient
+# The stage names and run configuration live in config, which imports no
+# numpy; they stay importable from here.
+from .config import DEFAULT_TYPE_MIX, PASS, STAGES, PipelineConfig
 from .cot import CotSample, generate_cot_llm, validate_cot
 from .errors import (
     AmbiguousError,
@@ -56,71 +58,10 @@ from .util import (
     atomic_write_bytes,
     atomic_write_text,
     canonical_json,
-    check_field_types,
     dumps_pretty,
-    is_number,
-    known_fields,
     read_buffer,
     rng_for,
 )
-
-STAGES = ("meta", "cot", "code", "render", "detect", "qa")
-
-# Chart type shares of the target corpus (bar / line / pie).
-DEFAULT_TYPE_MIX = {"bar": 0.571, "line": 0.336, "pie": 0.093}
-
-PASS = "pass"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    seed: int = 0
-    n_charts: int = 10
-    type_mix: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_MIX))
-    bbox_format: str = "C"
-    min_marker_px: float = 12.0
-    cap: Optional[float] = None
-    client: ClientConfig = field(default_factory=ClientConfig)
-    fault_injection: dict = field(default_factory=dict)
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        check_field_types(self, "config")
-        if self.n_charts < 1:
-            raise ConfigError("n_charts must be >= 1")
-        if self.bbox_format not in FORMATS:
-            raise ConfigError(f"bbox_format must be one of {FORMATS}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        for key in ("min_marker_px", "cap"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ConfigError(f"{key} must be a finite number >= 0, not {value!r}")
-        for chart_type, weight in self.type_mix.items():
-            if not (is_number(weight) and 0.0 <= weight < math.inf):
-                raise ConfigError(f"type_mix weight of {chart_type!r} must be a finite number >= 0, not {weight!r}")
-        for stage, p in self.fault_injection.items():
-            if stage not in STAGES:
-                raise ConfigError(f"unknown fault injection stage {stage!r}")
-            if not (is_number(p) and 0.0 <= p <= 1.0):
-                raise ConfigError(f"fault probability of {stage!r} must be a number in [0, 1], not {p!r}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PipelineConfig":
-        kwargs = known_fields(cls, obj, "config")
-        if "client" in kwargs:
-            kwargs["client"] = ClientConfig.from_json(kwargs["client"])
-        return cls(**kwargs)
-
-    def to_json(self) -> dict:
-        # Worker count affects scheduling only, never output bytes, so it is
-        # not part of the persisted config.
-        obj = dataclasses.asdict(self)
-        del obj["workers"]
-        return obj
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_json()).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -145,7 +86,47 @@ class ChartOutcome:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChartOutcome":
-        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)})
+        """A manifest chart entry; TypeError naming the first key whose value
+        has the wrong JSON shape, so that no later reader meets it."""
+        kwargs = {}
+        for name, (shape, admits) in _OUTCOME_SHAPES.items():
+            value = kwargs[name] = obj[name]
+            if not admits(value):
+                raise TypeError(f"chart {obj['id']!r} key {name!r} must be {shape}, not {value!r}")
+        return cls(**kwargs)
+
+
+def _of_types(values, *types: type) -> bool:
+    """Whether every item of ``values`` has one of ``types`` as its exact
+    type, as JSON decodes them: a bool is no int."""
+    return {*map(type, values)} <= set(types)
+
+
+def _is_str_map(value, *types: type) -> bool:
+    return isinstance(value, dict) and _of_types(value, str) and _of_types(value.values(), *types)
+
+
+def _is_detection(d) -> bool:
+    return (isinstance(d, dict) and d.keys() == {"bbox", "method"} and type(d["method"]) is str
+            and type(d["bbox"]) is list and len(d["bbox"]) == 4 and _of_types(d["bbox"], int, float))
+
+
+# The JSON shape of each ChartOutcome field, in field order: what it must be,
+# and the test of a value.
+_OUTCOME_SHAPES = {
+    "id": ("a string", lambda v: type(v) is str),
+    "chart_type": ("a string", lambda v: type(v) is str),
+    "stages": ("an object of strings", lambda v: _is_str_map(v, str)),
+    "question": ("null or a string", lambda v: v is None or type(v) is str),
+    "steps": ("null or an object of integer grounding, reasoning and total",
+              lambda v: v is None or _is_str_map(v, int) and v.keys() == {"grounding", "reasoning", "total"}),
+    "detections": ('null or an object from step index to {"bbox": 4 numbers, "method": string}',
+                   lambda v: v is None or _is_str_map(v, dict) and all(map(str.isdecimal, v))
+                   and all(map(_is_detection, v.values()))),
+    "records": ("null or an integer", lambda v: v is None or type(v) is int),
+    "files": ("an object of string lists",
+              lambda v: _is_str_map(v, list) and all(_of_types(paths, str) for paths in v.values())),
+}
 
 
 @dataclass

@@ -181,6 +181,26 @@ class TestUsageErrors:
         assert err.startswith(f"error: manifest {manifest} is cut short or malformed: JSONDecodeError: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("steps", {"grounding": 1}), ("records", "7"), ("stages", ["pass"]), ("steps", [1]),
+    ], ids=["steps-without-reasoning", "records-string", "stages-list", "steps-list"])
+    def test_chart_entry_of_wrong_shape_exits_1(self, tmp_path, capsys, key, value):
+        # Every key is there, but one has a JSON shape that compute_stats
+        # would trip over.
+        cfg = write_config(tmp_path, n_charts=2)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        obj = json.loads(manifest.read_text(encoding="utf-8"))
+        obj["charts"][0][key] = value
+        manifest.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} is cut short or malformed: "
+                              f"TypeError: chart 'c00000' key {key!r} must be ")
+        assert "Traceback" not in err
+
 
 class TestEvalCommand:
     def test_eval_writes_report(self, tmp_path, capsys):

@@ -686,6 +686,38 @@ class TestStats:
         assert {int(k): v for k, v in stats["step_histograms"]["total"].items()} == totals
 
 
+GOOD_ENTRY = {
+    "id": "c00000", "chart_type": "bar", "stages": {"meta": "pass", "cot": "fail:x"}, "question": "Q?",
+    "steps": {"grounding": 1, "reasoning": 2, "total": 3},
+    "detections": {"1": {"bbox": [1, 2.5, 30, 40], "method": "raster"}}, "records": 4,
+    "files": {"all": ["specs/c00000.json"]},
+}
+
+
+class TestChartOutcomeShape:
+    def test_entries_of_the_right_shape_round_trip(self):
+        for entry in (GOOD_ENTRY, {**GOOD_ENTRY, "question": None, "steps": None, "detections": None,
+                                   "records": None, "stages": {}, "files": {}}):
+            assert ChartOutcome.from_json(entry).to_json() == entry
+
+    @pytest.mark.parametrize("key,value", [
+        ("id", 7), ("chart_type", None), ("stages", ["pass"]), ("stages", {"meta": 1}),
+        ("question", 5), ("steps", [1]), ("steps", {"grounding": 1}),
+        ("steps", {"grounding": 1, "reasoning": True, "total": 2}),
+        ("steps", {"grounding": 1, "reasoning": 1, "total": 2, "extra": 0}),
+        ("detections", []), ("detections", {"x": {"bbox": [1, 2, 3, 4], "method": "raster"}}),
+        ("detections", {"1": {"bbox": [1, 2, 3], "method": "raster"}}),
+        ("detections", {"1": {"bbox": [1, 2, 3, "4"], "method": "raster"}}),
+        ("detections", {"1": {"bbox": [1, 2, 3, 4], "method": None}}),
+        ("detections", {"1": {"bbox": [1, 2, 3, 4]}}),
+        ("records", "7"), ("records", True), ("records", 7.0),
+        ("files", []), ("files", {"all": "specs/c00000.json"}), ("files", {"all": [1]}),
+    ])
+    def test_a_key_of_the_wrong_shape_is_named(self, key, value):
+        with pytest.raises(TypeError, match=rf"^chart '?\w+'? key '{key}' must be .*, not "):
+            ChartOutcome.from_json({**GOOD_ENTRY, key: value})
+
+
 class TestEmitEdgeCases:
     def test_empty_passed_set(self, tmp_path):
         cfg = PipelineConfig(seed=4, n_charts=5, fault_injection={"cot": 1.0})
