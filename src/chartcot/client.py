@@ -20,7 +20,7 @@ from .cot import CotSample, generate_cot_rule_based, recompute_true_answer
 from .errors import ClientError, ConfigError
 from .evaluate import relaxed_match
 from .spec import ChartSpec, parse_spec, serialize_spec
-from .util import check_field_types, known_fields, rng_for
+from .util import read_document, rng_for
 
 API_KEY_ENV = "CHARTPOINT_API_KEY"
 
@@ -46,7 +46,6 @@ class ClientConfig:
     stub_fault_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        check_field_types(self, "client config")
         if self.mode not in ("stub", "http"):
             raise ConfigError(f"unknown client mode {self.mode!r}")
         if self.mode == "http" and not self.endpoint:
@@ -64,7 +63,7 @@ class ClientConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClientConfig":
-        return cls(**known_fields(cls, obj, "client config"))
+        return read_document(cls, obj, ConfigError, "client", partial=True)
 
 
 class LlmClient:

@@ -15,7 +15,7 @@ from typing import Optional
 from .bbox import FORMATS
 from .client import ClientConfig
 from .errors import ConfigError
-from .util import canonical_json, check_field_types, is_number, known_fields
+from .util import canonical_json, read_document
 
 STAGES = ("meta", "cot", "code", "render", "detect", "qa")
 
@@ -29,16 +29,15 @@ PASS = "pass"
 class PipelineConfig:
     seed: int = 0
     n_charts: int = 10
-    type_mix: dict = field(default_factory=lambda: dict(DEFAULT_TYPE_MIX))
+    type_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TYPE_MIX))
     bbox_format: str = "C"
     min_marker_px: float = 12.0
     cap: Optional[float] = None
     client: ClientConfig = field(default_factory=ClientConfig)
-    fault_injection: dict = field(default_factory=dict)
+    fault_injection: dict[str, float] = field(default_factory=dict)
     workers: int = 1
 
     def __post_init__(self) -> None:
-        check_field_types(self, "config")
         if self.n_charts < 1:
             raise ConfigError("n_charts must be >= 1")
         if self.bbox_format not in FORMATS:
@@ -50,20 +49,18 @@ class PipelineConfig:
             if value is not None and not 0.0 <= value < math.inf:
                 raise ConfigError(f"{key} must be a finite number >= 0, not {value!r}")
         for chart_type, weight in self.type_mix.items():
-            if not (is_number(weight) and 0.0 <= weight < math.inf):
+            if not 0.0 <= weight < math.inf:
                 raise ConfigError(f"type_mix weight of {chart_type!r} must be a finite number >= 0, not {weight!r}")
         for stage, p in self.fault_injection.items():
             if stage not in STAGES:
                 raise ConfigError(f"unknown fault injection stage {stage!r}")
-            if not (is_number(p) and 0.0 <= p <= 1.0):
+            if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"fault probability of {stage!r} must be a number in [0, 1], not {p!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
-        kwargs = known_fields(cls, obj, "config")
-        if "client" in kwargs:
-            kwargs["client"] = ClientConfig.from_json(kwargs["client"])
-        return cls(**kwargs)
+        """A config document, each key optional; ConfigError naming a key's path."""
+        return read_document(cls, obj, ConfigError, "config", partial=True)
 
     def to_json(self) -> dict:
         # Worker count affects scheduling only, never output bytes, so it is

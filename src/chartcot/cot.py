@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .errors import FormatError, IntegrityError
 from .geometry import ElementRef
 from .spec import ChartSpec
-from .util import rng_for, round_half_up
+from .util import read_document, rng_for, round_half_up
 
 KIND_GROUNDING = "Grounding"
 KIND_REASONING = "Reasoning"
@@ -38,6 +38,8 @@ class Answer:
 
     value: Union[float, str]
     percent: bool = False
+
+    JSON_SHAPE = "a number or text"
 
     @property
     def is_numeric(self) -> bool:
@@ -72,7 +74,7 @@ class Answer:
             percent = bool(obj.get("percent", False))
         else:
             raw, percent = obj, False
-        if isinstance(raw, bool) or raw is None:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
             raise FormatError("answer must be a number or short text")
         if isinstance(raw, (int, float)):
             try:
@@ -82,7 +84,7 @@ class Answer:
             if not math.isfinite(value):
                 raise FormatError(f"answer must be a finite number, not {raw!r}")
             return cls(value, percent)
-        text = str(raw)
+        text = raw
         if text.rstrip().endswith("%"):
             text, percent = text.rstrip()[:-1].rstrip(), True
         number = parse_number(text)
@@ -132,7 +134,7 @@ def _check_steps(steps: tuple[Step, ...]) -> None:
         raise IntegrityError("steps must be non-empty")
     for pos, step in enumerate(steps):
         if step.index != pos:
-            raise IntegrityError(f"non-contiguous step indices (expected {pos}, got {step.index})")
+            raise IntegrityError(f"non-contiguous step index (expected {pos}, got {step.index})")
         if step.kind not in STEP_KINDS:
             raise IntegrityError(f"unknown step kind {step.kind!r}")
         if not step.text:
@@ -151,48 +153,23 @@ def check_sample(sample: CotSample) -> CotSample:
 
 
 def validate_cot(document: str) -> CotSample:
-    """Parse and validate a CoT document.
-
-    FormatError for JSON that does not decode, or of the wrong shape; IntegrityError for
-    missing keys, non-string text, bad step kinds, missing grounding targets, or index gaps.
-    """
+    """Parse and validate a CoT document: FormatError for JSON that does not
+    decode, see ``cot_from_json`` for the rest."""
     try:
         obj = json.loads(document)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError("CoT document must be a JSON object")
-    for key in ("chart_id", "question", "answer", "steps"):
-        if key not in obj:
-            raise IntegrityError(f"missing required key {key!r}")
-        if key in ("chart_id", "question") and not isinstance(obj[key], str):
-            raise IntegrityError(f"{key} must be a string, not {obj[key]!r:.40}")
-    if not isinstance(obj["steps"], list):
-        raise FormatError("steps must be a list")
-    steps = []
-    for raw in obj["steps"]:
-        if not isinstance(raw, dict):
-            raise FormatError("each step must be an object")
-        if "index" not in raw or "kind" not in raw or "text" not in raw:
-            raise IntegrityError("step needs index, kind, and text")
-        if not isinstance(raw["index"], int) or isinstance(raw["index"], bool):
-            raise IntegrityError("step index must be an integer")
-        for key in ("kind", "text"):
-            if not isinstance(raw[key], str):
-                raise IntegrityError(f"step {key} must be a string, not {raw[key]!r:.40}")
-        target = None
-        if raw.get("target") is not None:
-            try:
-                target = ElementRef.from_json(raw["target"])
-            except ValueError as exc:
-                raise IntegrityError(f"bad step target: {exc}") from exc
-        steps.append(Step(index=raw["index"], kind=raw["kind"], text=raw["text"], target=target))
-    sample = CotSample(
-        chart_id=obj["chart_id"],
-        question=obj["question"],
-        answer=Answer.from_json(obj["answer"]),
-        steps=tuple(steps),
-    )
+    return cot_from_json(obj)
+
+
+def cot_from_json(obj: object) -> CotSample:
+    """Build and validate a CotSample from a decoded document: FormatError for
+    an unknown or missing key or a value of the wrong type; IntegrityError for
+    bad step kinds, missing targets, index gaps, or a target naming no element."""
+    try:
+        sample = read_document(CotSample, obj, FormatError, "cot", partial=True)
+    except ValueError as exc:  # ElementRef's rules
+        raise IntegrityError(f"bad step target: {exc}") from None
     return check_sample(sample)
 
 

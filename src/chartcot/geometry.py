@@ -45,7 +45,7 @@ def text_pad(font_px: int) -> int:
 
 @dataclass(frozen=True)
 class PixelBBox:
-    """Axis-aligned box in pixel space, origin top-left; x0 < x1, y0 < y1."""
+    """Axis-aligned box in pixel space, origin top-left; finite x0 < x1, y0 < y1."""
 
     x0: float
     y0: float
@@ -53,7 +53,7 @@ class PixelBBox:
     y1: float
 
     def __post_init__(self) -> None:
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
+        if not (-math.inf < self.x0 < self.x1 < math.inf and -math.inf < self.y0 < self.y1 < math.inf):
             raise ValueError(f"degenerate bbox {self}")
 
     @property
@@ -136,17 +136,6 @@ class ElementRef:
         if self.category is not None:
             out["category"] = self.category
         return out
-
-    @classmethod
-    def from_json(cls, obj) -> "ElementRef":
-        """ValueError unless ``obj`` is an object whose role, series and
-        category are strings or missing, and name an element."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"target must be an object, not {obj!r}")
-        for key in ("role", "series", "category"):
-            if obj.get(key) is not None and not isinstance(obj[key], str):
-                raise ValueError(f"target {key} must be a string, not {obj[key]!r}")
-        return cls(obj.get("role", ""), obj.get("series"), obj.get("category"))
 
 
 def nice_ticks(vmax: float, max_intervals: int = 6) -> tuple[float, list[float]]:

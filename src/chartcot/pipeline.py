@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TypedDict
 
 from .bbox import normalize
 from .client import LlmClient
@@ -60,20 +60,25 @@ from .util import (
     canonical_json,
     dumps_pretty,
     read_buffer,
+    read_document,
     rng_for,
 )
+
+
+StepCounts = TypedDict("StepCounts", {"grounding": int, "reasoning": int, "total": int})
+Detection = TypedDict("Detection", {"bbox": list[float], "method": str})  # bbox: x0, y0, x1, y1 in pixels
 
 
 @dataclass
 class ChartOutcome:
     id: str
     chart_type: str
-    stages: dict = field(default_factory=dict)    # stage -> "pass" | "fail:<reason>"
+    stages: dict[str, str] = field(default_factory=dict)    # stage -> "pass" | "fail:<reason>"
     question: Optional[str] = None
-    steps: Optional[dict] = None                  # {"grounding", "reasoning", "total"}
-    detections: Optional[dict] = None             # step index (str) -> {"bbox", "method"}
+    steps: Optional[StepCounts] = None
+    detections: Optional[dict[str, Detection]] = None       # keyed by step index
     records: Optional[int] = None
-    files: dict = field(default_factory=dict)
+    files: dict[str, list[str]] = field(default_factory=dict)
 
     def passed(self, stage: str) -> bool:
         return self.stages.get(stage) == PASS
@@ -85,48 +90,23 @@ class ChartOutcome:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ChartOutcome":
-        """A manifest chart entry; TypeError naming the first key whose value
-        has the wrong JSON shape, so that no later reader meets it."""
-        kwargs = {}
-        for name, (shape, admits) in _OUTCOME_SHAPES.items():
-            value = kwargs[name] = obj[name]
-            if not admits(value):
-                raise TypeError(f"chart {obj['id']!r} key {name!r} must be {shape}, not {value!r}")
-        return cls(**kwargs)
+    def from_json(cls, obj: dict, root: str = "chart") -> "ChartOutcome":
+        """A manifest chart entry with every key, its values kept as plain JSON, and
+        boxes that PixelBBox admits; IntegrityError naming the path of a fault."""
+        outcome = read_document(cls, obj, IntegrityError, root)
+        for key, detection in (outcome.detections or {}).items():
+            if not key.isdecimal():
+                raise IntegrityError(f"{root}.detections[{key!r}] must be keyed by a step index, not {key!r}")
+            try:
+                PixelBBox(*detection["bbox"])
+            except (TypeError, ValueError):
+                raise IntegrityError(f"{root}.detections[{key!r}].bbox must be 4 finite numbers "
+                                     f"with x0 < x1 and y0 < y1, not {detection['bbox']!r}") from None
+        return outcome
 
 
-def _of_types(values, *types: type) -> bool:
-    """Whether every item of ``values`` has one of ``types`` as its exact
-    type, as JSON decodes them: a bool is no int."""
-    return {*map(type, values)} <= set(types)
-
-
-def _is_str_map(value, *types: type) -> bool:
-    return isinstance(value, dict) and _of_types(value, str) and _of_types(value.values(), *types)
-
-
-def _is_detection(d) -> bool:
-    return (isinstance(d, dict) and d.keys() == {"bbox", "method"} and type(d["method"]) is str
-            and type(d["bbox"]) is list and len(d["bbox"]) == 4 and _of_types(d["bbox"], int, float))
-
-
-# The JSON shape of each ChartOutcome field, in field order: what it must be,
-# and the test of a value.
-_OUTCOME_SHAPES = {
-    "id": ("a string", lambda v: type(v) is str),
-    "chart_type": ("a string", lambda v: type(v) is str),
-    "stages": ("an object of strings", lambda v: _is_str_map(v, str)),
-    "question": ("null or a string", lambda v: v is None or type(v) is str),
-    "steps": ("null or an object of integer grounding, reasoning and total",
-              lambda v: v is None or _is_str_map(v, int) and v.keys() == {"grounding", "reasoning", "total"}),
-    "detections": ('null or an object from step index to {"bbox": 4 numbers, "method": string}',
-                   lambda v: v is None or _is_str_map(v, dict) and all(map(str.isdecimal, v))
-                   and all(map(_is_detection, v.values()))),
-    "records": ("null or an integer", lambda v: v is None or type(v) is int),
-    "files": ("an object of string lists",
-              lambda v: _is_str_map(v, list) and all(_of_types(paths, str) for paths in v.values())),
-}
+_ManifestDocument = TypedDict("_ManifestDocument", {
+    "run_id": str, "config_hash": str, "config": dict, "generated_at": str, "stage_reports": list, "charts": list})
 
 
 @dataclass
@@ -182,15 +162,16 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        """The manifest at ``path``; IntegrityError naming it when it is cut
-        short, not JSON, or lacks a key of the config or of a chart entry."""
+        """The manifest at ``path``; IntegrityError naming it when it is cut short,
+        not JSON, or a key of it, its config or a chart entry is faulty."""
         path = Path(path)
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = read_document(_ManifestDocument, json.loads(path.read_text(encoding="utf-8")),
+                                IntegrityError, "manifest")
             return cls(config=PipelineConfig.from_json(obj["config"]),
-                       charts=[ChartOutcome.from_json(c) for c in obj.get("charts", [])],
-                       out_dir=path.parent, generated_at=obj.get("generated_at", ""))
-        except (ValueError, RecursionError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+                       charts=[ChartOutcome.from_json(c, f"manifest.charts[{i}]") for i, c in enumerate(obj["charts"])],
+                       out_dir=path.parent, generated_at=obj["generated_at"])
+        except (ValueError, RecursionError, ChartCotError) as exc:
             raise IntegrityError(f"manifest {path} is cut short or malformed: {type(exc).__name__}: {exc}") from None
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, SpecSyntaxError, ValidationError
-from .util import largest_remainder, rng_for
+from .util import largest_remainder, read_document, rng_for
 
 CHART_TYPES = ("bar", "line", "pie")
 
@@ -43,10 +42,6 @@ class ChartSpec:
     style_seed: int
     legend: bool
     value_labels: bool
-
-
-_SPEC_KEYS = frozenset(f.name for f in fields(ChartSpec))
-_SERIES_KEYS = frozenset(f.name for f in fields(Series))
 
 
 def validate_spec(spec: ChartSpec) -> ChartSpec:
@@ -102,55 +97,7 @@ def serialize_spec(spec: ChartSpec) -> str:
 
 def spec_from_json(obj: object) -> ChartSpec:
     """Build and validate a ChartSpec from a decoded document."""
-    if not isinstance(obj, dict):
-        raise SpecSyntaxError("spec document must be a JSON object")
-    unknown = set(obj) - _SPEC_KEYS
-    if unknown:
-        raise SpecSyntaxError(f"unknown keys: {sorted(unknown)}")
-    missing = _SPEC_KEYS - set(obj)
-    if missing:
-        raise SpecSyntaxError(f"missing keys: {sorted(missing)}")
-    raw_series = obj["series"]
-    if not isinstance(raw_series, list):
-        raise SpecSyntaxError("series must be a list")
-    series = []
-    for entry in raw_series:
-        if not isinstance(entry, dict) or set(entry) != _SERIES_KEYS or not isinstance(entry["name"], str):
-            raise SpecSyntaxError(f"each series needs exactly the keys {sorted(_SERIES_KEYS)}, its name a string")
-        if not isinstance(entry["values"], list) or not all(
-            isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in entry["values"]
-        ):
-            raise SpecSyntaxError("series values must be numbers a float can hold")
-        series.append(Series(name=entry["name"], values=tuple(float(v) for v in entry["values"])))
-    if not isinstance(obj["x_labels"], list) or not all(isinstance(x, str) for x in obj["x_labels"]):
-        raise SpecSyntaxError(f"x_labels must be a list of strings, not {obj['x_labels']!r:.40}")
-    canvas = obj["canvas"]
-    if (
-        not isinstance(canvas, list)
-        or len(canvas) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in canvas)
-    ):
-        raise SpecSyntaxError("canvas must be [width, height] with integer pixels")
-    for key in ("legend", "value_labels"):
-        if not isinstance(obj[key], bool):
-            raise SpecSyntaxError(f"{key} must be a boolean")
-    if not isinstance(obj["style_seed"], int) or isinstance(obj["style_seed"], bool):
-        raise SpecSyntaxError("style_seed must be an integer")
-    for key in ("id", "chart_type", "title"):
-        if not isinstance(obj[key], str):
-            raise SpecSyntaxError(f"{key} must be a string, not {obj[key]!r:.40}")
-    spec = ChartSpec(
-        id=obj["id"],
-        chart_type=obj["chart_type"],
-        title=obj["title"],
-        series=tuple(series),
-        x_labels=tuple(obj["x_labels"]),
-        canvas=(canvas[0], canvas[1]),
-        style_seed=obj["style_seed"],
-        legend=obj["legend"],
-        value_labels=obj["value_labels"],
-    )
-    return validate_spec(spec)
+    return validate_spec(read_document(ChartSpec, obj, SpecSyntaxError, "spec"))
 
 
 def parse_spec(text: str) -> ChartSpec:

@@ -9,11 +9,13 @@ import json
 import math
 import os
 import random
+import reprlib
+import sys
 import typing
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import ChartCotError, ConfigError, InputError
+from .errors import ChartCotError, InputError
 
 
 def rng_for(*parts: Any) -> random.Random:
@@ -62,36 +64,93 @@ def dumps_pretty(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def known_fields(cls: type, obj: dict, what: str) -> dict:
-    """``obj`` as keyword arguments for the dataclass ``cls``; a key that is
-    not one of its fields raises ConfigError("unknown <what> keys: [...]")."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object, not {type(obj).__name__}")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(obj)
+_SHAPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object", list: "a list"}
 
 
-def is_number(value: Any) -> bool:
-    """An int or float as JSON reads them; JSON true/false are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+class _Fault(Exception):
+    """A value that its annotation does not admit, as text; each holder of it puts its key in front of ``path``."""
+
+    def __init__(self, shape: str, value: str):
+        self.shape, self.value, self.path = shape, value, ""
 
 
-_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "a JSON object", type(None): "null"}
-_type_hints = functools.cache(typing.get_type_hints)  # resolves string annotations once per class
+def read_document(cls: type, obj: Any, error: type[ChartCotError], root: str, partial: bool = False) -> Any:
+    """The dataclass or TypedDict ``cls`` read from the decoded JSON document ``obj``.
+
+    Keys are exact: an unknown or missing key is a fault, but with ``partial`` a
+    field that has a default may be left out. A value must be what its annotation
+    names: str, int (no bool), float (or an int a float can hold, kept as it is),
+    bool, dict, list, Optional, ``list[X]``, ``tuple[X, ...]``, ``tuple[X, Y]``,
+    ``dict[str, X]``, or a dataclass or TypedDict. A class whose JSON is no object
+    names its ``JSON_SHAPE`` and is read by its own ``from_json``. A fault raises
+    ``error("<path> must be <shape>, not <value>")``, the path starting at ``root``.
+    """
+    try:
+        return _reader(cls, partial)[0](obj)
+    except _Fault as fault:
+        raise error(f"{root}{fault.path} must be {fault.shape}, not {fault.value}") from None
 
 
-def check_field_types(obj: Any, what: str) -> None:
-    """ConfigError naming the first field of the dataclass instance ``obj``
-    whose value its annotation does not admit; an int passes for a float."""
-    for name, hint in _type_hints(type(obj)).items():
-        admitted = typing.get_args(hint) or (hint,)  # Optional[X] admits X and None
-        value = getattr(obj, name)
-        if isinstance(value, bool) and bool not in admitted or not (
-                isinstance(value, admitted) or float in admitted and is_number(value)):
-            names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in admitted)
-            raise ConfigError(f"{what} key {name!r} must be {names}, not {value!r}")
+@functools.cache
+def _reader(hint: Any, partial: bool) -> tuple[Callable[[Any], Any], str]:
+    """A function that reads one JSON value as ``hint``, and the shape it admits."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]: a fault names X alone
+        read_value, shape = _reader(args[0], partial)
+        return (lambda v: None if v is None else read_value(v)), shape
+    if hint in _SHAPES:
+        def read_scalar(v):
+            if type(v) is hint or hint is float and type(v) is int and abs(v) <= sys.float_info.max:
+                return v
+            raise _Fault(_SHAPES[hint], reprlib.repr(v))
+        return read_scalar, _SHAPES[hint]
+    if origin in (list, tuple, dict):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        readers = [_reader(a, partial)[0] for a in args] if fixed else None
+        read_item, item_shape = _reader(args[-1] if origin is dict else args[0], partial)
+        shape = ("an object" if origin is dict else f"a list of length {len(args)}" if fixed
+                 else f"a list of {item_shape.split(' ', 1)[1]}s")  # "a string" -> "a list of strings"
+        kind = dict if origin is dict else list
+
+        def read_items(v):
+            if type(v) is not kind or fixed and len(v) != len(args):
+                raise _Fault(shape, reprlib.repr(v))
+            items, key = [], None
+            try:
+                if kind is dict:
+                    return {(key := k): read_item(x) for k, x in v.items()}
+                # extend keeps the items read before a fault, so their count is its index
+                items.extend(map(read_item, v) if readers is None else map(lambda f, x: f(x), readers, v))
+            except _Fault as fault:
+                fault.path = f"[{key if kind is dict else len(items)!r}]{fault.path}"
+                raise
+            return items if origin is list else tuple(items)
+        return read_items, shape
+    if hasattr(hint, "JSON_SHAPE"):
+        return hint.from_json, hint.JSON_SHAPE
+    hints = typing.get_type_hints(hint)
+    fields = [(name, *_reader(field_hint, partial)) for name, field_hint in hints.items()]
+    required = hint.__required_keys__ if typing.is_typeddict(hint) else {
+        f.name for f in dataclasses.fields(hint) if not partial or f.default is f.default_factory is dataclasses.MISSING}
+
+    def read_object(v):
+        if type(v) is not dict:
+            raise _Fault("an object", reprlib.repr(v))
+        kwargs, name = {}, None
+        try:
+            for name, read_field, shape in fields:
+                if name in v:
+                    kwargs[name] = read_field(v[name])
+                elif name in required:
+                    raise _Fault(shape, "missing")
+            if len(kwargs) != len(v):
+                name = next(k for k in v if k not in hints)
+                raise _Fault("absent", reprlib.repr(v[name]))
+        except _Fault as fault:
+            fault.path = f".{name}{fault.path}"
+            raise
+        return hint(**kwargs)
+    return read_object, "an object"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -89,11 +90,11 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: missing artifact cot/c00000.json\n"
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda doc: doc.update(x_labels=5), "x_labels must be a list of strings, not 5"),
-        (lambda doc: doc.update(id=None), "id must be a string, not None"),
-        (lambda doc: doc.update(title=["t"]), "title must be a string, not ['t']"),
+        (lambda doc: doc.update(x_labels=5), "spec.x_labels must be a list of strings, not 5"),
+        (lambda doc: doc.update(id=None), "spec.id must be a string, not None"),
+        (lambda doc: doc.update(title=["t"]), "spec.title must be a string, not ['t']"),
         (lambda doc: doc["series"][0]["values"].__setitem__(0, 10 ** 400),
-         "series values must be numbers a float can hold"),
+         f"spec.series[0].values[0] must be a number, not {reprlib.repr(10 ** 400)}"),
     ], ids=["x_labels", "id", "title", "value"])
     def test_spec_value_of_wrong_type_exits_1(self, tmp_path, capsys, damage, message):
         cfg = write_config(tmp_path, seed=4, n_charts=3)
@@ -149,7 +150,7 @@ class TestUsageErrors:
     def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_charts="5")
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-        assert capsys.readouterr().err == "error: config key 'n_charts' must be an integer, not '5'\n"
+        assert capsys.readouterr().err == "error: config.n_charts must be an integer, not '5'\n"
         assert not (tmp_path / "x").exists()
 
     def test_negative_client_backoff_exits_1(self, tmp_path, capsys):
@@ -198,7 +199,27 @@ class TestUsageErrors:
         assert main(["stats", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: manifest {manifest} is cut short or malformed: "
-                              f"TypeError: chart 'c00000' key {key!r} must be ")
+                              f"IntegrityError: manifest.charts[0].{key}")
+        assert " must be " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bbox", [[float("nan"), 0, 1, 1], [0, 0, float("inf"), 1], [5, 0, 5, 1]],
+                             ids=["nan", "infinity", "degenerate"])
+    @pytest.mark.parametrize("command", ["build", "stats", "gallery"])
+    def test_detection_box_that_pixel_bbox_rejects_exits_1(self, tmp_path, capsys, command, bbox):
+        # A NaN box used to load and end the next build in a ValueError traceback.
+        cfg = write_config(tmp_path, seed=4, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        obj = json.loads(manifest.read_text(encoding="utf-8"))
+        obj["charts"][0]["detections"]["0"]["bbox"] = bbox
+        manifest.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} is cut short or malformed: "
+                              f"IntegrityError: manifest.charts[0].detections['0'].bbox must be "), err
         assert "Traceback" not in err
 
 

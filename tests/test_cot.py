@@ -67,29 +67,34 @@ class TestValidate:
         with pytest.raises(FormatError, match="^not valid JSON: maximum recursion depth"):
             validate_cot("[" * 100_000 + "]" * 100_000)
 
+    # Case ids are kept stable when a message is reworded.
     @pytest.mark.parametrize("key, value, message", [
         ("chart_id", None, "chart_id must be a string, not None"),
         ("question", ["q"], "question must be a string, not ['q']"),
-        ("kind", 1, "step kind must be a string, not 1"),
-        ("text", {}, "step text must be a string, not {}"),
+        pytest.param("kind", 1, "steps[0].kind must be a string, not 1", id="kind-1-step kind must be a string, not 1"),
+        pytest.param("text", {}, "steps[0].text must be a string, not {}",
+                     id="text-value3-step text must be a string, not {}"),
+        # Unknown keys used to be dropped, so the sample wrote itself back without them.
+        ("notes", "x", "notes must be absent, not 'x'"),
+        ("comment", "x", "steps[0].comment must be absent, not 'x'"),
     ])
     def test_text_that_is_not_a_string(self, key, value, message):
         # These used to pass through str(): a null question read "None".
         obj = json.loads(VALID_DOC)
-        (obj["steps"][0] if key in ("kind", "text") else obj)[key] = value
-        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        (obj["steps"][0] if key in ("kind", "text", "comment") else obj)[key] = value
+        with pytest.raises(FormatError, match=f"^cot\\.{re.escape(message)}$"):
             validate_cot(json.dumps(obj))
 
     def test_wrong_shape(self):
         with pytest.raises(FormatError):
             validate_cot('["a", "b"]')
-        with pytest.raises(FormatError, match="steps must be a list"):
+        with pytest.raises(FormatError, match=r"^cot\.steps must be a list of objects, not \{'0': \{\}\}$"):
             validate_cot(doc_with(steps={"0": {}}))
 
     def test_missing_required_key(self):
         obj = json.loads(VALID_DOC)
         del obj["answer"]
-        with pytest.raises(IntegrityError, match="answer"):
+        with pytest.raises(FormatError, match=r"^cot\.answer must be a number or text, not missing$"):
             validate_cot(json.dumps(obj))
 
     def test_unknown_step_kind(self):
@@ -104,13 +109,19 @@ class TestValidate:
         with pytest.raises(IntegrityError, match="must not carry a target"):
             validate_cot(json.dumps(obj))
 
+    # Case ids are kept stable when a message is reworded.
     @pytest.mark.parametrize("target,message", [
         ("x_tick", "target must be an object, not 'x_tick'"),
         (5, "target must be an object, not 5"),
         ([1], "target must be an object, not [1]"),
-        ({"role": ["x_tick"], "category": "Q2"}, "target role must be a string, not ['x_tick']"),
-        ({"role": "datapoint", "series": ["Alpha"], "category": "Q2"}, "target series must be a string, not ['Alpha']"),
-        ({"role": "x_tick", "category": {"Q2": 1}}, "target category must be a string, not {'Q2': 1}"),
+        pytest.param({"role": ["x_tick"], "category": "Q2"}, "target.role must be a string, not ['x_tick']",
+                     id="target3-target role must be a string, not ['x_tick']"),
+        pytest.param({"role": "datapoint", "series": ["Alpha"], "category": "Q2"},
+                     "target.series must be a string, not ['Alpha']",
+                     id="target4-target series must be a string, not ['Alpha']"),
+        pytest.param({"role": "x_tick", "category": {"Q2": 1}}, "target.category must be a string, not {'Q2': 1}",
+                     id="target5-target category must be a string, not {'Q2': 1}"),
+        ({"role": "x_tick", "category": "Q2", "colour": "red"}, "target.colour must be absent, not 'red'"),
     ])
     def test_target_must_be_an_object_of_strings(self, target, message):
         # Before the check, a target that is not an object raised
@@ -118,7 +129,13 @@ class TestValidate:
         # ElementRef that raised TypeError once its edit was made.
         obj = json.loads(VALID_DOC)
         obj["steps"][1]["target"] = target
-        with pytest.raises(IntegrityError, match=re.escape(f"bad step target: {message}")):
+        with pytest.raises(FormatError, match=f"^cot\\.steps\\[1\\]\\.{re.escape(message)}$"):
+            validate_cot(json.dumps(obj))
+
+    def test_unknown_role_is_an_integrity_error(self):
+        obj = json.loads(VALID_DOC)
+        obj["steps"][1]["target"] = {"role": "axis"}
+        with pytest.raises(IntegrityError, match=r"^bad step target: unknown role 'axis'$"):
             validate_cot(json.dumps(obj))
 
     def test_empty_steps(self):

@@ -60,27 +60,34 @@ class TestConfig:
         cfg = small_config(cap=3.24, fault_injection={"render": 0.1})
         assert PipelineConfig.from_json(cfg.to_json()).config_hash() == cfg.config_hash()
 
-    @pytest.mark.parametrize("obj,key", [
-        ({"n_charts": "5"}, "'n_charts'"),
-        ({"workers": 2.5}, "'workers'"),
-        ({"seed": True}, "'seed'"),
-        ({"seed": None}, "'seed'"),
-        ({"cap": "1"}, "'cap'"),
-        ({"type_mix": {"bar": "x"}}, "'bar'"),
-        ({"type_mix": {"bar": float("nan"), "line": 1.0}}, "'bar'"),
-        ({"fault_injection": {"detect": "0.5"}}, "'detect'"),
-        ({"fault_injection": {"detect": [0.5]}}, "'detect'"),
-        ({"client": {"timeout": "30"}}, "'timeout'"),
-        ({"client": {"max_retries": 2.0}}, "'max_retries'"),
-        ({"client": {"max_concurrency": "4"}}, "'max_concurrency'"),
-        ({"client": {"temperature": [0]}}, "'temperature'"),
-        ({"client": {"backoff": False}}, "'backoff'"),
-        ({"client": {"stub_seed": "7"}}, "'stub_seed'"),
-        ({"client": {"stub_fault_rate": None}}, "'stub_fault_rate'"),
-        ({"client": [{"mode": "stub"}]}, "client config"),
-    ])
-    def test_value_of_wrong_type_names_its_key(self, obj, key):
-        with pytest.raises(ConfigError, match=key):
+    # Case ids are kept stable when a message is reworded.
+    @pytest.mark.parametrize("obj,message", [pytest.param(obj, message, id=case_id) for case_id, obj, message in [
+        ("obj0-'n_charts'", {"n_charts": "5"}, "config.n_charts must be an integer, not '5'"),
+        ("obj1-'workers'", {"workers": 2.5}, "config.workers must be an integer, not 2.5"),
+        ("obj2-'seed'", {"seed": True}, "config.seed must be an integer, not True"),
+        ("obj3-'seed'", {"seed": None}, "config.seed must be an integer, not None"),
+        ("obj4-'cap'", {"cap": "1"}, "config.cap must be a number, not '1'"),
+        ("obj5-'bar'", {"type_mix": {"bar": "x"}}, "config.type_mix['bar'] must be a number, not 'x'"),
+        ("obj6-'bar'", {"type_mix": {"bar": float("nan"), "line": 1.0}},
+         "type_mix weight of 'bar' must be a finite number >= 0, not nan"),
+        ("obj7-'detect'", {"fault_injection": {"detect": "0.5"}},
+         "config.fault_injection['detect'] must be a number, not '0.5'"),
+        ("obj8-'detect'", {"fault_injection": {"detect": [0.5]}},
+         "config.fault_injection['detect'] must be a number, not [0.5]"),
+        ("obj9-'timeout'", {"client": {"timeout": "30"}}, "config.client.timeout must be a number, not '30'"),
+        ("obj10-'max_retries'", {"client": {"max_retries": 2.0}},
+         "config.client.max_retries must be an integer, not 2.0"),
+        ("obj11-'max_concurrency'", {"client": {"max_concurrency": "4"}},
+         "config.client.max_concurrency must be an integer, not '4'"),
+        ("obj12-'temperature'", {"client": {"temperature": [0]}}, "config.client.temperature must be a number, not [0]"),
+        ("obj13-'backoff'", {"client": {"backoff": False}}, "config.client.backoff must be a number, not False"),
+        ("obj14-'stub_seed'", {"client": {"stub_seed": "7"}}, "config.client.stub_seed must be an integer, not '7'"),
+        ("obj15-'stub_fault_rate'", {"client": {"stub_fault_rate": None}},
+         "config.client.stub_fault_rate must be a number, not None"),
+        ("obj16-client config", {"client": [{"mode": "stub"}]}, "config.client must be an object, not [{'mode': 'stub'}]"),
+    ]])
+    def test_value_of_wrong_type_names_its_key(self, obj, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             PipelineConfig.from_json(obj)
 
     @pytest.mark.parametrize("key", ["cap", "min_marker_px"])
@@ -389,7 +396,7 @@ class TestBadTeacherTarget:
         manifest = run(cfg)
         for c in manifest.charts:
             if c.id == victim:
-                assert c.stages["cot"].startswith("fail:cot-invalid: bad step target: target "), c.stages
+                assert re.match(r"fail:cot-invalid: cot\.steps\[\d+\]\.target( must|\.)", c.stages["cot"]), c.stages
                 assert list(c.stages) == ["meta", "cot"]
             else:
                 assert c.all_passed(), (c.id, c.stages)
@@ -422,12 +429,15 @@ class TestBadTeacherReply:
         reason = self._run_with_victim_reply(monkeypatch, lambda doc: "[" * 100_000 + "]" * 100_000)
         assert reason.startswith("fail:cot-invalid: not valid JSON: maximum recursion depth exceeded"), reason
 
+    # Case ids are kept stable when a message is reworded.
     @pytest.mark.parametrize("path, value, reason", [
         (("chart_id",), 7, "chart_id must be a string, not 7"),
         (("question",), None, "question must be a string, not None"),
         (("question",), ["q"], "question must be a string, not ['q']"),
-        (("steps", 0, "kind"), 5, "step kind must be a string, not 5"),
-        (("steps", 1, "text"), {}, "step text must be a string, not {}"),
+        pytest.param(("steps", 0, "kind"), 5, "steps[0].kind must be a string, not 5",
+                     id="path3-5-step kind must be a string, not 5"),
+        pytest.param(("steps", 1, "text"), {}, "steps[1].text must be a string, not {}",
+                     id="path4-value4-step text must be a string, not {}"),
     ])
     def test_text_field_that_is_not_a_string(self, monkeypatch, path, value, reason):
         def damage(doc):
@@ -438,7 +448,7 @@ class TestBadTeacherReply:
             node[last] = value
             return json.dumps(doc)
 
-        assert self._run_with_victim_reply(monkeypatch, damage) == f"fail:cot-invalid: {reason}"
+        assert self._run_with_victim_reply(monkeypatch, damage) == f"fail:cot-invalid: cot.{reason}"
 
 
 class TestOneLayoutPerChart:
@@ -712,9 +722,12 @@ class TestChartOutcomeShape:
         ("detections", {"1": {"bbox": [1, 2, 3, 4]}}),
         ("records", "7"), ("records", True), ("records", 7.0),
         ("files", []), ("files", {"all": "specs/c00000.json"}), ("files", {"all": [1]}),
+        # Boxes that PixelBBox rejects used to load, and a NaN one ended the next build in a traceback.
+        *[("detections", {"1": {"bbox": bbox, "method": "raster"}}) for bbox in (
+            [float("nan"), 2.5, 30, 40], [1, 2.5, float("inf"), 40], [1, -float("inf"), 30, 40], [30, 2.5, 30, 40])],
     ])
     def test_a_key_of_the_wrong_shape_is_named(self, key, value):
-        with pytest.raises(TypeError, match=rf"^chart '?\w+'? key '{key}' must be .*, not "):
+        with pytest.raises(IntegrityError, match=rf"^chart\.{key}\b.* must be .*, not "):
             ChartOutcome.from_json({**GOOD_ENTRY, key: value})
 
 
@@ -772,6 +785,22 @@ class TestEmitEdgeCases:
             DatasetManifest.load(path)
         with pytest.raises(IntegrityError):
             run(PipelineConfig(seed=4, n_charts=3), out_dir=tmp_path)
+
+    @pytest.mark.parametrize("key, shape", [("config", "an object"), ("charts", "a list")])
+    def test_manifest_without_config_or_charts_names_the_key(self, tmp_path, key, shape):
+        # A manifest with no charts key used to load as zero charts, so a
+        # resume redid every chart and asked the teacher again.
+        config = PipelineConfig(seed=4, n_charts=3)
+        run(config, out_dir=tmp_path, stop_after="cot")
+        path = tmp_path / "manifest.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        del obj[key]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        message = f"IntegrityError: manifest.{key} must be {shape}, not missing"
+        with pytest.raises(IntegrityError, match=f"^manifest .*manifest\\.json is cut short or malformed: {message}$"):
+            DatasetManifest.load(path)
+        with pytest.raises(IntegrityError, match=message):
+            run(config, out_dir=tmp_path)
 
 
 class TestForkedWorkers:
