@@ -4,7 +4,9 @@ The public names load their submodule on first use (PEP 562), so that
 ``import chartcot``, config loading and ``chartcot eval`` import no numpy.
 """
 
+import sys
 from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -40,9 +42,16 @@ def __dir__() -> list:
     return sorted(set(globals()) | set(__all__))
 
 
-# Importing a submodule binds it as a package attribute, and a bound name
-# never reaches __getattr__. So the functions named like their submodule are
-# bound now, as they were when every name was imported eagerly.
-for _name in _HOME.keys() & _EXPORTS.keys():  # evaluate, layout
-    __getattr__(_name)
-del _name
+class _Package(ModuleType):
+    """The package module. The import system binds each submodule it loads as a
+    package attribute; a submodule named like one of its public functions
+    (``evaluate``, ``layout``) binds that function instead, so that the name
+    stays the function whenever its module loads."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, ModuleType) and name in _EXPORTS.get(name, ()):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

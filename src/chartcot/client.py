@@ -8,19 +8,18 @@ data. Nothing outside the CoT/review stages ever touches a client.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 
 from . import prompts
+from .config import ClientConfig  # re-exported: it lives with PipelineConfig, which holds one
 from .cot import CotSample, generate_cot_rule_based, recompute_true_answer
-from .errors import ClientError, ConfigError
+from .errors import ClientError
 from .evaluate import relaxed_match
 from .spec import ChartSpec, parse_spec, serialize_spec
-from .util import read_document, rng_for
+from .util import rng_for
 
 API_KEY_ENV = "CHARTPOINT_API_KEY"
 
@@ -30,40 +29,6 @@ REVIEW_REL_TOL = 0.02
 
 _FENCE_RE = re.compile(r"```json\n(.*?)\n```", re.DOTALL)
 _TASK_RE = re.compile(r"^## task: (\S+)$", re.MULTILINE)
-
-
-@dataclass(frozen=True)
-class ClientConfig:
-    mode: str = "stub"
-    endpoint: str = ""
-    model: str = "stub"
-    temperature: float = 0.0
-    max_retries: int = 2
-    max_concurrency: int = 4
-    timeout: float = 30.0
-    backoff: float = 0.5
-    stub_seed: int = 0
-    stub_fault_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("stub", "http"):
-            raise ConfigError(f"unknown client mode {self.mode!r}")
-        if self.mode == "http" and not self.endpoint:
-            raise ConfigError("http mode requires an endpoint")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.max_concurrency < 1:
-            raise ConfigError("max_concurrency must be >= 1")
-        if not 0.0 <= self.backoff < math.inf:
-            raise ConfigError(f"backoff must be a finite number >= 0, not {self.backoff!r}")
-        if not 0.0 < self.timeout < math.inf:
-            raise ConfigError(f"timeout must be a finite number > 0, not {self.timeout!r}")
-        if not 0.0 <= self.stub_fault_rate <= 1.0:
-            raise ConfigError(f"stub_fault_rate must be a number in [0, 1], not {self.stub_fault_rate!r}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ClientConfig":
-        return read_document(cls, obj, ConfigError, "client", partial=True)
 
 
 class LlmClient:

@@ -1,7 +1,8 @@
-"""The pipeline's stage names and run configuration.
+"""The pipeline's stage names, run configuration and teacher client configuration.
 
-Kept apart from ``pipeline`` so that loading a config, and every command
-that touches no pixels, imports no numpy.
+Kept apart from ``pipeline`` and ``client`` so that loading a config, and
+every command that touches no pixels, imports no numpy and no more of the
+package than these documents need.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bbox import FORMATS
-from .client import ClientConfig
 from .errors import ConfigError
 from .util import canonical_json, read_document
 
@@ -23,6 +23,40 @@ STAGES = ("meta", "cot", "code", "render", "detect", "qa")
 DEFAULT_TYPE_MIX = {"bar": 0.571, "line": 0.336, "pie": 0.093}
 
 PASS = "pass"
+
+
+@dataclass(frozen=True)
+class ClientConfig:
+    mode: str = "stub"
+    endpoint: str = ""
+    model: str = "stub"
+    temperature: float = 0.0
+    max_retries: int = 2
+    max_concurrency: int = 4
+    timeout: float = 30.0
+    backoff: float = 0.5
+    stub_seed: int = 0
+    stub_fault_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("stub", "http"):
+            raise ConfigError(f"unknown client mode {self.mode!r}")
+        if self.mode == "http" and not self.endpoint:
+            raise ConfigError("http mode requires an endpoint")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
+        if self.max_concurrency < 1:
+            raise ConfigError("max_concurrency must be >= 1")
+        if not 0.0 <= self.backoff < math.inf:
+            raise ConfigError(f"backoff must be a finite number >= 0, not {self.backoff!r}")
+        if not 0.0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be a finite number > 0, not {self.timeout!r}")
+        if not 0.0 <= self.stub_fault_rate <= 1.0:
+            raise ConfigError(f"stub_fault_rate must be a number in [0, 1], not {self.stub_fault_rate!r}")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ClientConfig":
+        return read_document(cls, obj, ConfigError, "client", partial=True)
 
 
 @dataclass(frozen=True)

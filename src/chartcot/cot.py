@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -60,18 +61,19 @@ class Answer:
     @classmethod
     def from_json(cls, obj) -> "Answer":
         """FormatError unless ``obj`` is a number, text, or {value, percent?}
-        holding one. A number must be finite, and so must text that reads as
-        one ("NaN", "1e400"): Python's json reads NaN and Infinity, and a NaN
-        or infinite gold answer would score every prediction wrong. Text
-        ending in ``%`` sets the percent flag, as in a reply: "42%" reads as
-        Answer("42", percent=True)."""
+        holding one and, if given, a boolean percent. A number must be finite,
+        and so must text that reads as one ("NaN", "1e400"): Python's json
+        reads NaN and Infinity, and a NaN or infinite gold answer would score
+        every prediction wrong. Text ending in ``%`` sets the percent flag, as
+        in a reply: "42%" reads as Answer("42", percent=True)."""
         if type(obj) is float and math.isfinite(obj):
             return cls(obj)  # the common case: a bare finite number
         if isinstance(obj, dict):
             if "value" not in obj or set(obj) - {"value", "percent"}:
                 raise FormatError("answer object needs {value, percent?}")
-            raw = obj["value"]
-            percent = bool(obj.get("percent", False))
+            raw, percent = obj["value"], obj.get("percent", False)
+            if type(percent) is not bool:
+                raise FormatError(f"answer percent must be true or false, not {reprlib.repr(percent)}")
         else:
             raw, percent = obj, False
         if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):

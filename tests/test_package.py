@@ -1,7 +1,8 @@
 """The package surface: every public name loads its submodule on first use,
-and the commands that touch no pixels never load numpy.
+the commands that touch no pixels never load numpy, and loading a config
+loads six modules of the package.
 
-The numpy checks run in fresh interpreters, because this test process has
+The load checks run in fresh interpreters, because this test process has
 imported every module long before.
 """
 
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import chartcot
+import chartcot.client
+import chartcot.config
 from chartcot.pipeline import ChartOutcome, PipelineConfig
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -30,6 +33,10 @@ PUBLIC = {
 }
 
 PIXEL_MODULES = ("numpy", "chartcot.render", "chartcot.marker")
+
+# What ``import chartcot`` plus loading a config may load of the package.
+COLD_MODULES = ["chartcot", "chartcot.bbox", "chartcot.config", "chartcot.errors", "chartcot.geometry",
+                "chartcot.util"]
 
 
 def _python(code: str, *args: str) -> str:
@@ -78,6 +85,25 @@ class TestNoNumpy:
         # The probe sees numpy where the pixels are, so an empty list above
         # is not vacuous.
         assert _loaded_after("import chartcot.pipeline") == list(PIXEL_MODULES)
+
+
+class TestColdPath:
+    def test_config_loading_loads_six_modules_and_no_logging(self):
+        code = ("import sys, chartcot\n"
+                "chartcot.PipelineConfig.from_json({'seed': 7, 'n_charts': 200, 'workers': 2})\n"
+                "import json\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'chartcot')))\n"
+                "print('logging' in sys.modules)")
+        modules, logging = _python(code).splitlines()
+        assert json.loads(modules) == COLD_MODULES
+        assert logging == "False"
+
+    def test_client_config_is_one_class_and_pickles(self):
+        assert chartcot.client.ClientConfig is chartcot.config.ClientConfig
+        client = chartcot.config.ClientConfig(stub_seed=4, stub_fault_rate=0.25)
+        assert pickle.loads(pickle.dumps(client)) == client
+        config = PipelineConfig(seed=3, n_charts=2, client=client)
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestLazySurface:

@@ -846,12 +846,12 @@ class TestForkedWorkers:
     # Runs a 12-chart workers=2 run in a child interpreter, in which chart
     # c00005 fails in its qa stage as the case says; prints what the run
     # raised, whether a child process is left and whether the open file
-    # descriptors changed. Every chart start, and the failure, is noted in the
-    # log file, one line each.
+    # descriptors changed. Every chart start, the failure and each WorkerError
+    # the parent builds are noted in the log file, one line each.
     _HYGIENE = (
         "import json, os, signal, sys\n"
         "from chartcot import pipeline\n"
-        "case, log = sys.argv[1], sys.argv[2]\n"
+        "case, log, parent = sys.argv[1], sys.argv[2], os.getpid()\n"
         "def note(line):\n"
         "    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)\n"
         "    os.write(fd, line.encode() + b'\\n')\n"
@@ -867,7 +867,13 @@ class TestForkedWorkers:
         "            os.kill(os.getpid(), signal.SIGKILL)\n"
         "        raise LookupError('bug in a worker' if case == 'lookup' else lambda: 0)\n"
         "    return real_build(spec, *args, **kw)\n"
+        "real_error = pipeline.WorkerError\n"
+        "def worker_error(message):\n"
+        "    if os.getpid() == parent:\n"
+        "        note('parent error')\n"
+        "    return real_error(message)\n"
         "pipeline._ChartTask.run_stages, pipeline.build_instructions = run_stages, build\n"
+        "pipeline.WorkerError = worker_error\n"
         "fds = sorted(os.listdir('/proc/self/fd'))\n"
         "error = None\n"
         "try:\n"
@@ -904,7 +910,9 @@ class TestForkedWorkers:
             assert sorted(lines) == [f"start c{i:05d}" for i in range(12)]
         else:
             # Once a worker fails, each other worker may have one chart in
-            # hand, and none takes another.
-            after = lines[lines.index("fail c00005") + 1:]
+            # hand, and none takes another. A killed worker cannot stop the
+            # others: only the parent can, once it sees the worker's pipe
+            # close, so a kill is counted from the parent's line.
+            after = lines[lines.index("parent error" if case == "kill" else "fail c00005") + 1:]
             assert all(line.startswith("start ") for line in after)
             assert len(after) <= 2 - 1
