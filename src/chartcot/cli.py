@@ -16,6 +16,7 @@ import gc
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -67,20 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chartcot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, (_, help_text) in _STAGE_COMMANDS.items():
+    for name, (stage, help_text) in _STAGE_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=partial(_cmd_stage, stage=stage))
         _add_common(p)
         if name == "gen":
             p.add_argument("--n", type=int, help="number of charts")
 
     p = sub.add_parser("build", help="run the full pipeline and emit the dataset")
+    p.set_defaults(handler=_cmd_build)
     _add_common(p)
     p.add_argument("--n", type=int, help="number of charts")
 
     p = sub.add_parser("stats", help="compute statistics over a finished run")
+    p.set_defaults(handler=_cmd_stats)
     _add_common(p)
 
     p = sub.add_parser("eval", help="score predictions with relaxed accuracy")
+    p.set_defaults(handler=_cmd_eval)
     p.add_argument("--gold", required=True, help="gold JSONL: {sample_id, answer, group}")
     p.add_argument("--pred", required=True, help="predictions JSONL: {sample_id, raw_text}")
     p.add_argument("--margins", default=",".join(str(m) for m in DEFAULT_MARGINS))
@@ -90,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("gallery", help="write the static HTML review gallery")
+    p.set_defaults(handler=_cmd_gallery)
     _add_common(p)
     return parser
 
@@ -181,24 +187,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "verbose", False):
         logging.basicConfig(level=logging.INFO)
     try:
-        if args.command in _STAGE_COMMANDS:
-            return _cmd_stage(args, _STAGE_COMMANDS[args.command][0])
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "gallery":
-            return _cmd_gallery(args)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.handler(args)
     except ChartCotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

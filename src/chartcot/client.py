@@ -138,7 +138,7 @@ def _completion_content(raw: bytes) -> str:
 
 
 def _review_locally(sample: CotSample, spec: ChartSpec) -> bool:
-    true_answer = recompute_true_answer(spec, sample)
+    true_answer = recompute_true_answer(spec, sample.steps)
     if true_answer is None:
         return False
     return relaxed_match(sample.answer, true_answer, REVIEW_REL_TOL)

@@ -12,7 +12,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import FormatError, IntegrityError
 from .geometry import ElementRef
@@ -186,7 +186,7 @@ _POINT_STEP = {
 
 
 def generate_cot_rule_based(spec: ChartSpec, seed: int) -> CotSample:
-    """Deterministic CoT for a valid spec; the answer always equals spec data.
+    """Deterministic CoT for a valid spec; its answer is ``recompute_true_answer``'s.
 
     Step template: legend entry (multi-series only) -> x tick -> datapoint,
     then one or two reasoning steps. Totals land in [3, 5].
@@ -199,15 +199,11 @@ def generate_cot_rule_based(spec: ChartSpec, seed: int) -> CotSample:
     if spec.chart_type == "pie":
         category = spec.x_labels[rng.randrange(len(spec.x_labels))]
         question = f"What percentage share does {category} hold in the pie chart?"
-        total = sum(series.values)
-        value = series.values[spec.x_labels.index(category)]
-        answer = Answer(value=round_half_up(value / total * 100.0, 1), percent=True)
         final_reason = "Divide the wedge value by the total and convert it to a percentage."
     else:
         qtype = rng.choices(("point", "max", "min"), weights=(3, 1, 1))[0]
         if qtype == "point":
             category = spec.x_labels[rng.randrange(len(spec.x_labels))]
-            value = series.values[spec.x_labels.index(category)]
             if len(spec.series) > 1:
                 question = f"What is the value of {series.name} at {category}?"
             else:
@@ -225,7 +221,6 @@ def generate_cot_rule_based(spec: ChartSpec, seed: int) -> CotSample:
                 question = f"What is the {word} value in the chart?"
             extra_reason = f"Compare the {series.name} values across all categories."
             final_reason = f"The {word} value occurs at {category}; read it off the y-axis."
-        answer = Answer(value=float(value))
 
     if spec.legend and len(spec.series) > 1:
         steps.append(Step(0, KIND_GROUNDING, f"Locate the legend entry for {series.name}.",
@@ -245,6 +240,7 @@ def generate_cot_rule_based(spec: ChartSpec, seed: int) -> CotSample:
         steps.append(Step(len(steps), KIND_REASONING, extra_reason))
     steps.append(Step(len(steps), KIND_REASONING, final_reason))
 
+    answer = recompute_true_answer(spec, steps)
     return check_sample(CotSample(chart_id=spec.id, question=question, answer=answer, steps=tuple(steps)))
 
 
@@ -275,13 +271,14 @@ def generate_cot_llm(spec: ChartSpec, client) -> CotSample:
     raise last
 
 
-def recompute_true_answer(spec: ChartSpec, sample: CotSample) -> Optional[Answer]:
-    """Re-derive the numeric answer from spec data via the grounded datapoint.
+def recompute_true_answer(spec: ChartSpec, steps: Sequence[Step]) -> Optional[Answer]:
+    """The true answer to a CoT with these steps, read from spec data at the
+    last grounded datapoint: its value, or on a pie its percentage share.
 
-    Returns None when the sample grounds no datapoint.
+    Returns None when the steps ground no datapoint.
     """
     point = None
-    for step in sample.steps:
+    for step in steps:
         if step.target is not None and step.target.role == "datapoint":
             point = step.target
     if point is None:

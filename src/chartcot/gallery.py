@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import html
 import json
+import reprlib
 from pathlib import Path
 
-from .cot import CotSample, validate_cot
-from .errors import ChartCotError
+from .cot import CotSample
+from .errors import ChartCotError, InputError
 from .geometry import PixelBBox
 from .layout import ChartLayout, chart_layout
-from .pipeline import ChartOutcome, DatasetManifest, marker_edits
+from .pipeline import ChartOutcome, DatasetManifest, marker_edits, read_chart_file
 from .render import marker_svg, overlay_svg, render_svg
-from .spec import ChartSpec, parse_spec
+from .spec import ChartSpec
 from .util import atomic_write_text, read_jsonl
 
 _PAGE_STYLE = (
@@ -66,18 +67,16 @@ def _chart_page(manifest: DatasetManifest, outcome, records: list[dict], gallery
     status = ", ".join(f"{s}: {html.escape(v)}" for s, v in outcome.stages.items())
     parts.append(f"<p>Stages &mdash; {status}</p>")
 
-    rel = f"specs/{cid}.json"
     try:
-        spec = parse_spec((out / rel).read_text(encoding="utf-8")) if outcome.passed("meta") else None
+        spec = read_chart_file(out, "specs", cid) if outcome.passed("meta") else None
         if spec is not None:
             lay = chart_layout(spec)
             vanilla = f"vanilla/{cid}.svg"
             atomic_write_text(gallery_dir / vanilla, render_svg(spec, layout=lay))
             parts.append("<h2>Vanilla render</h2>")
             parts.append(f'<img src="../{vanilla}" alt="vanilla chart">')
-        rel = f"cot/{cid}.json"
         if spec is not None and outcome.passed("cot"):
-            sample = validate_cot((out / rel).read_text(encoding="utf-8"))
+            sample = read_chart_file(out, "cot", cid)
             parts.append("<h2>Question and steps</h2>")
             parts.append(f"<p><b>Q:</b> {html.escape(sample.question)}</p>")
             parts.append("<ol start=\"1\">")
@@ -87,16 +86,21 @@ def _chart_page(manifest: DatasetManifest, outcome, records: list[dict], gallery
             parts.append(f"<p><b>Answer:</b> {html.escape(sample.answer.to_text())}</p>")
             if outcome.detections:
                 _edited_renders(spec, sample, lay, outcome, gallery_dir, parts)
-    except (FileNotFoundError, UnicodeDecodeError, KeyError, ChartCotError) as exc:
-        # The files are read in order, so ``rel`` names the one at fault.
-        error = "missing" if isinstance(exc, FileNotFoundError) else f"{type(exc).__name__}: {exc}"
-        parts.append(f"<p><b>{html.escape(rel)}</b> cannot be used: {html.escape(error)}</p>")
+    except (KeyError, ChartCotError) as exc:  # KeyError: a detection of no grounding step; a file's fault names it
+        parts.append(f"<p><b>This chart cannot be drawn:</b> {html.escape(f'{type(exc).__name__}: {exc}')}</p>")
 
     if records:
         parts.append("<h2>Instruction records</h2>")
         for rec in records:
             parts.append(f"<pre>{html.escape(json.dumps(rec, indent=2, sort_keys=True))}</pre>")
     return _page(cid, "".join(parts))
+
+
+def _keyed_by_chart(rec: dict) -> tuple[str, dict]:
+    """A dataset record and its chart id, which must be a string."""
+    if type(rec["chart_id"]) is not str:
+        raise InputError(f"chart_id must be a string, not {reprlib.repr(rec['chart_id'])}")
+    return rec["chart_id"], rec
 
 
 def build_gallery(manifest: DatasetManifest) -> Path:
@@ -108,8 +112,8 @@ def build_gallery(manifest: DatasetManifest) -> Path:
     dataset_path = out / "dataset.jsonl"
     by_chart: dict[str, list[dict]] = {}
     if dataset_path.exists():
-        for rec in read_jsonl(dataset_path):
-            by_chart.setdefault(rec["chart_id"], []).append(rec)
+        for chart_id, rec in read_jsonl(dataset_path, _keyed_by_chart):
+            by_chart.setdefault(chart_id, []).append(rec)
 
     rows = []
     for outcome in manifest.charts:

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Optional, TypedDict
+from typing import Callable, Optional, TypedDict, TypeVar
 
 from .bbox import normalize
 from .client import LlmClient
@@ -67,6 +67,7 @@ from .util import (
 
 StepCounts = TypedDict("StepCounts", {"grounding": int, "reasoning": int, "total": int})
 Detection = TypedDict("Detection", {"bbox": list[float], "method": str})  # bbox: x0, y0, x1, y1 in pixels
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -236,23 +237,12 @@ class _ChartTask:
         self._write(f"renders/{image.file_name()}", self._canvas.to_ppm())
 
     def _read_vanilla(self) -> Bitmap:
-        """The render stage's vanilla image; IntegrityError naming the file
-        when it is missing or malformed."""
-        rel = f"renders/{ImageRef(self.spec.id, VARIANT_VANILLA).file_name()}"
-        data = self._read(rel)
-        try:
-            return Bitmap.from_ppm(data)
-        except IntegrityError as exc:
-            raise IntegrityError(f"{rel}: {exc}") from None
-
-    def _read(self, rel: str) -> bytearray:
-        """A prior stage's artifact; a missing one fails this chart's stage."""
-        assert self.out is not None, "resume requires a run directory"
-        return _read_artifact(self.out, rel)
+        """The render stage's vanilla image, read back."""
+        return _read_artifact(self.out, f"renders/{ImageRef(self.spec.id, VARIANT_VANILLA).file_name()}", Bitmap.from_ppm)
 
     def _load_sample(self) -> CotSample:
         if self.sample is None:
-            self.sample = validate_cot(self._read(f"cot/{self.spec.id}.json").decode("utf-8"))
+            self.sample = read_chart_file(self.out, "cot", self.spec.id)
         return self.sample
 
     def _edits(self) -> list[EditedSpec]:
@@ -376,12 +366,32 @@ def _chart_records(spec: ChartSpec, sample: CotSample, outcome: ChartOutcome,
     return build_instructions(spec, sample, boxes, cap=config.cap, seed=config.seed)
 
 
-def _read_artifact(out: Path, rel: str) -> bytearray:
-    """The artifact's bytes in a writable buffer, which a PPM decode views in place."""
+def _read_artifact(out: Path, rel: str, parse: Callable[[bytearray], _T]) -> _T:
+    """``parse`` of the run file ``out/rel`` in a writable buffer, which a PPM decode views
+    in place. Each fault names the file: ``missing artifact <rel>``, ``<rel>: not UTF-8
+    text ...`` (both IntegrityError), or the parser's own error with ``<rel>: `` in front."""
     try:
-        return read_buffer(out / rel)
+        data = read_buffer(out / rel)
     except FileNotFoundError:
         raise IntegrityError(f"missing artifact {rel}") from None
+    try:
+        return parse(data)
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{rel}: not UTF-8 text: {exc}") from None
+    except ChartCotError as exc:
+        raise type(exc)(f"{rel}: {exc}") from None
+
+
+def read_chart_file(out: Path, kind: str, chart_id: str):
+    """The spec (``kind`` "specs") or CoT ("cot") of ``chart_id``, which must be that chart's."""
+    parse, key = {"specs": (parse_spec, "id"), "cot": (validate_cot, "chart_id")}[kind]
+
+    def parse_own(data: bytearray):
+        doc = parse(data.decode("utf-8"))
+        if getattr(doc, key) != chart_id:
+            raise IntegrityError(f"{key} is {getattr(doc, key)!r}, not {chart_id!r}")
+        return doc
+    return _read_artifact(out, f"{kind}/{chart_id}.json", parse_own)
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +572,21 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
 
     Records are rebuilt deterministically from persisted artifacts, so a
     resumed run emits the same bytes as an uninterrupted one. A passed chart
-    whose spec or CoT is gone raises ``IntegrityError("missing artifact ...")``;
-    a spec that does not parse raises its error prefixed ``specs/<id>.json: ``.
+    whose spec or CoT cannot be read raises the error ``_read_artifact`` names
+    the file in; one whose detections cannot build its records raises their
+    error prefixed ``chart <id>: ``.
     """
     out = manifest.out_dir
     if out is None:
         raise ConfigError("emit_dataset requires a persisted run")
     records: list[tuple] = []
     for outcome in manifest.passed_charts():
-        rel = f"specs/{outcome.id}.json"
-        data = _read_artifact(out, rel).decode("utf-8")
+        spec, sample = read_chart_file(out, "specs", outcome.id), read_chart_file(out, "cot", outcome.id)
         try:
-            spec = parse_spec(data)
+            chart_records = _chart_records(spec, sample, outcome, manifest.config)
         except ChartCotError as exc:
-            raise type(exc)(f"{rel}: {exc}") from None
-        sample = validate_cot(_read_artifact(out, f"cot/{outcome.id}.json").decode("utf-8"))
-        for rec in _chart_records(spec, sample, outcome, manifest.config):
+            raise type(exc)(f"chart {outcome.id}: {exc}") from None
+        for rec in chart_records:
             records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name()}")))
     records.sort(key=lambda pair: pair[0])
     lines = "".join(canonical_json(r) + "\n" for _, r in records)

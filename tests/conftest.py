@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,39 @@ def make_spec(**overrides) -> ChartSpec:
     )
     base.update(overrides)
     return validate_spec(ChartSpec(**base))
+
+
+# The damages of the per-file-kind matrix for a run's spec and CoT files.
+DOCUMENT_DAMAGES = ("missing", "truncated", "non-UTF-8", "other chart")
+
+
+def damage_document(path: Path, damage: str) -> str:
+    """Damage the spec or CoT file ``path`` of a run directory as ``damage``
+    names it, and return how reading it back must fail: the error class and
+    its message, which names the file. "truncated" keeps the first 40 bytes,
+    "non-UTF-8" puts a 0xff byte in the middle, and "other chart" copies the
+    next file of that directory over it."""
+    rel = f"{path.parent.name}/{path.name}"
+    data = path.read_bytes()
+    if damage == "missing":
+        path.unlink()
+        return f"IntegrityError: missing artifact {rel}"
+    if damage == "truncated":
+        path.write_bytes(data[:40])
+        try:
+            json.loads(data[:40].decode("utf-8"))
+        except ValueError as exc:
+            return f"{'SpecSyntaxError' if path.parent.name == 'specs' else 'FormatError'}: {rel}: not valid JSON: {exc}"
+    if damage == "non-UTF-8":
+        mid = len(data) // 2
+        path.write_bytes(data[:mid] + b"\xff" + data[mid + 1:])
+        return f"IntegrityError: {rel}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {mid}: invalid start byte"
+    assert damage == "other chart", damage
+    siblings = sorted(path.parent.glob("*.json"))
+    other = siblings[siblings.index(path) + 1]
+    path.write_bytes(other.read_bytes())
+    key = "id" if path.parent.name == "specs" else "chart_id"
+    return f"IntegrityError: {rel}: {key} is {other.stem!r}, not {path.stem!r}"
 
 
 def draw_edit(edit):

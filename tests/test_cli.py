@@ -1,4 +1,5 @@
 import gc
+import html
 import json
 import re
 import reprlib
@@ -12,6 +13,8 @@ from chartcot import cli, pipeline
 from chartcot.cli import main
 from chartcot.pipeline import DatasetManifest, PipelineConfig
 from chartcot.util import read_jsonl
+
+from conftest import DOCUMENT_DAMAGES, damage_document
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -88,6 +91,36 @@ class TestUsageErrors:
         capsys.readouterr()
         assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: missing artifact cot/c00000.json\n"
+
+    @pytest.mark.parametrize("damage", DOCUMENT_DAMAGES)
+    @pytest.mark.parametrize("kind", ["specs", "cot"])
+    def test_damaged_document_of_passed_chart_exits_1(self, tmp_path, capsys, kind, damage):
+        # Writing the dataset reads every passed chart's spec and CoT back, and a
+        # chart that passed is not re-run, so each damage stops the build. A
+        # non-UTF-8 CoT used to end it in a traceback, and a file holding
+        # another chart's document was used as it was.
+        cfg = write_config(tmp_path, seed=4, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        reason = damage_document(out / f"{kind}/c00000.json", damage)
+        capsys.readouterr()
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason.split(': ', 1)[1]}\n"
+
+    def test_detections_missing_a_grounding_step_name_the_chart(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seed=4, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        obj = json.loads(manifest.read_text(encoding="utf-8"))
+        entry = next(c for c in obj["charts"] if len(c["detections"]) > 1)
+        steps = sorted(map(int, entry["detections"]))
+        del entry["detections"][str(steps[0])]
+        manifest.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: chart {entry['id']}: boxes cover steps {steps[1:]} but grounding steps are {steps}\n")
 
     @pytest.mark.parametrize("damage, message", [
         (lambda doc: doc.update(x_labels=5), "spec.x_labels must be a list of strings, not 5"),
@@ -492,16 +525,14 @@ class TestGallery:
         page = (out / f"gallery/charts/{rich[0].id}.html").read_text(encoding="utf-8")
         assert page.count("annotated/") == 3
 
-    @pytest.mark.parametrize("kind", ["truncated cot", "missing spec"])
+    @pytest.mark.parametrize("kind", [f"{damage} {kind}" for kind in ("spec", "cot") for damage in DOCUMENT_DAMAGES])
     def test_bad_artifact_is_named_on_its_page_alone(self, tmp_path, kind):
         cfg = write_config(tmp_path, n_charts=10)
         out = tmp_path / "run"
         main(["build", "--config", str(cfg), "--out", str(out)])
-        victim = sorted((out / ("cot" if kind == "truncated cot" else "specs")).glob("*.json"))[0]
-        if kind == "truncated cot":
-            victim.write_bytes(victim.read_bytes()[:40])
-        else:
-            victim.unlink()
+        damage, _, file_kind = kind.rpartition(" ")
+        victim = sorted((out / ("cot" if file_kind == "cot" else "specs")).glob("*.json"))[0]
+        reason = damage_document(victim, damage)
         assert main(["gallery", "--out", str(out)]) == 0
         index = out / "gallery/index.html"
         pages = sorted((out / "gallery/charts").glob("*.html"))
@@ -512,7 +543,24 @@ class TestGallery:
         rel = f"{victim.parent.name}/{victim.name}"
         for page in pages:
             assert (rel in page.read_text(encoding="utf-8")) == (page.stem == victim.stem), page.name
+        assert html.escape(reason) in (out / f"gallery/charts/{victim.stem}.html").read_text(encoding="utf-8")
         assert any("annotated/" in page.read_text(encoding="utf-8") for page in pages if page.stem != victim.stem)
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"kind": "T1a"}', "record has no 'chart_id' field"),
+        ('{"chart_id": ["c00000"]}', "chart_id must be a string, not ['c00000']"),
+        ('["c00000"]', "record is not a JSON object"),
+    ], ids=["no-chart-id", "chart-id-list", "not-an-object"])
+    def test_dataset_line_without_chart_id_exits_1(self, tmp_path, capsys, line, reason):
+        cfg = write_config(tmp_path, n_charts=2)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        dataset = out / "dataset.jsonl"
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        dataset.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["gallery", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {dataset}:{len(lines) + 1}: {reason}\n"
 
     def test_empty_manifest_states_zero(self, tmp_path):
         manifest = DatasetManifest(config=PipelineConfig(), charts=[], out_dir=tmp_path)

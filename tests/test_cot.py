@@ -194,7 +194,7 @@ class TestRuleBased:
     def test_recompute_matches_answer(self):
         for spec in generate_corpus(seed=4, n=40, type_mix={"bar": 0.6, "line": 0.2, "pie": 0.2}):
             sample = generate_cot_rule_based(spec, seed=4)
-            true = recompute_true_answer(spec, sample)
+            true = recompute_true_answer(spec, sample.steps)
             assert true is not None
             assert true.value == pytest.approx(sample.answer.value)
 

@@ -30,7 +30,7 @@ from chartcot.render import Bitmap, paint_overlays, rasterize
 from chartcot.spec import Series, generate_corpus
 from chartcot.util import read_jsonl
 
-from conftest import make_spec
+from conftest import DOCUMENT_DAMAGES, damage_document, make_spec
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -224,21 +224,23 @@ class TestResume:
 
 
     @staticmethod
-    def _resume_with_damaged_vanilla(tmp_path, damage) -> None:
-        # Detection never reads the vanilla image; qa reads it back to stroke
-        # the overlay boxes onto it, so only the victim's qa fails.
+    def _resume_with_damaged_file(tmp_path, pattern, damage, stage) -> None:
+        # Resumed after render, detect reads each chart's CoT back to redo its
+        # edits, and qa reads its vanilla image back to stroke the overlay
+        # boxes onto it, so only the victim fails, at that stage.
         cfg = small_config()
         straight = {c.id: c for c in run(cfg).charts}
         run(cfg, out_dir=tmp_path, stop_after="render")
-        victim = sorted((tmp_path / "renders").glob("*.ppm"))[0]
+        victim = sorted(tmp_path.glob(pattern))[0]
         chart_id = victim.stem
         assert straight[chart_id].all_passed() and straight[chart_id].records
-        message = damage(victim)
+        reason = damage(victim)
         manifest = run(cfg, out_dir=tmp_path)  # resumes at detect; must not raise
         for c in manifest.charts:
             if c.id == chart_id:
-                assert c.stages == {**straight[c.id].stages, "qa": f"fail:IntegrityError: {message}"}
-                assert c.detections == straight[c.id].detections
+                before = {s: v for s, v in straight[c.id].stages.items() if STAGES.index(s) < STAGES.index(stage)}
+                assert c.stages == {**before, stage: f"fail:{reason}"}
+                assert c.detections == (straight[c.id].detections if stage == "qa" else None)
             else:
                 assert (c.stages, c.detections, c.records) == (
                     straight[c.id].stages, straight[c.id].detections, straight[c.id].records)
@@ -248,17 +250,22 @@ class TestResume:
             data = victim.read_bytes()
             victim.write_bytes(data[:-5000])
             w, h = map(int, data.split(b"\n")[1].split())
-            return (f"renders/{victim.name}: PPM pixel data cut short: "
+            return (f"IntegrityError: renders/{victim.name}: PPM pixel data cut short: "
                     f"expected {w * h * 3} bytes for {w}x{h}, found {w * h * 3 - 5000}")
 
-        self._resume_with_damaged_vanilla(tmp_path, truncate)
+        self._resume_with_damaged_file(tmp_path, "renders/*.ppm", truncate, "qa")
 
     def test_missing_vanilla_ppm_fails_only_that_charts_qa(self, tmp_path):
         def remove(victim):
             victim.unlink()
-            return f"missing artifact renders/{victim.name}"
+            return f"IntegrityError: missing artifact renders/{victim.name}"
 
-        self._resume_with_damaged_vanilla(tmp_path, remove)
+        self._resume_with_damaged_file(tmp_path, "renders/*.ppm", remove, "qa")
+
+    @pytest.mark.parametrize("damage", DOCUMENT_DAMAGES)
+    def test_damaged_cot_fails_only_that_charts_detect(self, tmp_path, damage):
+        # A non-UTF-8 CoT used to end the resumed run in a UnicodeDecodeError.
+        self._resume_with_damaged_file(tmp_path, "cot/*.json", lambda victim: damage_document(victim, damage), "detect")
 
     def test_run_directory_in_older_layout_resumes_to_straight_bytes(self, tmp_path):
         # Older runs also wrote each edit's document (edited/*.json), its SVG
