@@ -12,11 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .config import BBOX_FORMATS
 from .errors import ParseError
 from .geometry import PixelBBox
 from .util import round_half_up
 
-FORMATS = ("A", "B", "C")
 DEFAULT_FORMAT = "C"
 
 GRID_MAX = 999
@@ -30,7 +30,7 @@ class NormBBox:
     coords: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if self.format not in FORMATS:
+        if self.format not in BBOX_FORMATS:
             raise ValueError(f"unknown bbox format {self.format!r}")
         lo, hi = (0, GRID_MAX) if self.format == "C" else (0.0, 1.0)
         for c in self.coords:

@@ -8,21 +8,44 @@ package than these documents need.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
-from .bbox import FORMATS
 from .errors import ConfigError
 from .util import canonical_json, read_document
 
 STAGES = ("meta", "cot", "code", "render", "detect", "qa")
 
+CHART_TYPES = ("bar", "line", "pie")
+
 # Chart type shares of the target corpus (bar / line / pie).
 DEFAULT_TYPE_MIX = {"bar": 0.571, "line": 0.336, "pie": 0.093}
 
+# Bounding box number formats; ``bbox`` says what each letter writes.
+BBOX_FORMATS = ("A", "B", "C")
+
 PASS = "pass"
+
+
+def type_mix_weights(type_mix: Mapping[str, float]) -> list[float]:
+    """The weight of each of CHART_TYPES in ``type_mix``, in that order.
+
+    ConfigError unless ``type_mix`` names only known chart types, each with a
+    finite weight >= 0, and the weights have a finite sum > 0.
+    """
+    if not type_mix:
+        raise ConfigError("type_mix must name at least one chart type")
+    for chart_type, weight in type_mix.items():
+        if chart_type not in CHART_TYPES:
+            raise ConfigError(f"type_mix names unknown chart type {chart_type!r}; the types are {CHART_TYPES}")
+        if not 0.0 <= weight < math.inf:
+            raise ConfigError(f"type_mix weight of {chart_type!r} must be a finite number >= 0, not {weight!r}")
+    weights = [float(type_mix.get(t, 0.0)) for t in CHART_TYPES]
+    total = sum(weights)  # as largest_remainder sums them: two huge weights overflow to inf
+    if not 0.0 < total < math.inf:
+        raise ConfigError(f"type_mix weights must have a finite sum > 0, not {total!r}")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -74,17 +97,15 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.n_charts < 1:
             raise ConfigError("n_charts must be >= 1")
-        if self.bbox_format not in FORMATS:
-            raise ConfigError(f"bbox_format must be one of {FORMATS}")
+        if self.bbox_format not in BBOX_FORMATS:
+            raise ConfigError(f"bbox_format must be one of {BBOX_FORMATS}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         for key in ("min_marker_px", "cap"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value < math.inf:
                 raise ConfigError(f"{key} must be a finite number >= 0, not {value!r}")
-        for chart_type, weight in self.type_mix.items():
-            if not 0.0 <= weight < math.inf:
-                raise ConfigError(f"type_mix weight of {chart_type!r} must be a finite number >= 0, not {weight!r}")
+        type_mix_weights(self.type_mix)
         for stage, p in self.fault_injection.items():
             if stage not in STAGES:
                 raise ConfigError(f"unknown fault injection stage {stage!r}")
@@ -104,4 +125,6 @@ class PipelineConfig:
         return obj
 
     def config_hash(self) -> str:
+        import hashlib  # only hashing needs it; config loading does not
+
         return hashlib.sha256(canonical_json(self.to_json()).encode("utf-8")).hexdigest()[:16]

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .config import CHART_TYPES, type_mix_weights
 from .errors import ConfigError, SpecSyntaxError, ValidationError
 from .util import largest_remainder, read_document, rng_for
-
-CHART_TYPES = ("bar", "line", "pie")
 
 MIN_CANVAS = 200
 MAX_CANVAS = 4096
@@ -202,17 +201,7 @@ def generate_corpus(seed: int, n: int, type_mix: Mapping[str, float]) -> list[Ch
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if not type_mix:
-        raise ConfigError("type_mix must be non-empty")
-    unknown = set(type_mix) - set(CHART_TYPES)
-    if unknown:
-        raise ConfigError(f"unknown chart types in mix: {sorted(unknown)}")
-    weights = {t: float(type_mix.get(t, 0.0)) for t in CHART_TYPES}
-    if any(w < 0 for w in weights.values()):
-        raise ConfigError("type_mix weights must be non-negative")
-    if sum(weights.values()) <= 0:
-        raise ConfigError("type_mix weights must not all be zero")
-    counts = largest_remainder(n, [weights[t] for t in CHART_TYPES])
+    counts = largest_remainder(n, type_mix_weights(type_mix))
     types: list[str] = []
     for t, c in zip(CHART_TYPES, counts):
         types.extend([t] * c)

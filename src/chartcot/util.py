@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
@@ -25,6 +25,8 @@ def rng_for(*parts: Any) -> random.Random:
     shared sequential stream), so outputs are identical across worker counts
     and across resumed runs.
     """
+    import hashlib  # loaded on the first draw, not by config loading
+
     tag = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -44,8 +46,8 @@ def round_half_up(value: float, decimals: int = 0) -> float:
 def largest_remainder(total: int, weights: list[float]) -> list[int]:
     """Apportion `total` units among weights, quotas exact to +-1 unit."""
     s = float(sum(weights))
-    if s <= 0:
-        raise ValueError("weights must sum to a positive value")
+    if not 0 < s < math.inf:
+        raise ValueError(f"weights must have a finite sum > 0, not {s!r}")
     quotas = [w / s * total for w in weights]
     counts = [int(math.floor(q)) for q in quotas]
     remainder = total - sum(counts)
@@ -160,15 +162,21 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
     """Write any bytes-like ``data`` via temp file + rename so readers never
-    see a partial file."""
+    see a partial file. A write that fails removes its temp file and raises
+    its own error."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
-    except FileNotFoundError:  # the parent directory is made only when missing
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # the parent directory is made only when missing
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error is the one to report
+            tmp.unlink()
+        raise
 
 
 def read_buffer(path: str | Path) -> bytearray:

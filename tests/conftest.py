@@ -24,6 +24,16 @@ def make_spec(**overrides) -> ChartSpec:
 
 
 # The damages of the per-file-kind matrix for a run's spec and CoT files.
+# Type mixes that cannot make a corpus, with the ConfigError each raises at
+# config load and in generate_corpus. The first used to load and then end
+# generate_corpus in an IndexError: its sum overflows to inf.
+UNUSABLE_MIXES = {
+    "overflowing sum": ({"bar": 1e308, "line": 1e308}, "type_mix weights must have a finite sum > 0, not inf"),
+    "empty": ({}, "type_mix must name at least one chart type"),
+    "all zero": ({"bar": 0.0, "line": 0}, "type_mix weights must have a finite sum > 0, not 0.0"),
+    "unknown type": ({"scatter": 1.0}, "type_mix names unknown chart type 'scatter'; the types are ('bar', 'line', 'pie')"),
+}
+
 DOCUMENT_DAMAGES = ("missing", "truncated", "non-UTF-8", "other chart")
 
 

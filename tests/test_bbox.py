@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartcot.bbox import NormBBox, denormalize, normalize, parse, serialize
-from chartcot.errors import ParseError
+from chartcot.config import PipelineConfig
+from chartcot.errors import ConfigError, ParseError
 from chartcot.geometry import PixelBBox
 
 CANVAS = (1000, 800)
@@ -77,6 +78,25 @@ class TestQuantizationBounds:
             n = normalize(p, CANVAS, "C")
             back = denormalize(n, CANVAS)
             assert abs(back.x0 - p.x0) <= 1.1
+
+
+def test_config_accepts_exactly_the_formats_serialize_writes():
+    box = PixelBBox(10.0, 20.0, 30.0, 40.0)
+
+    def written(fmt: str) -> bool:
+        try:
+            return parse(serialize(normalize(box, (100, 100), fmt)), fmt).format == fmt
+        except (ValueError, KeyError):
+            return False
+
+    def loaded(fmt: str) -> bool:
+        try:
+            return PipelineConfig(bbox_format=fmt).bbox_format == fmt
+        except ConfigError:
+            return False
+
+    letters = [chr(c) for c in range(ord("A"), ord("Z") + 1)] + ["", "a", "c", "CC"]
+    assert [f for f in letters if loaded(f)] == [f for f in letters if written(f)] == ["A", "B", "C"]
 
 
 class TestSerialize:

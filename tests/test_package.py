@@ -1,6 +1,6 @@
 """The package surface: every public name loads its submodule on first use,
 the commands that touch no pixels never load numpy, and loading a config
-loads six modules of the package.
+loads four modules of the package and no hashlib.
 
 The load checks run in fresh interpreters, because this test process has
 imported every module long before.
@@ -35,8 +35,9 @@ PUBLIC = {
 PIXEL_MODULES = ("numpy", "chartcot.render", "chartcot.marker")
 
 # What ``import chartcot`` plus loading a config may load of the package.
-COLD_MODULES = ["chartcot", "chartcot.bbox", "chartcot.config", "chartcot.errors", "chartcot.geometry",
-                "chartcot.util"]
+COLD_MODULES = ["chartcot", "chartcot.config", "chartcot.errors", "chartcot.util"]
+# What it must not load at all: hashlib's OpenSSL load alone is ~2.5 ms.
+NOT_COLD = ("hashlib", "_hashlib", "logging", "numpy")
 
 
 def _python(code: str, *args: str) -> str:
@@ -88,15 +89,22 @@ class TestNoNumpy:
 
 
 class TestColdPath:
-    def test_config_loading_loads_six_modules_and_no_logging(self):
+    def test_config_loading_loads_four_modules_and_no_hashlib_or_logging(self):
         code = ("import sys, chartcot\n"
                 "chartcot.PipelineConfig.from_json({'seed': 7, 'n_charts': 200, 'workers': 2})\n"
                 "import json\n"
                 "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'chartcot')))\n"
-                "print('logging' in sys.modules)")
-        modules, logging = _python(code).splitlines()
+                f"print(json.dumps([m for m in {NOT_COLD!r} if m in sys.modules]))")
+        modules, loaded = _python(code).splitlines()
         assert json.loads(modules) == COLD_MODULES
-        assert logging == "False"
+        assert json.loads(loaded) == []
+
+    def test_hashing_loads_hashlib_where_it_hashes(self):
+        # The probe sees hashlib once a config is hashed, so the empty list
+        # above is not vacuous.
+        code = ("import sys, chartcot\n"
+                "print(chartcot.PipelineConfig.from_json({'seed': 7}).config_hash(), 'hashlib' in sys.modules)")
+        assert _python(code).split() == [chartcot.PipelineConfig(seed=7).config_hash(), "True"]
 
     def test_client_config_is_one_class_and_pickles(self):
         assert chartcot.client.ClientConfig is chartcot.config.ClientConfig

@@ -30,7 +30,7 @@ from chartcot.render import Bitmap, paint_overlays, rasterize
 from chartcot.spec import Series, generate_corpus
 from chartcot.util import read_jsonl
 
-from conftest import DOCUMENT_DAMAGES, damage_document, make_spec
+from conftest import DOCUMENT_DAMAGES, UNUSABLE_MIXES, damage_document, make_spec
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -98,6 +98,12 @@ class TestConfig:
         # infinite one made every box the whole canvas.
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number >= 0, not {value!r}$"):
             PipelineConfig.from_json({key: value})
+
+    @pytest.mark.parametrize("case", UNUSABLE_MIXES)
+    def test_type_mix_that_makes_no_corpus_fails_at_load(self, case):
+        mix, message = UNUSABLE_MIXES[case]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig.from_json({"type_mix": mix, "n_charts": 5})
 
     def test_ints_pass_for_numbers(self):
         cfg = PipelineConfig.from_json({"min_marker_px": 12, "cap": 3, "client": {"timeout": 30}})

@@ -15,7 +15,7 @@ from chartcot.spec import (
     synth_spec,
 )
 
-from conftest import doc_with
+from conftest import UNUSABLE_MIXES, doc_with
 
 PAPER_MIX = {"bar": 0.571, "line": 0.336, "pie": 0.093}
 
@@ -157,6 +157,12 @@ class TestGenerateCorpus:
             generate_corpus(seed=1, n=10, type_mix={"scatter": 1.0})
         with pytest.raises(ConfigError):
             generate_corpus(seed=1, n=0, type_mix=PAPER_MIX)
+
+    @pytest.mark.parametrize("case", UNUSABLE_MIXES)
+    def test_unusable_mix_is_a_config_error(self, case):
+        mix, message = UNUSABLE_MIXES[case]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate_corpus(seed=1, n=5, type_mix=mix)
 
     def test_every_generated_spec_parses(self):
         for spec in generate_corpus(seed=3, n=120, type_mix=PAPER_MIX):

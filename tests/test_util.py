@@ -1,10 +1,11 @@
+import errno
 import re
 from pathlib import Path
 
 import pytest
 
 from chartcot.errors import ChartCotError, FormatError, InputError
-from chartcot.util import atomic_write_bytes, read_jsonl
+from chartcot.util import atomic_write_bytes, largest_remainder, read_jsonl
 
 
 class TestReadJsonl:
@@ -104,3 +105,35 @@ class TestAtomicWriteBytes:
         atomic_write_bytes(path, b"333")
         assert calls == []
         assert path.read_bytes() == b"333" and path.with_name("two.bin").read_bytes() == b"22"
+
+    @pytest.mark.parametrize("existing", [None, b"old bytes"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "renders" / "c00000.ppm"
+        path.parent.mkdir()
+        if existing is not None:
+            path.write_bytes(existing)
+        error = OSError(errno.ENOSPC, "No space left on device")
+
+        def write_some_then_fail(self, data):
+            with self.open("wb") as f:
+                f.write(bytes(data)[:4])
+            raise error
+
+        monkeypatch.setattr(Path, "write_bytes", write_some_then_fail)
+        with pytest.raises(OSError) as raised:
+            atomic_write_bytes(path, b"P6\n2 2\n255\n" + bytes(12))
+        assert raised.value is error
+        assert [p.name for p in path.parent.iterdir()] == ([] if existing is None else ["c00000.ppm"])
+        assert existing is None or path.read_bytes() == existing
+
+
+class TestLargestRemainder:
+    def test_apportions_the_total_exactly(self):
+        assert largest_remainder(10, [0.571, 0.336, 0.093]) == [6, 3, 1]
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [0.0, 0.0], [float("nan"), 1.0]])
+    def test_sum_not_finite_and_positive_raises(self, weights):
+        # An overflowing sum used to give every weight 0 units and add back
+        # at most one per weight, short of the total.
+        with pytest.raises(ValueError, match="^weights must have a finite sum > 0, not "):
+            largest_remainder(5, weights)
