@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import sys
 from functools import partial
 from pathlib import Path
@@ -34,12 +33,11 @@ _STAGE_COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="pipeline config JSON file")
-    p.add_argument("--out", required=need_out, help="run directory")
+    p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=int, help="worker process count (forked; 1 runs in this process)")
-    p.add_argument("--verbose", action="store_true")
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -92,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="match")
     p.add_argument("--group-by", choices=GROUP_BY, default="group")
     p.add_argument("--out", help="directory for eval_report.json (default: cwd)")
-    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("gallery", help="write the static HTML review gallery")
     p.set_defaults(handler=_cmd_gallery)
@@ -184,8 +181,6 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "verbose", False):
-        logging.basicConfig(level=logging.INFO)
     try:
         return args.handler(args)
     except ChartCotError as exc:

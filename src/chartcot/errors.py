@@ -53,6 +53,10 @@ class ClientError(ChartCotError):
     """Teacher-model client failure (exhausted retries, bad status, timeout)."""
 
 
+class ReviewError(ChartCotError):
+    """The teacher's review rejected a CoT sample's answer."""
+
+
 class WorkerError(ChartCotError):
     """A forked pipeline worker died, or could not send a chart's outcome or exception."""
 

@@ -8,7 +8,6 @@ are reduced to answers either by taking the last \\box{...} occurrence
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 import sys
@@ -17,8 +16,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .cot import Answer, parse_number
 from .errors import ExtractionError, FormatError, MissingGoldError, ValidationError
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MARGINS = (0.05, 0.10, 0.20)
 MODES = ("match", "direct")
@@ -101,8 +98,7 @@ def relaxed_match(pred: Answer, gt: Answer, margin: float) -> bool:
         return abs(p - g) / abs(g) <= margin
     if p is None and g is None:
         return _norm_text(str(pred.value)) == _norm_text(str(gt.value))
-    log.info("type mismatch: prediction %r vs gold %r scored incorrect", pred.value, gt.value)
-    return False
+    return False  # a number against text
 
 
 # ---------------------------------------------------------------------------

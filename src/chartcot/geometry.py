@@ -138,16 +138,17 @@ class ElementRef:
         return out
 
 
-def nice_ticks(vmax: float, max_intervals: int = 6) -> tuple[float, list[float]]:
-    """Pick a 1/2/5x10^k step so [0, vmax] splits into <= max_intervals steps.
+_MAX_TICK_INTERVALS = 6
 
-    Returns (step, tick values including 0 and the top tick >= vmax).
-    """
+
+def nice_ticks(vmax: float) -> list[float]:
+    """Ticks 0, step, ..., top >= vmax for the 1/2/5x10^k step that splits
+    [0, vmax] into at most _MAX_TICK_INTERVALS steps; vmax <= 0 counts as 1."""
     if vmax <= 0:
         vmax = 1.0
-    exp = math.floor(math.log10(vmax / max_intervals))
-    # 10 ** (exp + 1) > vmax / max_intervals, so a step is found by k = exp + 1.
+    exp = math.floor(math.log10(vmax / _MAX_TICK_INTERVALS))
+    # 10 ** (exp + 1) > vmax / _MAX_TICK_INTERVALS, so a step is found by k = exp + 1.
     steps = (base * 10.0 ** k for k in range(exp, exp + 2) for base in (1.0, 2.0, 5.0))
-    step = next(s for s in steps if math.ceil(vmax / s) <= max_intervals)
+    step = next(s for s in steps if math.ceil(vmax / s) <= _MAX_TICK_INTERVALS)
     n = max(1, math.ceil(vmax / step - 1e-9))
-    return step, [i * step for i in range(n + 1)]
+    return [i * step for i in range(n + 1)]

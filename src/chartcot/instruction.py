@@ -19,32 +19,24 @@ from dataclasses import dataclass
 from . import prompts
 from .bbox import NormBBox, denormalize, serialize
 from .cot import KIND_GROUNDING, CotSample
-from .errors import CoverageError, ValidationError
+from .errors import CoverageError
 from .geometry import PixelBBox
 from .spec import ChartSpec
 from .util import rng_for
-
-VARIANT_VANILLA = "vanilla"
-VARIANT_OVERLAY = "overlay"
 
 
 @dataclass(frozen=True)
 class ImageRef:
     chart_id: str
-    variant: str
     overlay_boxes: tuple[PixelBBox, ...] = ()
     overlay_upto: int = -1  # highest step index whose box is drawn
 
-    def __post_init__(self) -> None:
-        if self.variant not in (VARIANT_VANILLA, VARIANT_OVERLAY):
-            raise ValidationError(f"unknown image variant {self.variant!r}")
-        if self.variant == VARIANT_OVERLAY and not self.overlay_boxes:
-            raise ValidationError("overlay variant requires at least one box")
-        if self.variant == VARIANT_VANILLA and self.overlay_boxes:
-            raise ValidationError("vanilla variant carries no overlay boxes")
+    @property
+    def variant(self) -> str:
+        return "overlay" if self.overlay_boxes else "vanilla"
 
     def file_name(self) -> str:
-        if self.variant == VARIANT_VANILLA:
+        if not self.overlay_boxes:
             return f"{self.chart_id}.ppm"
         return f"{self.chart_id}__ov{self.overlay_upto}.ppm"
 
@@ -107,7 +99,7 @@ def build_instructions(
             f"boxes cover steps {sorted(boxes)} but grounding steps are {sorted(needed)}"
         )
     q = sample.question
-    vanilla = ImageRef(chart_id=sample.chart_id, variant=VARIANT_VANILLA)
+    vanilla = ImageRef(chart_id=sample.chart_id)
 
     always = [
         InstructionSample("T1a", sample.chart_id, vanilla,
@@ -134,12 +126,7 @@ def build_instructions(
                 for s in grounding
                 if s.index <= g.index
             )
-            image = ImageRef(
-                chart_id=sample.chart_id,
-                variant=VARIANT_OVERLAY,
-                overlay_boxes=drawn,
-                overlay_upto=g.index,
-            )
+            image = ImageRef(chart_id=sample.chart_id, overlay_boxes=drawn, overlay_upto=g.index)
             prior = [s.text for s in sample.steps[: g.index + 1]]
             per_step.append(InstructionSample(
                 "T3", sample.chart_id, image,

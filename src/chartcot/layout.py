@@ -148,7 +148,7 @@ def _layout_axes_chart(lay: ChartLayout) -> None:
     if min(values) < 0:
         raise LayoutError("negative values unsupported by the zero-based axis")
     vmax = max(values)
-    _, ticks = nice_ticks(vmax if vmax > 0 else 1.0)
+    ticks = nice_ticks(vmax)
     top = ticks[-1]
 
     # The raster rule lies below a horizontal line, left of the y axis and

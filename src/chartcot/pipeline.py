@@ -33,16 +33,15 @@ from .cot import CotSample, generate_cot_llm, validate_cot
 from .errors import (
     AmbiguousError,
     ChartCotError,
-    ClientError,
     ConfigError,
     EmptyError,
-    FormatError,
     IntegrityError,
     NotFoundError,
+    ReviewError,
     WorkerError,
 )
 from .geometry import PixelBBox
-from .instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef, InstructionSample, build_instructions
+from .instruction import ImageRef, InstructionSample, build_instructions
 from .layout import ChartLayout, chart_layout
 from .marker import (
     EditedSpec,
@@ -74,7 +73,7 @@ _T = TypeVar("_T")
 class ChartOutcome:
     id: str
     chart_type: str
-    stages: dict[str, str] = field(default_factory=dict)    # stage -> "pass" | "fail:<reason>"
+    stages: dict[str, str] = field(default_factory=dict)    # stage -> "pass" | "fail:<ErrorClass>: <message>" | "fail:injected"
     question: Optional[str] = None
     steps: Optional[StepCounts] = None
     detections: Optional[dict[str, Detection]] = None       # keyed by step index
@@ -238,7 +237,7 @@ class _ChartTask:
 
     def _read_vanilla(self) -> Bitmap:
         """The render stage's vanilla image, read back."""
-        return _read_artifact(self.out, f"renders/{ImageRef(self.spec.id, VARIANT_VANILLA).file_name()}", Bitmap.from_ppm)
+        return _read_artifact(self.out, f"renders/{ImageRef(self.spec.id).file_name()}", Bitmap.from_ppm)
 
     def _load_sample(self) -> CotSample:
         if self.sample is None:
@@ -258,12 +257,9 @@ class _ChartTask:
         self._write(f"specs/{self.spec.id}.json", serialize_spec(self.spec) + "\n")
 
     def _stage_cot(self) -> None:
-        try:
-            sample = generate_cot_llm(self.spec, self.client)
-        except (FormatError, IntegrityError) as exc:
-            raise _StageFail(f"cot-invalid: {exc}") from exc
+        sample = generate_cot_llm(self.spec, self.client)
         if not self.client.review_qa(sample, self.spec):
-            raise _StageFail("review rejected the answer")
+            raise ReviewError("the review rejected the answer")
         self.sample = sample
         grounding = len(sample.grounding_steps())
         self.outcome.question = sample.question
@@ -278,7 +274,7 @@ class _ChartTask:
         self._edits()
 
     def _stage_render(self) -> None:
-        self._write_image(ImageRef(chart_id=self.spec.id, variant=VARIANT_VANILLA))
+        self._write_image(ImageRef(chart_id=self.spec.id))
 
     def _stage_detect(self) -> None:
         """Draw each edit once, in the format that finds its marker, and detect it: a text
@@ -298,7 +294,7 @@ class _ChartTask:
             try:
                 result = detect_markers(svg, bmp)
             except (NotFoundError, AmbiguousError) as exc:
-                raise _StageFail(f"detect step {edit.step_index}: {exc}") from exc
+                raise type(exc)(f"step {edit.step_index}: {exc}") from None
             finally:
                 lift_markers(bmp, covered)
             final = finalize_bbox(result.bbox, self.spec.canvas, min_px, min_px)
@@ -309,7 +305,7 @@ class _ChartTask:
         records = _chart_records(self.spec, self._load_sample(), self.outcome, self.config)
         self.outcome.records = len(records)
         for rec in records:
-            if rec.image.variant == VARIANT_OVERLAY:
+            if rec.image.overlay_boxes:
                 self._write_image(rec.image)
 
     def run_stages(self, wanted: list[str]) -> ChartOutcome:
@@ -327,21 +323,11 @@ class _ChartTask:
                 break
             try:
                 getattr(self, f"_stage_{stage}")()
-            except _StageFail as exc:
-                self.outcome.stages[stage] = f"fail:{exc}"
-                break
-            except ClientError as exc:
-                self.outcome.stages[stage] = f"fail:client: {exc}"
-                break
             except ChartCotError as exc:
                 self.outcome.stages[stage] = f"fail:{type(exc).__name__}: {exc}"
                 break
             self.outcome.stages[stage] = PASS
         return self.outcome
-
-
-class _StageFail(ChartCotError):
-    """A stage gate rejected the chart (not a run-level error)."""
 
 
 def marker_edits(spec: ChartSpec, sample: CotSample, layout: ChartLayout) -> list[EditedSpec]:
@@ -571,23 +557,30 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
     """Write dataset.jsonl (sorted by chart, kind, step) and the stage report.
 
     Records are rebuilt deterministically from persisted artifacts, so a
-    resumed run emits the same bytes as an uninterrupted one. A passed chart
-    whose spec or CoT cannot be read raises the error ``_read_artifact`` names
-    the file in; one whose detections cannot build its records raises their
-    error prefixed ``chart <id>: ``.
+    resumed run emits the same bytes as an uninterrupted one. Only charts whose
+    qa stage passed, and so wrote every image their records name, are emitted.
+    A chart whose spec or CoT cannot be read raises the error ``_read_artifact``
+    names the file in; one whose detections cannot build its records raises
+    their error prefixed ``chart <id>: ``; an image that is not a file raises
+    ``IntegrityError("missing artifact renders/<file>")``.
     """
     out = manifest.out_dir
     if out is None:
         raise ConfigError("emit_dataset requires a persisted run")
     records: list[tuple] = []
-    for outcome in manifest.passed_charts():
+    for outcome in manifest.charts:
+        if not outcome.passed("qa"):
+            continue
         spec, sample = read_chart_file(out, "specs", outcome.id), read_chart_file(out, "cot", outcome.id)
         try:
             chart_records = _chart_records(spec, sample, outcome, manifest.config)
         except ChartCotError as exc:
             raise type(exc)(f"chart {outcome.id}: {exc}") from None
-        for rec in chart_records:
-            records.append((rec.sort_key(), rec.to_record(f"renders/{rec.image.file_name()}")))
+        images = [f"renders/{rec.image.file_name()}" for rec in chart_records]
+        for rel in dict.fromkeys(images):
+            if not (out / rel).is_file():
+                raise IntegrityError(f"missing artifact {rel}")
+        records.extend((rec.sort_key(), rec.to_record(rel)) for rec, rel in zip(chart_records, images))
     records.sort(key=lambda pair: pair[0])
     lines = "".join(canonical_json(r) + "\n" for _, r in records)
     atomic_write_text(out / "dataset.jsonl", lines)

@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from chartcot import errors
 from chartcot.render import marker_svg, paint_markers, rasterize, render_svg
 from chartcot.spec import ChartSpec, Series, parse_spec, validate_spec
 
@@ -21,6 +23,18 @@ def make_spec(**overrides) -> ChartSpec:
     )
     base.update(overrides)
     return validate_spec(ChartSpec(**base))
+
+
+def assert_one_reason_form(charts) -> None:
+    """Every stage value of ``charts`` is ``pass``, ``fail:injected`` or
+    ``fail:<Name>: <message>``, where ``<Name>`` is a class in chartcot.errors."""
+    for c in charts:
+        for stage, value in c.stages.items():
+            if value in ("pass", "fail:injected"):
+                continue
+            m = re.fullmatch(r"fail:(\w+): .+", value, re.DOTALL)
+            cls = getattr(errors, m[1], None) if m else None
+            assert isinstance(cls, type) and issubclass(cls, errors.ChartCotError), (c.id, stage, value)
 
 
 # The damages of the per-file-kind matrix for a run's spec and CoT files.

@@ -92,6 +92,19 @@ class TestUsageErrors:
         assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: missing artifact cot/c00000.json\n"
 
+    @pytest.mark.parametrize("pattern", ["c00000.ppm", "*__ov*.ppm"], ids=["vanilla", "overlay"])
+    def test_missing_image_of_passed_chart_exits_1(self, tmp_path, capsys, pattern):
+        # A passed chart is not re-run, so writing the dataset checks that each
+        # image it names is there; the build used to exit 0 and name the file.
+        cfg = write_config(tmp_path, seed=4, n_charts=3)
+        out = tmp_path / "run"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        victim = sorted((out / "renders").glob(pattern))[0]
+        victim.unlink()
+        capsys.readouterr()
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: missing artifact renders/{victim.name}\n"
+
     @pytest.mark.parametrize("damage", DOCUMENT_DAMAGES)
     @pytest.mark.parametrize("kind", ["specs", "cot"])
     def test_damaged_document_of_passed_chart_exits_1(self, tmp_path, capsys, kind, damage):

@@ -18,6 +18,8 @@ from chartcot.errors import ClientError, ConfigError
 from chartcot.pipeline import PipelineConfig, run
 from chartcot.spec import generate_corpus, parse_spec, serialize_spec
 
+from conftest import assert_one_reason_form
+
 
 class _Recorder:
     def __init__(self):
@@ -278,14 +280,15 @@ class TestTransportFailures:
         rec.fault_for = fault_for
         http_cfg = replace(stub_cfg, client=http_config(url, max_retries=1))
         manifest = run(http_cfg)  # must complete
+        assert_one_reason_form(manifest.charts)
         stubbed = {c.id: c.stages for c in run(stub_cfg).charts}
         for c in manifest.charts:
             if c.id in (ids[1], ids[2]):
-                assert c.stages["cot"].startswith("fail:client: malformed completion payload: ")
+                assert c.stages["cot"].startswith("fail:ClientError: malformed completion payload: ")
             elif c.id == ids[3]:
-                assert c.stages["cot"].startswith("fail:client: exhausted 1 retries: RemoteDisconnected")
+                assert c.stages["cot"].startswith("fail:ClientError: exhausted 1 retries: RemoteDisconnected")
             elif c.id == ids[4]:
-                assert c.stages["cot"].startswith("fail:client: exhausted 1 retries: IncompleteRead")
+                assert c.stages["cot"].startswith("fail:ClientError: exhausted 1 retries: IncompleteRead")
             else:
                 assert c.stages == stubbed[c.id]
         assert dropped_once in seen and stubbed[dropped_once]["qa"] == "pass"

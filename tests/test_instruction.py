@@ -154,23 +154,13 @@ class TestOverlayImage:
         box = denormalize(NormBBox("C", (100, 100, 300, 300)), bar_spec.canvas)
         svg = overlay_svg(render_svg(bar_spec), [box], bar_spec.canvas)
         assert svg.count('class="overlay-box"') == 1
-        ref = ImageRef(chart_id=bar_spec.id, variant="overlay", overlay_boxes=(box,))
+        ref = ImageRef(chart_id=bar_spec.id, overlay_boxes=(box,))
         assert ref.variant == "overlay"
-
-    def test_zero_boxes_rejected(self, bar_spec):
-        with pytest.raises(ValidationError):
-            ImageRef(chart_id=bar_spec.id, variant="overlay", overlay_boxes=())
 
     def test_out_of_canvas_rejected(self, bar_spec):
         from chartcot.geometry import PixelBBox
         with pytest.raises(ValidationError):
             overlay_svg(render_svg(bar_spec), [PixelBBox(700.0, 60.0, 900.0, 120.0)], bar_spec.canvas)
-
-    def test_image_ref_invariants(self):
-        with pytest.raises(ValidationError):
-            ImageRef(chart_id="x", variant="overlay")
-        with pytest.raises(ValidationError):
-            ImageRef(chart_id="x", variant="sketch")
 
 
 def test_ground_truth_boxes_intersect_targets(multi_line_spec):

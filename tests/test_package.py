@@ -53,6 +53,14 @@ def _loaded_after(code: str, *args: str) -> list[str]:
     return json.loads(_python(probe, *args).splitlines()[-1])
 
 
+# chartcot eval over the files of ``eval_files``, and chartcot --version.
+EVAL_COMMAND = ("import sys; from chartcot import cli\n"
+                "code = cli.main(['eval', '--gold', sys.argv[1], '--pred', sys.argv[2], '--out', sys.argv[3]])\n"
+                "assert code == 0, code")
+VERSION_COMMAND = ("from chartcot import cli\n"
+                   "try:\n    cli.main(['--version'])\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code")
+
+
 @pytest.fixture
 def eval_files(tmp_path) -> list[str]:
     gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
@@ -71,16 +79,11 @@ class TestNoNumpy:
         assert _loaded_after("import chartcot.evaluate") == []
 
     def test_eval_command(self, eval_files):
-        code = ("import sys; from chartcot import cli\n"
-                "code = cli.main(['eval', '--gold', sys.argv[1], '--pred', sys.argv[2], '--out', sys.argv[3]])\n"
-                "assert code == 0, code")
-        assert _loaded_after(code, *eval_files) == []
+        assert _loaded_after(EVAL_COMMAND, *eval_files) == []
         assert json.loads((Path(eval_files[2]) / "eval_report.json").read_text(encoding="utf-8"))
 
     def test_version(self):
-        code = ("from chartcot import cli\n"
-                "try:\n    cli.main(['--version'])\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code")
-        assert _loaded_after(code) == []
+        assert _loaded_after(VERSION_COMMAND) == []
 
     def test_pipeline_loads_numpy(self):
         # The probe sees numpy where the pixels are, so an empty list above
@@ -105,6 +108,11 @@ class TestColdPath:
         code = ("import sys, chartcot\n"
                 "print(chartcot.PipelineConfig.from_json({'seed': 7}).config_hash(), 'hashlib' in sys.modules)")
         assert _python(code).split() == [chartcot.PipelineConfig(seed=7).config_hash(), "True"]
+
+    @pytest.mark.parametrize("command", ["eval", "version"])
+    def test_eval_and_version_load_no_logging(self, eval_files, command):
+        code = EVAL_COMMAND if command == "eval" else VERSION_COMMAND
+        assert _python(f"{code}\nimport sys\nprint('logging' in sys.modules)", *eval_files).splitlines()[-1] == "False"
 
     def test_client_config_is_one_class_and_pickles(self):
         assert chartcot.client.ClientConfig is chartcot.config.ClientConfig

@@ -24,13 +24,13 @@ from chartcot.pipeline import (
     write_stats,
 )
 from chartcot.geometry import ElementRef, PixelBBox
-from chartcot.instruction import VARIANT_OVERLAY, VARIANT_VANILLA, ImageRef
+from chartcot.instruction import ImageRef
 from chartcot.marker import structural_hits
 from chartcot.render import Bitmap, paint_overlays, rasterize
 from chartcot.spec import Series, generate_corpus
 from chartcot.util import read_jsonl
 
-from conftest import DOCUMENT_DAMAGES, UNUSABLE_MIXES, damage_document, make_spec
+from conftest import DOCUMENT_DAMAGES, UNUSABLE_MIXES, assert_one_reason_form, damage_document, make_spec
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -154,6 +154,7 @@ class TestAccounting:
             fault_injection={"cot": 0.1, "code": 0.2, "render": 0.3, "detect": 0.2},
         )
         manifest = run(cfg)
+        assert_one_reason_form(manifest.charts)
         reports = manifest.stage_reports()
         for prev, cur in zip(reports, reports[1:]):
             assert cur["attempted"] == prev["passed"]
@@ -242,6 +243,7 @@ class TestResume:
         assert straight[chart_id].all_passed() and straight[chart_id].records
         reason = damage(victim)
         manifest = run(cfg, out_dir=tmp_path)  # resumes at detect; must not raise
+        assert_one_reason_form(manifest.charts)
         for c in manifest.charts:
             if c.id == chart_id:
                 before = {s: v for s, v in straight[c.id].stages.items() if STAGES.index(s) < STAGES.index(stage)}
@@ -407,9 +409,10 @@ class TestBadTeacherTarget:
 
         monkeypatch.setattr(LlmClient, "chat", chat)
         manifest = run(cfg)
+        assert_one_reason_form(manifest.charts)
         for c in manifest.charts:
             if c.id == victim:
-                assert re.match(r"fail:cot-invalid: cot\.steps\[\d+\]\.target( must|\.)", c.stages["cot"]), c.stages
+                assert re.match(r"fail:FormatError: cot\.steps\[\d+\]\.target( must|\.)", c.stages["cot"]), c.stages
                 assert list(c.stages) == ["meta", "cot"]
             else:
                 assert c.all_passed(), (c.id, c.stages)
@@ -431,6 +434,7 @@ class TestBadTeacherReply:
 
         monkeypatch.setattr(LlmClient, "_stub_reply", stub_reply)
         manifest = run(cfg)
+        assert_one_reason_form(manifest.charts)
         for c in manifest.charts:
             if c.id != victim:
                 assert c.all_passed(), (c.id, c.stages)
@@ -440,7 +444,7 @@ class TestBadTeacherReply:
 
     def test_reply_nested_too_deep_to_decode(self, monkeypatch):
         reason = self._run_with_victim_reply(monkeypatch, lambda doc: "[" * 100_000 + "]" * 100_000)
-        assert reason.startswith("fail:cot-invalid: not valid JSON: maximum recursion depth exceeded"), reason
+        assert reason.startswith("fail:FormatError: not valid JSON: maximum recursion depth exceeded"), reason
 
     # Case ids are kept stable when a message is reworded.
     @pytest.mark.parametrize("path, value, reason", [
@@ -461,7 +465,22 @@ class TestBadTeacherReply:
             node[last] = value
             return json.dumps(doc)
 
-        assert self._run_with_victim_reply(monkeypatch, damage) == f"fail:cot-invalid: cot.{reason}"
+        assert self._run_with_victim_reply(monkeypatch, damage) == f"fail:FormatError: cot.{reason}"
+
+
+class TestReviewRejection:
+    def test_rejected_answer_fails_its_chart_at_cot_and_the_run_goes_on(self, monkeypatch):
+        cfg = PipelineConfig(seed=8, n_charts=4, workers=1)
+        victim = generate_corpus(cfg.seed, cfg.n_charts, cfg.type_mix)[0].id
+        real = LlmClient.review_qa
+        monkeypatch.setattr(LlmClient, "review_qa", lambda self, sample, spec: spec.id != victim and real(self, sample, spec))
+        manifest = run(cfg)
+        assert_one_reason_form(manifest.charts)
+        for c in manifest.charts:
+            if c.id == victim:
+                assert c.stages == {"meta": "pass", "cot": "fail:ReviewError: the review rejected the answer"}
+            else:
+                assert c.all_passed(), (c.id, c.stages)
 
 
 class TestOneLayoutPerChart:
@@ -523,7 +542,11 @@ class TestOneLayoutPerChart:
 
             monkeypatch.setattr(pipeline, "detect_markers", detect)
             task.run_stages(["detect"])
-            assert task.outcome.stages["detect"].startswith("fail:detect step" if fail else "pass")
+            assert_one_reason_form([task.outcome])
+            # The first datapoint edit is the first that detect draws on the canvas.
+            step = next(edit.step_index for edit in task.edits if edit.markers)
+            want = f"fail:NotFoundError: step {step}: no marker found by either pass" if fail else "pass"
+            assert task.outcome.stages["detect"] == want
             assert bytes(task._canvas.to_ppm()) == vanilla
 
 
@@ -543,7 +566,7 @@ class TestUndrawableEdit:
             "meta": "pass", "cot": "pass", "code": "pass", "render": "pass",
             "detect": "fail:LayoutError: x tick labels overlap; canvas too small",
         }
-        assert (tmp_path / "renders" / ImageRef(spec.id, VARIANT_VANILLA).file_name()).exists()
+        assert (tmp_path / "renders" / ImageRef(spec.id).file_name()).exists()
 
 
 class TestOverlayImages:
@@ -571,8 +594,8 @@ class TestOverlayImages:
         monkeypatch.setattr(Bitmap, "from_ppm", classmethod(counting_from_ppm))
         task = pipeline._ChartTask(spec, ChartOutcome(id=spec.id, chart_type=spec.chart_type),
                                    small_config(), None, tmp_path)
-        images = [ImageRef(spec.id, VARIANT_VANILLA)]
-        images += [ImageRef(spec.id, VARIANT_OVERLAY, boxes, upto) for upto, boxes in enumerate(sequence)]
+        images = [ImageRef(spec.id)]
+        images += [ImageRef(spec.id, boxes, upto) for upto, boxes in enumerate(sequence)]
         for image in images:
             task._write_image(image)
             boxes = list(image.overlay_boxes)
@@ -761,6 +784,13 @@ class TestEmitEdgeCases:
         assert manifest.charts[0].all_passed()
         with pytest.raises(IntegrityError, match=r"^missing artifact cot/c00000\.json$"):
             emit_dataset(manifest)
+
+    def test_run_stopped_before_qa_emits_no_record(self, tmp_path):
+        # Every chart has passed each stage run so far, but none has written
+        # its overlay images, which qa does; the dataset used to name them.
+        manifest = run(PipelineConfig(seed=4, n_charts=3), out_dir=tmp_path, stop_after="detect")
+        assert all(c.passed("detect") for c in manifest.charts)
+        assert emit_dataset(manifest).read_text(encoding="utf-8") == ""
 
     def test_emit_requires_directory(self):
         manifest = run(PipelineConfig(seed=4, n_charts=2))
