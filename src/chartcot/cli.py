@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import PipelineConfig
-from .errors import ChartCotError, ConfigError
-from .evaluate import DEFAULT_MARGINS, GROUP_BY, MODES, GoldEntry, Prediction, check_margin, evaluate
+from .errors import ChartCotError, ConfigError, ValidationError
+from .evaluate import DEFAULT_MARGINS, GROUP_BY, MODES, GoldEntry, Prediction, check_margins, evaluate
 from .util import atomic_write_text, dumps_pretty, read_jsonl
 
 _STAGE_COMMANDS = {
@@ -145,8 +145,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--margins must be comma-separated numbers, not {args.margins!r}") from None
     if not margins:
         raise ConfigError(f"--margins must name at least one margin, not {args.margins!r}")
-    for m in margins:
-        check_margin(m)
+    try:
+        check_margins(margins)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
     # The records hold no reference cycles, so the collector is paused while
     # they are read and scored: a collection would only walk them. Passed by
     # keyword, the gold file is read first, and the records are freed when

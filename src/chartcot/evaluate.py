@@ -8,11 +8,12 @@ are reduced to answers either by taking the last \\box{...} occurrence
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .cot import Answer, parse_number
 from .errors import ExtractionError, FormatError, MissingGoldError, ValidationError
@@ -46,8 +47,8 @@ def extract_answer(raw_text: str, mode: str = "match") -> Answer:
     """
     if mode not in MODES:
         raise ValidationError(f"unknown extraction mode {mode!r}")
-    text = raw_text.strip()
     if mode == "direct":
+        text = raw_text.strip()
         if not text:
             raise ExtractionError("empty reply")
         return _token_to_answer(text)
@@ -63,20 +64,20 @@ def extract_answer(raw_text: str, mode: str = "match") -> Answer:
     return _token_to_answer(numbers[-1])
 
 
-def _as_float(answer: Answer) -> Optional[float]:
-    value = answer.value
-    if type(value) is float:
-        return value  # the common case: no property lookup, no conversion
-    if answer.is_numeric:
-        return float(value)
-    return parse_number(str(value))
-
-
 _ARTICLE_RE = re.compile(r"^(the|a|an)\s+", re.IGNORECASE)
 
 
-def _norm_text(value: str) -> str:
-    out = value.strip().lower().rstrip(".")
+@functools.lru_cache(maxsize=4096)
+def _read_text(text: str) -> Union[float, str]:
+    """An answer value that is not a float, by its text: the number it reads
+    as, else the form texts are compared in (trimmed, lower-cased, a trailing
+    period and a leading article dropped). The type tells the two apart.
+    Cached by the text, since an eval's text answers repeat a handful of
+    names and labels."""
+    number = parse_number(text)
+    if number is not None:
+        return number
+    out = text.strip().lower().rstrip(".")
     return _ARTICLE_RE.sub("", out).strip()
 
 
@@ -87,18 +88,45 @@ def check_margin(margin: float) -> None:
         raise ValidationError(f"margin must be a finite number >= 0, not {margin!r}")
 
 
-def relaxed_match(pred: Answer, gt: Answer, margin: float) -> bool:
-    """Correctness at one margin; text gold needs lenient exact equality."""
-    check_margin(margin)
-    p = _as_float(pred)
-    g = _as_float(gt)
-    if p is not None and g is not None:
-        if g == 0:
-            return p == 0
-        return abs(p - g) / abs(g) <= margin
-    if p is None and g is None:
-        return _norm_text(str(pred.value)) == _norm_text(str(gt.value))
-    return False  # a number against text
+def check_margins(margins: tuple) -> None:
+    """ValidationError unless ``margins`` names one margin at least, each
+    passes ``check_margin`` and none is given twice: a report holds one row
+    per margin, keyed by it."""
+    if not margins:
+        raise ValidationError("no margin to score at")
+    seen = set()
+    for m in margins:
+        check_margin(m)
+        if m in seen:
+            raise ValidationError(f"margin {m:g} is given twice")
+        seen.add(m)
+
+
+def relaxed_match(pred: Answer, gt: Answer, margin: Union[float, tuple]) -> Union[bool, list]:
+    """Correctness at one margin, or with a tuple of margins a list of
+    verdicts, one per margin in order. A number is correct when its relative
+    error to the gold number is at most the margin; zero gold needs an exact
+    zero, and text gold lenient exact equality (``_read_text``). The pair's
+    error is computed once, whatever the margin count."""
+    p, g = pred.value, gt.value
+    if type(p) is not float:  # a float is read as it is, with no call
+        p = _read_text(str(p))
+    if type(g) is not float:
+        g = _read_text(str(g))
+    if type(p) is not type(g):
+        err = math.inf  # a number against text
+    elif type(g) is str or g == 0:
+        err = 0.0 if p == g else math.inf
+    else:
+        err = abs(p - g) / abs(g)
+    if not isinstance(margin, tuple):
+        check_margin(margin)
+        return err <= margin
+    verdicts = []
+    for m in margin:  # not a list comprehension, which in CPython 3.11 costs a frame a call
+        check_margin(m)
+        verdicts.append(err <= m)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +222,21 @@ def evaluate(
 
     "Avg." is the unweighted mean over group accuracies; "ALL" pools every
     sample. With group_by="none" all samples land in one group. ``mode`` and
-    ``group_by`` are checked, and so is every margin (``check_margin``),
-    before any prediction is read: ValidationError for an unknown value.
-    There must be one margin at least, and no sample id twice among the gold
-    or the predictions.
+    ``group_by`` are checked, and so are the margins (``check_margins``),
+    before any prediction is read: ValidationError for an unknown value, a
+    margin that is not a finite number >= 0, no margin or a margin given
+    twice. No sample id may appear twice among the gold or the predictions.
 
-    One pass: each prediction is extracted once and matched once per margin,
-    and its verdicts go into its group's tally, so the cost does not grow
-    with the group count.
+    One pass: each prediction is extracted once and scored at every margin
+    by one ``relaxed_match`` call, and its verdicts go into its group's
+    tally, so the cost does not grow with the group count.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown extraction mode {mode!r}")
     if group_by not in GROUP_BY:
         raise ValidationError(f"unknown group_by {group_by!r}; expected one of {', '.join(GROUP_BY)}")
     margins = tuple(margins)
-    if not margins:
-        raise ValidationError("no margin to score at")
-    for m in margins:
-        check_margin(m)
+    check_margins(margins)
     gold_by_id = {}
     for entry in gold:
         if entry.sample_id in gold_by_id:
@@ -239,8 +264,8 @@ def evaluate(
         except ExtractionError:
             failures += 1
             continue
-        for k, m in enumerate(margins, 1):
-            if relaxed_match(answer, entry.answer, m):
+        for k, correct in enumerate(relaxed_match(answer, entry.answer, margins), 1):
+            if correct:
                 tally[k] += 1
 
     groups = sorted(tallies)

@@ -589,10 +589,13 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
 
 
 def compute_stats(manifest: DatasetManifest) -> dict:
-    """Histograms and distribution facts over charts that passed every gate run."""
-    passed = [c for c in manifest.charts if c.all_passed() and c.steps]
+    """Histograms and distribution facts over the charts whose qa stage
+    passed, the charts ``emit_dataset`` writes: a chart that passed every
+    stage a partial run reached has no records yet. EmptyError when there is
+    none, as after a run stopped before qa."""
+    passed = [c for c in manifest.charts if c.passed("qa") and c.steps]
     if not passed:
-        raise EmptyError("no charts passed the pipeline")
+        raise EmptyError("no chart passed the qa stage")
     counts = {key: Counter(c.steps[key] for c in passed) for key in ("grounding", "reasoning", "total")}
     total = counts["total"]
     types = Counter(c.chart_type for c in passed)

@@ -332,6 +332,14 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: --margins must name at least one margin, not {margins!r}\n"
         assert not (tmp_path / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("margins, repeated", [("0.05,0.1,0.1", "0.1"), ("0.2,0.05,0.20", "0.2"), ("0,0.0", "0")])
+    def test_eval_repeated_margin_exits_1_before_reading_files(self, tmp_path, capsys, margins, repeated):
+        code = main(["eval", "--gold", str(tmp_path / "gold.jsonl"), "--pred", str(tmp_path / "pred.jsonl"),
+                     "--margins", margins, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: margin {repeated} is given twice\n"
+        assert not (tmp_path / "eval_report.json").exists()
+
     def test_eval_duplicate_gold_exits_1(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"

@@ -3,7 +3,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chartcot.cot import Answer
@@ -11,6 +11,7 @@ from chartcot.errors import ExtractionError, FormatError, MissingGoldError, Vali
 from chartcot.evaluate import (
     GoldEntry,
     Prediction,
+    _read_text,
     evaluate,
     extract_answer,
     relaxed_match,
@@ -148,6 +149,48 @@ _answers = st.builds(Answer, _values, st.booleans())
                                                       st.floats(min_value=0.0, max_value=1.0)))
 def test_relaxed_match_equals_reference(pred, gold, margin):
     assert relaxed_match(pred, gold, margin) == _reference_match(pred, gold, margin)
+
+
+# Margin tuples as a caller may pass them: unsorted, with repeats, with 0.
+_margin_tuples = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from(MARGINS), st.floats(min_value=0.0, max_value=1.0)), max_size=6,
+).map(tuple)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pred=_answers, gold=_answers, margins=_margin_tuples)
+@example(pred=Answer(104.0), gold=Answer(100.0), margins=(0.2, 0.0, 0.05, 0.05, 0.03))
+@example(pred=Answer("the North."), gold=Answer("north"), margins=(0.1, 0.0, 0.1))
+def test_tuple_of_margins_scores_each_margin_in_order(pred, gold, margins):
+    got = relaxed_match(pred, gold, margins)
+    assert got == [relaxed_match(pred, gold, m) for m in margins]
+    assert got == [_reference_match(pred, gold, m) for m in margins]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    margins=st.lists(st.sampled_from((0.0, *MARGINS)), max_size=4),
+    bad=st.sampled_from((float("nan"), float("inf"), -float("inf"), -0.1, -5e-324)),
+    at=st.integers(min_value=0, max_value=4),
+)
+def test_tuple_with_a_margin_that_is_not_finite_and_non_negative_rejected(margins, bad, at):
+    margins.insert(at, bad)
+    with pytest.raises(ValidationError, match=r"^margin must be a finite number >= 0, not "):
+        relaxed_match(Answer(100.0), Answer(100.0), tuple(margins))
+
+
+@settings(max_examples=200, deadline=None)
+@given(preds=st.lists(_answers.filter(lambda a: isinstance(a.value, str)), min_size=1, max_size=8), gold=_answers)
+def test_repeated_text_answers_score_alike_on_every_call(preds, gold):
+    # Each text is read once and cached; later calls must give what the
+    # first gave, and what a fresh parse gives.
+    want = [[_reference_match(p, gold, m) for m in MARGINS] for p in preds]
+    first = [relaxed_match(p, gold, MARGINS) for p in preds]
+    hits = _read_text.cache_info().hits
+    again = [relaxed_match(p, gold, MARGINS) for p in preds]
+    assert first == again == want
+    assert _read_text.cache_info().hits > hits
+    assert _read_text.cache_info().maxsize is not None  # bounded
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,6 +389,18 @@ class TestEvaluate:
             evaluate([], [], margins=MARGINS, **options)
         with pytest.raises(ValidationError, match=message):
             evaluate(unread(), [GoldEntry("s", Answer(1.0))], margins=MARGINS, **options)
+
+    @pytest.mark.parametrize("margins, repeated", [
+        ((0.05, 0.1, 0.1), "0.1"), ((0.2, 0.05, 0.2), "0.2"), ((0.0, 0.05, 0), "0"),
+    ])
+    def test_repeated_margin_rejected_before_any_prediction(self, margins, repeated):
+        # A report keys its rows by margin: a repeat would print one row twice
+        # and list more margins than it holds cells for.
+        def unread():
+            raise AssertionError("a prediction was read")
+            yield
+        with pytest.raises(ValidationError, match=rf"^margin {repeated} is given twice$"):
+            evaluate(unread(), [GoldEntry("s", Answer(1.0))], margins=margins)
 
     def test_no_margins(self):
         with pytest.raises(ValidationError, match=r"^no margin to score at$"):

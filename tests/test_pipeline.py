@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
@@ -468,6 +470,66 @@ class TestBadTeacherReply:
         assert self._run_with_victim_reply(monkeypatch, damage) == f"fail:FormatError: cot.{reason}"
 
 
+def _wrong_types(doc: dict, rng: random.Random) -> str:
+    variant = rng.randrange(4)
+    if variant == 0:
+        return json.dumps([doc])
+    if variant == 1:
+        doc["steps"] = {str(step["index"]): step for step in doc["steps"]}
+    elif variant == 2:
+        doc["answer"] = [doc["answer"]]
+    else:
+        doc["steps"][0]["index"] = str(doc["steps"][0]["index"])
+    return json.dumps(doc)
+
+
+# Each damage takes (the reply's document, the reply, another chart's id, a
+# seeded rng) and gives the text the teacher sends instead.
+FUZZ_DAMAGES = {
+    "intact": lambda doc, reply, other, rng: reply,
+    "truncated": lambda doc, reply, other, rng: reply[: rng.randrange(1, len(reply))],
+    "not JSON": lambda doc, reply, other, rng: "Here is the chain of thought you asked for:\n" + reply,
+    "wrong types": lambda doc, reply, other, rng: _wrong_types(doc, rng),
+    "too deep": lambda doc, reply, other, rng: "[" * 100_000 + "]" * 100_000,
+    "NaN answer": lambda doc, reply, other, rng: json.dumps({**doc, "answer": float("nan")}),
+    "another chart's id": lambda doc, reply, other, rng: json.dumps({**doc, "chart_id": other}),
+    "empty": lambda doc, reply, other, rng: "",
+}
+
+
+class TestFuzzedTeacherReply:
+    """Whatever the teacher replies, no reply ends a run: each chart gets one
+    damage, drawn by its id, and the run at one worker and at two records the
+    same outcome for every chart."""
+
+    def test_no_reply_ends_the_run(self, monkeypatch):
+        cfg = PipelineConfig(seed=9, n_charts=32, workers=1)
+        ids = [spec.id for spec in generate_corpus(cfg.seed, cfg.n_charts, cfg.type_mix)]
+        damage_of = {cid: random.Random(f"fuzz-{cid}").choice(sorted(FUZZ_DAMAGES)) for cid in ids}
+        assert set(damage_of.values()) == set(FUZZ_DAMAGES)
+        real = LlmClient._stub_reply
+
+        def stub_reply(self, messages):
+            reply = real(self, messages)
+            doc = json.loads(reply)
+            cid = doc["chart_id"]
+            other = ids[(ids.index(cid) + 1) % len(ids)]
+            return FUZZ_DAMAGES[damage_of[cid]](doc, reply, other, random.Random(f"fuzz-reply-{cid}"))
+
+        monkeypatch.setattr(LlmClient, "_stub_reply", stub_reply)
+        manifests = [run(cfg), run(dataclasses.replace(cfg, workers=2))]
+        for manifest in manifests:
+            assert_one_reason_form(manifest.charts)
+            for c in manifest.charts:
+                if damage_of[c.id] == "intact":
+                    assert c.all_passed() and "qa" in c.stages, (c.id, c.stages)
+                else:
+                    assert list(c.stages) == ["meta", "cot"], (c.id, damage_of[c.id], c.stages)
+                    error = "IntegrityError" if damage_of[c.id] == "another chart's id" else "FormatError"
+                    assert c.stages["cot"].startswith(f"fail:{error}: "), (c.id, damage_of[c.id], c.stages)
+        assert manifests[0].digest() == manifests[1].digest()
+
+
 class TestReviewRejection:
     def test_rejected_answer_fails_its_chart_at_cot_and_the_run_goes_on(self, monkeypatch):
         cfg = PipelineConfig(seed=8, n_charts=4, workers=1)
@@ -720,6 +782,27 @@ class TestStats:
         manifest = run(PipelineConfig(seed=6, n_charts=5, fault_injection={"cot": 1.0}))
         with pytest.raises(EmptyError):
             compute_stats(manifest)
+
+    @pytest.mark.parametrize("stop_after", ["cot", "detect"])
+    def test_run_stopped_before_qa_has_no_stats(self, stop_after):
+        # Every chart passed each stage run so far, but none has records yet.
+        manifest = run(PipelineConfig(seed=4, n_charts=3), stop_after=stop_after)
+        assert len(manifest.passed_charts()) == 3
+        with pytest.raises(EmptyError, match=r"^no chart passed the qa stage$"):
+            compute_stats(manifest)
+
+    def test_stats_count_the_charts_the_dataset_holds(self, tmp_path):
+        # A resumed run that reaches qa counts exactly the charts emitted.
+        cfg = PipelineConfig(seed=4, n_charts=3, fault_injection={"qa": 0.5})
+        run(cfg, out_dir=tmp_path, stop_after="detect")
+        manifest = run(cfg, out_dir=tmp_path)
+        emit_dataset(manifest)
+        emitted = {json.loads(line)["chart_id"] for line in (tmp_path / "dataset.jsonl").read_text().splitlines()}
+        qa_passed = [c for c in manifest.charts if c.passed("qa")]
+        assert 0 < len(qa_passed) < 3 and {c.id for c in qa_passed} == emitted
+        stats = compute_stats(manifest)
+        assert stats["passed_charts"] == len(qa_passed)
+        assert stats["records_total"] == sum(c.records for c in qa_passed)
 
     def test_stats_recount_matches_cot_files(self, tmp_path):
         manifest = run(small_config(), out_dir=tmp_path)

@@ -175,7 +175,8 @@ def test_resume_decodes_one_ppm_per_chart_with_overlays(tmp_path, monkeypatch):
 
 def test_eval_calls_each_scoring_site_once_per_unit_of_work(tmp_path, monkeypatch):
     # evaluate.extract counts one call per prediction, evaluate.match one per
-    # (extracted prediction, margin) and util.read_jsonl one per input file.
+    # extracted prediction (one call scores every margin) and util.read_jsonl
+    # one per input file.
     calls = {}
     for name, sites, _ in _layers().PLAN:
         if name in ("evaluate.extract", "evaluate.match", "util.read_jsonl"):
@@ -197,6 +198,6 @@ def test_eval_calls_each_scoring_site_once_per_unit_of_work(tmp_path, monkeypatc
     pred.write_text("".join(json.dumps({"sample_id": f"s{i}", "raw_text": r}) + "\n"
                             for i, r in enumerate(replies)), encoding="utf-8")
     assert cli.main(["eval", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path),
-                     "--margins", "0.05,0.1,0.1,0.2"]) == 0
-    # Four replies yield an answer, each matched at all four margins.
-    assert calls == {"util.read_jsonl": 2, "evaluate.extract": 6, "evaluate.match": 4 * 4}
+                     "--margins", "0.05,0.1,0.2"]) == 0
+    # Four replies yield an answer, each scored at every margin by one call.
+    assert calls == {"util.read_jsonl": 2, "evaluate.extract": 6, "evaluate.match": 4}
