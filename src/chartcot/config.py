@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import ConfigError
-from .util import canonical_json, read_document
+from .documents import read_document
 
 STAGES = ("meta", "cot", "code", "render", "detect", "qa")
 
@@ -50,6 +50,8 @@ def type_mix_weights(type_mix: Mapping[str, float]) -> list[float]:
 
 @dataclass(frozen=True)
 class ClientConfig:
+    """How the teacher model is reached: the offline stub or an HTTP endpoint."""
+
     mode: str = "stub"
     endpoint: str = ""
     model: str = "stub"
@@ -84,6 +86,8 @@ class ClientConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """What a run builds: its seed, chart count and mix, bbox format, teacher client and workers."""
+
     seed: int = 0
     n_charts: int = 10
     type_mix: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_TYPE_MIX))
@@ -125,6 +129,7 @@ class PipelineConfig:
         return obj
 
     def config_hash(self) -> str:
-        import hashlib  # only hashing needs it; config loading does not
+        import hashlib  # only hashing needs these; config loading does not
+        from .util import canonical_json
 
         return hashlib.sha256(canonical_json(self.to_json()).encode("utf-8")).hexdigest()[:16]

@@ -14,10 +14,11 @@ import reprlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .documents import read_document
 from .errors import FormatError, IntegrityError
 from .geometry import ElementRef
 from .spec import ChartSpec
-from .util import read_document, rng_for, round_half_up
+from .util import rng_for, round_half_up
 
 KIND_GROUNDING = "Grounding"
 KIND_REASONING = "Reasoning"

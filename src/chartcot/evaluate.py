@@ -198,7 +198,7 @@ class EvalReport:
         headers = ["margin", *self.groups, "Avg.", "ALL"]
         rows = []
         for m in self.margins:
-            row = [f"@{m:g}"]
+            row = [f"@{m}"]  # the margin's key in to_json, so two margins never share a label
             for g in self.groups:
                 row.append(f"{self.cells[m][g]['accuracy'] * 100:.2f}")
             row.append(f"{self.averages[m]['avg'] * 100:.2f}")

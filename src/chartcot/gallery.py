@@ -115,12 +115,13 @@ def build_gallery(manifest: DatasetManifest) -> Path:
         for chart_id, rec in read_jsonl(dataset_path, _keyed_by_chart):
             by_chart.setdefault(chart_id, []).append(rec)
 
-    rows = []
+    rows, states = [], []
     for outcome in manifest.charts:
         page_rel = f"charts/{outcome.id}.html"
         page = _chart_page(manifest, outcome, by_chart.get(outcome.id, []), gallery_dir)
         atomic_write_text(gallery_dir / page_rel, page)
-        state = "passed" if outcome.all_passed() else "discarded"
+        state = "passed" if outcome.passed("qa") else "stopped before qa" if outcome.all_passed() else "discarded"
+        states.append(state)  # passed qa, as the charts that dataset.jsonl and stats.json hold
         question = html.escape(outcome.question or "")
         steps = outcome.steps["total"] if outcome.steps else ""
         rows.append(
@@ -132,7 +133,7 @@ def build_gallery(manifest: DatasetManifest) -> Path:
     if rows:
         body = (
             f"<h1>Run {html.escape(manifest.run_id)}</h1>"
-            f"<p>{len(manifest.charts)} charts, {len(manifest.passed_charts())} passed all gates.</p>"
+            f"<p>{len(manifest.charts)} charts, {states.count('passed')} passed all gates.</p>"
             "<table><tr><th>chart</th><th>type</th><th>question</th><th>steps</th><th>status</th></tr>"
             + "".join(rows)
             + "</table>"

@@ -30,6 +30,7 @@ from .client import LlmClient
 # numpy; they stay importable from here.
 from .config import DEFAULT_TYPE_MIX, PASS, STAGES, PipelineConfig
 from .cot import CotSample, generate_cot_llm, validate_cot
+from .documents import read_document
 from .errors import (
     AmbiguousError,
     ChartCotError,
@@ -59,7 +60,6 @@ from .util import (
     canonical_json,
     dumps_pretty,
     read_buffer,
-    read_document,
     rng_for,
 )
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .config import CHART_TYPES, type_mix_weights
+from .documents import read_document
 from .errors import ConfigError, SpecSyntaxError, ValidationError
-from .util import largest_remainder, read_document, rng_for
+from .util import largest_remainder, rng_for
 
 MIN_CANVAS = 200
 MAX_CANVAS = 4096

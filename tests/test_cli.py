@@ -11,7 +11,9 @@ import pytest
 
 from chartcot import cli, pipeline
 from chartcot.cli import main
-from chartcot.pipeline import DatasetManifest, PipelineConfig
+from chartcot.errors import EmptyError
+from chartcot.gallery import build_gallery
+from chartcot.pipeline import DatasetManifest, PipelineConfig, compute_stats
 from chartcot.util import read_jsonl
 
 from conftest import DOCUMENT_DAMAGES, damage_document
@@ -583,9 +585,27 @@ class TestGallery:
         assert main(["gallery", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {dataset}:{len(lines) + 1}: {reason}\n"
 
+    @pytest.mark.parametrize("stop_after", ["render", None], ids=["stopped", "full"])
+    def test_passed_count_is_the_qa_passed_charts_that_stats_count(self, tmp_path, stop_after):
+        # A run stopped after render has failed nothing, but no chart of it is
+        # in dataset.jsonl or stats.json, so none is "passed" in the gallery.
+        config = PipelineConfig(seed=3, n_charts=4, fault_injection={} if stop_after else {"detect": 0.5})
+        manifest = pipeline.run(config, out_dir=tmp_path / "run", stop_after=stop_after)
+        index = build_gallery(manifest).read_text(encoding="utf-8")
+        states = re.findall(r"<td>([a-z ]+)</td></tr>", index)
+        assert len(states) == 4
+        if stop_after:
+            with pytest.raises(EmptyError, match="no chart passed the qa stage"):
+                compute_stats(manifest)
+            assert states == ["stopped before qa"] * 4 and "4 charts, 0 passed all gates." in index
+        else:
+            passed = compute_stats(manifest)["passed_charts"]
+            assert 0 < passed < 4, "the fault injection should discard some charts and keep some"
+            assert sorted(states) == ["discarded"] * (4 - passed) + ["passed"] * passed
+            assert f"4 charts, {passed} passed all gates." in index
+
     def test_empty_manifest_states_zero(self, tmp_path):
         manifest = DatasetManifest(config=PipelineConfig(), charts=[], out_dir=tmp_path)
-        from chartcot.gallery import build_gallery
         index = build_gallery(manifest)
         assert "Zero samples" in index.read_text(encoding="utf-8")
 

@@ -419,6 +419,15 @@ class TestEvaluate:
         assert "0.05" in blob
         table = report.to_table()
         assert "human" in table and "Avg." in table and "ALL" in table
+        assert [line.split()[0] for line in table.splitlines()[1:]] == ["@0.05", "@0.1", "@0.2"]
+
+    def test_close_margins_get_their_own_table_labels(self):
+        # Both agree to six significant digits; each row is labelled with its report key.
+        margins = (0.1234567, 0.1234568)
+        report = evaluate([Prediction("s", "\\box{100}")], [GoldEntry("s", Answer(100.0))], margins=margins)
+        labels = [line.split()[0] for line in report.to_table().splitlines()[1:]]
+        assert labels == ["@0.1234567", "@0.1234568"]
+        assert labels == [f"@{key}" for key in report.to_json()["cells"]]
 
 
 class TestGoldAnswer:
