@@ -15,7 +15,7 @@ import reprlib
 from pathlib import Path
 
 from .cot import CotSample
-from .errors import ChartCotError, InputError
+from .errors import ChartCotError, ConfigError, InputError
 from .geometry import PixelBBox
 from .layout import ChartLayout, chart_layout
 from .pipeline import ChartOutcome, DatasetManifest, marker_edits, read_chart_file
@@ -107,7 +107,7 @@ def build_gallery(manifest: DatasetManifest) -> Path:
     """Write gallery/index.html plus one page per chart. Returns the index path."""
     out = manifest.out_dir
     if out is None:
-        raise ValueError("gallery requires a persisted run")
+        raise ConfigError("gallery requires a persisted run")
     gallery_dir = out / "gallery"
     dataset_path = out / "dataset.jsonl"
     by_chart: dict[str, list[dict]] = {}

@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import ElementRef, PixelBBox, glyph_bbox
 from .layout import ChartLayout, chart_layout, mark_text
 from .render import MARKER_COLOR, Bitmap, MarkerAnchor, unescape_text
-from .spec import MARKER_CHAR, ChartSpec, Series, validate_spec
+from .spec import MARKER_CHAR, ChartSpec, Series
 
 TEXT_ROLES = frozenset({"title", "legend_entry", "x_tick", "y_tick"})
 
@@ -65,7 +65,12 @@ def _spec_text_fields(spec: ChartSpec) -> list[str]:
 
 
 def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = None) -> EditedSpec:
-    """Insert the marker for one grounding step; everything else is unchanged."""
+    """Insert the marker for one grounding step; everything else is unchanged.
+
+    The vanilla layout decides the target: a text it placed gets the marker
+    character appended, a datapoint the cross on its anchor. TargetError for
+    a y tick, whose text is derived from the data, for a cross that would not
+    land on its datapoint, and for any other target."""
     if step.kind != KIND_GROUNDING or step.target is None:
         raise TargetError(f"step {step.index} is not a grounding step")
     if any(MARKER_CHAR in text for text in _spec_text_fields(spec)):
@@ -73,37 +78,26 @@ def apply_marker(spec: ChartSpec, step: Step, full_layout: ChartLayout | None = 
     target = step.target
     lay = full_layout if full_layout is not None else chart_layout(spec)
 
-    if target.role in TEXT_ROLES:
-        if target.role == "title":
-            if not spec.title:
-                raise TargetError("spec has no title to mark")
-            edited = replace(spec, title=spec.title + MARKER_CHAR)
-        elif target.role == "legend_entry":
-            if not spec.legend or target.series not in {s.name for s in spec.series}:
-                raise TargetError(f"no legend entry for series {target.series!r}")
-            edited = replace(
-                spec,
-                series=tuple(
-                    Series(s.name + MARKER_CHAR, s.values) if s.name == target.series else s
-                    for s in spec.series
-                ),
-            )
-        elif target.role == "x_tick":
-            if target.category not in spec.x_labels:
-                raise TargetError(f"no category {target.category!r}")
-            edited = replace(
-                spec,
-                x_labels=tuple(
-                    x + MARKER_CHAR if x == target.category else x for x in spec.x_labels
-                ),
-            )
-        else:  # y_tick: tick text is derived from data, not an editable field
-            raise TargetError("y tick labels are derived values; target a spec text element")
-        return EditedSpec(spec=validate_spec(edited), markers=(), step_index=step.index, vanilla=lay, marked=target)
-
+    if target.role == "y_tick":
+        raise TargetError("y tick labels are derived values; target a spec text element")
+    if target in lay.texts:
+        # Appending the marker keeps the spec valid: no text held it, so texts stay unique.
+        key = (target.role, target.series, target.category)
+        edited = replace(
+            spec,
+            title=spec.title + MARKER_CHAR if key == ("title", None, None) else spec.title,
+            series=tuple(Series(s.name + MARKER_CHAR, s.values) if key == ("legend_entry", s.name, None) else s
+                         for s in spec.series),
+            x_labels=tuple(x + MARKER_CHAR if key == ("x_tick", None, x) else x for x in spec.x_labels),
+        )
+        return EditedSpec(spec=edited, markers=(), step_index=step.index, vanilla=lay, marked=target)
     anchor = lay.anchors.get(target)
     if anchor is None:
-        raise TargetError(f"{target} has no marker anchor")
+        raise TargetError(f"{target} is not a text or datapoint of the chart")
+    x, y = anchor
+    # The painted cross's centre: its 9x9 block starts 4 px left of and above the rounded anchor.
+    if not lay.geometry[target].contains(round(x) + 0.5, round(y) + 0.5):
+        raise TargetError(f"the marker cross for {target} would lie outside it")
     return EditedSpec(spec=spec, markers=(anchor,), step_index=step.index, vanilla=lay)
 
 

@@ -134,7 +134,9 @@ class DatasetManifest:
         return reports
 
     def passed_charts(self) -> list:
-        return [c for c in self.charts if c.all_passed()]
+        """The charts in the dataset: those whose qa stage passed, which wrote
+        every image their records name. A run stopped before qa has none."""
+        return [c for c in self.charts if c.passed("qa")]
 
     def to_json(self) -> dict:
         return {
@@ -557,8 +559,8 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
     """Write dataset.jsonl (sorted by chart, kind, step) and the stage report.
 
     Records are rebuilt deterministically from persisted artifacts, so a
-    resumed run emits the same bytes as an uninterrupted one. Only charts whose
-    qa stage passed, and so wrote every image their records name, are emitted.
+    resumed run emits the same bytes as an uninterrupted one. Only the
+    manifest's ``passed_charts()`` are emitted.
     A chart whose spec or CoT cannot be read raises the error ``_read_artifact``
     names the file in; one whose detections cannot build its records raises
     their error prefixed ``chart <id>: ``; an image that is not a file raises
@@ -568,9 +570,7 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
     if out is None:
         raise ConfigError("emit_dataset requires a persisted run")
     records: list[tuple] = []
-    for outcome in manifest.charts:
-        if not outcome.passed("qa"):
-            continue
+    for outcome in manifest.passed_charts():
         spec, sample = read_chart_file(out, "specs", outcome.id), read_chart_file(out, "cot", outcome.id)
         try:
             chart_records = _chart_records(spec, sample, outcome, manifest.config)
@@ -589,11 +589,10 @@ def emit_dataset(manifest: DatasetManifest) -> Path:
 
 
 def compute_stats(manifest: DatasetManifest) -> dict:
-    """Histograms and distribution facts over the charts whose qa stage
-    passed, the charts ``emit_dataset`` writes: a chart that passed every
-    stage a partial run reached has no records yet. EmptyError when there is
-    none, as after a run stopped before qa."""
-    passed = [c for c in manifest.charts if c.passed("qa") and c.steps]
+    """Histograms and distribution facts over the manifest's ``passed_charts()``,
+    the charts ``emit_dataset`` writes. EmptyError when there is none, as after
+    a run stopped before qa."""
+    passed = [c for c in manifest.passed_charts() if c.steps]
     if not passed:
         raise EmptyError("no chart passed the qa stage")
     counts = {key: Counter(c.steps[key] for c in passed) for key in ("grounding", "reasoning", "total")}

@@ -29,7 +29,7 @@ from chartcot.marker import (
     verify_marker,
 )
 from chartcot.render import MARKER_COLOR, marker_svg, paint_markers, rasterize, render_svg
-from chartcot.spec import CANVAS_CHOICES, MARKER_CHAR, Series, generate_corpus
+from chartcot.spec import CANVAS_CHOICES, CHART_TYPES, MARKER_CHAR, Series, generate_corpus, validate_spec
 
 from conftest import draw_edit, make_spec
 
@@ -115,6 +115,42 @@ class TestApplyMarker:
     def test_plot_area_takes_no_marker(self, bar_spec):
         with pytest.raises(TargetError, match="'plot_area'"):
             apply_marker(bar_spec, grounding(0, ElementRef("plot_area")))
+
+
+class TestTargetsComeFromTheLayout:
+    """The vanilla layout decides every target: each text it placed but a y
+    tick, and each datapoint anchor, takes one marker and leaves a valid spec;
+    anything else raises TargetError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), chart_type=st.sampled_from(CHART_TYPES),
+           drop_title=st.booleans(), drop_legend=st.booleans())
+    def test_every_layout_target_and_nothing_else_is_markable(self, seed, chart_type, drop_title, drop_legend):
+        spec = generate_corpus(seed=seed, n=1, type_mix={chart_type: 1.0})[0]
+        spec = dataclasses.replace(spec, title="" if drop_title else spec.title,
+                                   legend=spec.legend and not drop_legend)
+        lay = chart_layout(spec)
+        for target in [*lay.texts, *lay.anchors]:
+            step = grounding(0, target)
+            if target.role == "y_tick":
+                with pytest.raises(TargetError, match="derived"):
+                    apply_marker(spec, step, full_layout=lay)
+                continue
+            edit = apply_marker(spec, step, full_layout=lay)
+            assert verify_marker(edit), target
+            assert validate_spec(edit.spec) == edit.spec
+
+        absent = max(spec.x_labels, key=len) + "?"
+        unresolvable = [ElementRef("plot_area"), ElementRef("x_tick", category=absent),
+                        ElementRef("datapoint", series=spec.series[0].name, category=absent)]
+        if not spec.title:
+            unresolvable.append(ElementRef("title"))
+        if not spec.legend or chart_type == "pie":
+            unresolvable += [ElementRef("legend_entry", series=s.name) for s in spec.series]
+        for target in unresolvable:
+            assert target not in lay.texts and target not in lay.anchors
+            with pytest.raises(TargetError, match=re.escape(repr(target))):
+                apply_marker(spec, grounding(0, target), full_layout=lay)
 
 
 class TestVerify:

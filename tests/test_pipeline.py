@@ -631,6 +631,27 @@ class TestUndrawableEdit:
         assert (tmp_path / "renders" / ImageRef(spec.id).file_name()).exists()
 
 
+class TestCrossOffItsDatapoint:
+    """A datapoint whose marker cross would be detected off the datapoint fails
+    its chart at code; the corpus makes no such chart."""
+
+    @pytest.mark.parametrize("spec, target", [
+        # A zero bar is a 0.5 px sliver of ink; its anchor lies 1 px below its top.
+        (make_spec(series=(Series("Alpha", (0.0,)),), x_labels=("Q1",)),
+         ElementRef("datapoint", series="Alpha", category="Q1")),
+        # A wedge of a millionth of the pie; the stub CoT grounds it.
+        (make_spec(chart_type="pie", series=(Series("Alpha", (1e-3, 1000.0)),), x_labels=("Sliver", "Big")),
+         ElementRef("datapoint", series="Alpha", category="Sliver")),
+    ], ids=["zero bar", "pie sliver"])
+    def test_fails_code_with_a_target_error(self, monkeypatch, spec, target):
+        monkeypatch.setattr(pipeline, "generate_corpus", lambda *args: [spec])
+        (chart,) = run(PipelineConfig(seed=1, n_charts=1, workers=1)).charts
+        assert chart.stages == {
+            "meta": "pass", "cot": "pass",
+            "code": f"fail:TargetError: the marker cross for {target} would lie outside it",
+        }
+
+
 class TestOverlayImages:
     """Overlay images are the vanilla raster of the chart with boxes stroked on top."""
 
@@ -787,7 +808,7 @@ class TestStats:
     def test_run_stopped_before_qa_has_no_stats(self, stop_after):
         # Every chart passed each stage run so far, but none has records yet.
         manifest = run(PipelineConfig(seed=4, n_charts=3), stop_after=stop_after)
-        assert len(manifest.passed_charts()) == 3
+        assert len(manifest.passed_charts()) == 0
         with pytest.raises(EmptyError, match=r"^no chart passed the qa stage$"):
             compute_stats(manifest)
 
@@ -879,6 +900,11 @@ class TestEmitEdgeCases:
         manifest = run(PipelineConfig(seed=4, n_charts=2))
         with pytest.raises(ConfigError):
             emit_dataset(manifest)
+
+    def test_gallery_requires_directory(self):
+        manifest = run(PipelineConfig(seed=4, n_charts=2))
+        with pytest.raises(ConfigError, match=r"^gallery requires a persisted run$"):
+            build_gallery(manifest)
 
     def test_manifest_load_roundtrip(self, tmp_path):
         manifest = run(small_config(), out_dir=tmp_path)
